@@ -8,9 +8,13 @@ admit counterexamples that random sampling finds quickly.
 
 Sampling uses the diagonal-scaling reduction: P = L L^T with unit-diagonal
 lower-triangular L covers every case up to the invariance of S, so only the
-strict lower triangle is drawn.  Trial t of a search draws from its own
-stream seeded by mix64(seed, t), making results independent of chunking or
-thread scheduling.
+strict lower triangle is drawn.
+
+Stream contract: trial t of a search draws from ``default_rng(mix64(seed, t))``
+(n-1 row-scale exponents, then the strict lower triangle), computed for a
+whole chunk of trials at once (see ``_pcg64``).  Results are therefore
+independent of chunking and thread scheduling, and bit-identical to drawing
+each trial from its own generator.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import _pcg64, linalg
 from .linalg import Matrix, NotPositiveDefiniteError, NotSymmetricError
 
 __all__ = [
@@ -53,6 +57,18 @@ def mix64(seed: int, t: int) -> int:
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
+    return z
+
+
+def _mix64_array(seed: int, ts) -> np.ndarray:
+    """``mix64(seed, t)`` for every t in ``ts``, as a uint64 array."""
+    u64 = np.uint64
+    z = (np.asarray(ts, dtype=u64) + u64(1)) * u64(_GOLDEN) + u64(seed & _MASK64)
+    z ^= z >> u64(30)
+    z *= u64(0xBF58476D1CE4E5B9)
+    z ^= z >> u64(27)
+    z *= u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
     return z
 
 
@@ -273,23 +289,29 @@ class SearchOutcome:
 _ROW_SCALE_EXPONENTS = (-1.5, 0.8)
 
 
-def _draw_search_lower(rng, n: int, rng_range: float) -> np.ndarray:
-    """Strict-lower entries for one search trial (row-major order)."""
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Map ``random()`` draws exactly as ``Generator.uniform(low, high)`` does."""
+    return low + (high - low) * u
+
+
+def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
+    """Strict-lower entries (row-major) of each trial in ``ts``, one row per trial.
+
+    Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
+    row-scale exponents, then the m entries uniform in +-rng_range/2.
+    """
     m = _strict_lower_count(n)
-    scales = 10.0 ** rng.uniform(*_ROW_SCALE_EXPONENTS, size=n - 1)
+    u = _pcg64.random(_mix64_array(seed, ts), n - 1 + m)
+    scales = 10.0 ** _uniform(u[:, : n - 1], *_ROW_SCALE_EXPONENTS)
     rows = np.repeat(np.arange(n - 1), np.arange(1, n))
     half = rng_range / 2.0
-    return rng.uniform(-half, half, size=m) * scales[rows]
+    return _uniform(u[:, n - 1 :], -half, half) * scales[:, rows]
 
 
 def _batch_min_irga_entries(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
     """Minimum IRGA entry for each trial index in ``ts`` (float path)."""
-    m = _strict_lower_count(n)
-    count = len(ts)
-    lower = np.empty((count, m))
-    for row, t in enumerate(ts):
-        rng = np.random.default_rng(mix64(seed, t))
-        lower[row] = _draw_search_lower(rng, n, rng_range)
+    lower = _search_lower(n, seed, ts, rng_range)
+    count = len(lower)
     ls = np.broadcast_to(np.eye(n), (count, n, n)).copy()
     tril = np.tril_indices(n, -1)
     ls[:, tril[0], tril[1]] = lower
@@ -309,8 +331,7 @@ def _trial_invertible(n: int, seed: int, t: int, rng_range: float) -> bool:
 
 def _certify_trial(n: int, seed: int, t: int, rng_range: float) -> tuple:
     """Exact recheck of one float hit on the dyadic rounding of its L."""
-    rng = np.random.default_rng(mix64(seed, t))
-    values = _draw_search_lower(rng, n, rng_range)
+    values = _search_lower(n, seed, [t], rng_range)[0]
     dyadic = [
         Fraction(int(round(v * DYADIC_DENOMINATOR)), DYADIC_DENOMINATOR) for v in values
     ]
@@ -334,9 +355,11 @@ def search_counterexample(
 
     Trials draw unit-diagonal Cholesky factors whose rows carry log-uniform
     scales (see _ROW_SCALE_EXPONENTS); ``rng_range`` sets the base entry
-    width.  Float hits are re-verified exactly on a dyadic rounding of L
-    before being reported; the reported hit is the lowest-index trial that
-    certifies, independent of chunking and thread count.
+    width.  Trial t draws from ``default_rng(mix64(seed, t))``, computed for
+    a whole chunk of trials at once; ``seed`` is taken modulo 2**64.  Float
+    hits are re-verified exactly on a dyadic rounding of L before being
+    reported; the reported hit is the lowest-index trial that certifies,
+    independent of chunking and thread count.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

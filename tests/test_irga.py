@@ -3,7 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from irgalab import _pcg64
 from irgalab.irga import (
+    _mix64_array,
+    _search_lower,
+    _uniform,
     check_conjecture,
     irga,
     mix64,
@@ -143,6 +147,40 @@ class TestMix64:
         assert mix64(42, 7) == mix64(42, 7)
         assert mix64(42, 7) != mix64(43, 7)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+    def test_vectorised_matches_scalar(self, seed):
+        values = _mix64_array(seed, range(50))
+        assert values.dtype == np.uint64
+        assert [int(v) for v in values] == [mix64(seed, t) for t in range(50)]
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestStreamIdentity:
+    """The vectorised draws must equal numpy's own ``default_rng`` streams bit for bit."""
+
+    def test_random_matches_default_rng(self):
+        draws = _pcg64.random(STREAM_SEEDS, 40)
+        for row, seed in zip(draws, STREAM_SEEDS):
+            assert np.array_equal(row, np.random.default_rng(seed).random(40))
+
+    def test_uniform_matches_default_rng(self):
+        draws = _uniform(_pcg64.random(STREAM_SEEDS, 40), -1.0, 1.0)
+        for row, seed in zip(draws, STREAM_SEEDS):
+            assert np.array_equal(row, np.random.default_rng(seed).uniform(-1.0, 1.0, 40))
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_search_draws_match_per_trial_generators(self, seed):
+        n, rng_range = 7, 2.0
+        rows = np.repeat(np.arange(n - 1), np.arange(1, n))
+        expected = np.empty((3000, n * (n - 1) // 2))
+        for t in range(3000):
+            rng = np.random.default_rng(mix64(seed, t))
+            scales = 10.0 ** rng.uniform(-1.5, 0.8, size=n - 1)
+            expected[t] = rng.uniform(-1.0, 1.0, size=len(rows)) * scales[rows]
+        assert np.array_equal(_search_lower(n, seed, range(3000), rng_range), expected)
+
 
 class TestSearch:
     def test_rejects_zero_trials(self):
@@ -167,9 +205,24 @@ class TestSearch:
     def test_first_hit_independent_of_chunking_and_threads(self):
         base = search_counterexample(7, 6000, seed=5, chunk_size=2048)
         other = search_counterexample(7, 6000, seed=5, chunk_size=101)
+        two = search_counterexample(7, 6000, seed=5, threads=2)
         threaded = search_counterexample(7, 6000, seed=5, threads=4, chunk_size=512)
-        assert base.trial_index == other.trial_index == threaded.trial_index
-        assert base.float_hits == other.float_hits == threaded.float_hits
+        assert base.trial_index == other.trial_index == two.trial_index == threaded.trial_index
+        assert base.float_hits == other.float_hits == two.float_hits == threaded.float_hits
+
+    def test_pinned_stream(self):
+        # Any change to how trials draw shows up here, not as a silent drift.
+        outcome = search_counterexample(7, 6000, seed=5)
+        assert (outcome.trial_index, outcome.float_hits) == (3688, 2)
+
+    @pytest.mark.parametrize(
+        "seed, trials, expected",
+        [(-1, 3000, (166, 1)), (2**70, 6000, (5707, 1))],
+    )
+    def test_seeds_reduce_modulo_2_64(self, seed, trials, expected):
+        outcome = search_counterexample(7, trials, seed=seed)
+        assert (outcome.trial_index, outcome.float_hits) == expected
+        assert outcome.seed == seed
 
     def test_exact_certification_refutes_float_noise(self):
         # Every reported hit is exact; uncertified float hits are counted.
