@@ -355,6 +355,10 @@ def sos_identity(ctx, reference, n, i_index, j_index, trials, seed, coord_range)
     """Randomized identity test of a reference polynomial vs the exact oracle."""
 
     def body():
+        try:
+            sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
+        except ValueError as exc:
+            raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
         expression = _resolve_expression(reference)
         report = sosmod.identity_test(
             expression, n, i_index, j_index,

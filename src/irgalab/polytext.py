@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import Polynomial, QuadExt3, VariableSet
+from .exact import IncompleteAssignmentError, Polynomial, QuadExt3, VariableSet
 
 __all__ = [
     "ParseDiagnostic",
@@ -225,94 +225,120 @@ class _Parser:
         self.fail("expected a factor", ("variable", "number", "sqrt3", "("))
 
 
-def _tree_variables(node, out: set):
-    kind = node[0]
-    if kind == "var":
-        out.add(node[1])
-    elif kind == "add":
-        for _, child in node[1:]:
-            _tree_variables(child, out)
-    elif kind == "mul":
-        for child in node[1:]:
-            _tree_variables(child, out)
-    elif kind == "pow":
-        _tree_variables(node[1], out)
+# A compiled program is the parse tree in post-order with equal subtrees
+# merged: instruction k computes slot k from earlier slots.  Instructions:
+#   ("var", name)  ("num", value)  ("pow", slot, k)
+#   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
+# Integral literals are stored as int, so integer points stay in integer
+# arithmetic; the last instruction is the root.
+def _compile(tree) -> tuple:
+    program = []
+    slots = {}
+
+    def emit(instruction):
+        slot = slots.get(instruction)
+        if slot is None:
+            slot = slots[instruction] = len(program)
+            program.append(instruction)
+        return slot
+
+    def visit(node):
+        kind = node[0]
+        if kind == "var":
+            return emit(node)
+        if kind == "num":
+            value = node[1]
+            return emit(("num", value.numerator if value.denominator == 1 else value))
+        if kind == "sqrt3":
+            return emit(("num", QuadExt3(0, 1)))
+        if kind == "pow":
+            return emit(("pow", visit(node[1]), node[2]))
+        if kind == "mul":
+            return emit(("mul", tuple(visit(child) for child in node[1:])))
+        if kind == "add":
+            return emit(("add", tuple((sign, visit(child)) for sign, child in node[1:])))
+        raise AssertionError(f"unknown node kind {kind}")
+
+    visit(tree)
+    return tuple(program)
 
 
-def _tree_evaluate(node, point: Mapping[str, object]):
-    kind = node[0]
-    if kind == "var":
-        return point[node[1]]
-    if kind == "num":
-        return node[1]
-    if kind == "sqrt3":
-        return QuadExt3(0, 1)
-    if kind == "pow":
-        return _tree_evaluate(node[1], point) ** node[2]
-    if kind == "mul":
-        total = 1
-        for child in node[1:]:
-            total = total * _tree_evaluate(child, point)
-        return total
-    if kind == "add":
-        total = 0
-        for sign, child in node[1:]:
-            value = _tree_evaluate(child, point)
-            total = total + (value if sign == 1 else -value)
-        return total
-    raise AssertionError(f"unknown node kind {kind}")
-
-
-def _tree_expand(node, variables: VariableSet) -> Polynomial:
-    kind = node[0]
-    if kind == "var":
-        return Polynomial.variable(variables, node[1])
-    if kind == "num":
-        return Polynomial.constant(variables, node[1])
-    if kind == "sqrt3":
-        return Polynomial.constant(variables, QuadExt3(0, 1))
-    if kind == "pow":
-        return _tree_expand(node[1], variables) ** node[2]
-    if kind == "mul":
-        total = Polynomial.constant(variables, 1)
-        for child in node[1:]:
-            total = total * _tree_expand(child, variables)
-        return total
-    if kind == "add":
-        total = Polynomial.zero(variables)
-        for sign, child in node[1:]:
-            part = _tree_expand(child, variables)
-            total = total + (part if sign == 1 else -part)
-        return total
-    raise AssertionError(f"unknown node kind {kind}")
+def _run(program, point: Mapping[str, object]):
+    values = []
+    for instruction in program:
+        kind = instruction[0]
+        if kind == "mul":
+            slots = instruction[1]
+            total = values[slots[0]]
+            for slot in slots[1:]:
+                total = total * values[slot]
+        elif kind == "add":
+            total = 0
+            for sign, slot in instruction[1]:
+                total = total + values[slot] if sign == 1 else total - values[slot]
+        elif kind == "pow":
+            total = values[instruction[1]] ** instruction[2]
+        elif kind == "var":
+            total = point[instruction[1]]
+        else:
+            total = instruction[1]
+        values.append(total)
+    return values[-1]
 
 
 class ParsedExpression:
-    """A syntax tree that can be evaluated exactly without expansion."""
+    """A syntax tree that can be evaluated exactly without expansion.
 
-    __slots__ = ("tree", "_names")
+    The first evaluation compiles the tree into a program in which equal
+    subtrees are computed once; the program is kept for later calls.
+    """
+
+    __slots__ = ("tree", "_program")
 
     def __init__(self, tree):
         self.tree = tree
-        names: set = set()
-        _tree_variables(tree, names)
-        self._names = frozenset(names)
+        self._program = None
+
+    def _compiled(self) -> tuple:
+        if self._program is None:
+            self._program = _compile(self.tree)
+        return self._program
 
     def variable_names(self) -> frozenset:
-        return self._names
+        return frozenset(ins[1] for ins in self._compiled() if ins[0] == "var")
+
+    def degree_bound(self) -> int:
+        """An upper bound on the total degree; cancellation can make it loose."""
+        degrees = []
+        for instruction in self._compiled():
+            kind = instruction[0]
+            if kind == "mul":
+                degree = sum(degrees[slot] for slot in instruction[1])
+            elif kind == "add":
+                degree = max(degrees[slot] for _, slot in instruction[1])
+            elif kind == "pow":
+                degree = degrees[instruction[1]] * instruction[2]
+            else:
+                degree = 1 if kind == "var" else 0
+            degrees.append(degree)
+        return degrees[-1]
 
     def evaluate(self, point: Mapping[str, object]):
-        missing = sorted(self._names - set(point))
+        missing = sorted(self.variable_names() - set(point))
         if missing:
-            from .exact import IncompleteAssignmentError
-
             raise IncompleteAssignmentError(f"no value for variable(s) {missing}")
-        return _tree_evaluate(self.tree, point)
+        return _run(self._compiled(), point)
 
     def to_polynomial(self, variables: VariableSet | None = None) -> Polynomial:
+        names = self.variable_names()
         if variables is None:
-            variables = VariableSet(sorted(self._names))
-        return _tree_expand(self.tree, variables)
+            variables = VariableSet(sorted(names))
+        value = _run(
+            self._compiled(), {name: Polynomial.variable(variables, name) for name in names}
+        )
+        if isinstance(value, Polynomial):
+            return value
+        return Polynomial.constant(variables, value)
 
 
 def parse_expression(text: str, variables: VariableSet | None = None) -> ParsedExpression:

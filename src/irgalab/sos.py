@@ -19,6 +19,7 @@ cancelled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,7 @@ __all__ = [
     "CertificateCheck",
     "IdentityTestReport",
     "identity_test",
+    "validate_identity_arguments",
     "exact_entry_oracle",
     "BUILTIN_ASSETS",
     "builtin_polynomial",
@@ -239,15 +241,18 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
     Builds L from a rational assignment of the strict-lower parameters and
     evaluates entirely in rational arithmetic; this is the independent side
     of the randomized identity test and never touches the symbolic path.
+    Integer coordinates stay ``int`` while L and R = L L^T are built, which
+    keeps the exact inverse of R in integer arithmetic.
     """
     variables = cholesky_variables(n)
 
     def oracle(point: Mapping[str, Fraction]) -> Fraction:
-        values = [Fraction(point[name]) for name in variables.names]
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        values = [point[name] for name in variables.names]
+        values = [v if isinstance(v, int) else Fraction(v) for v in values]
+        rows = [[0] * n for _ in range(n)]
         k = 0
         for r in range(n):
-            rows[r][r] = Fraction(1)
+            rows[r][r] = 1
             for c in range(r):
                 rows[r][c] = values[k]
                 k += 1
@@ -261,12 +266,19 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
 
 @dataclass(frozen=True)
 class IdentityTestReport:
-    """Per-point agreement record of a randomized identity test."""
+    """Per-point agreement record of a randomized identity test.
+
+    ``degree_bound`` bounds the total degree of reference minus oracle, and
+    ``error_bound`` is the Schwartz-Zippel bound on the probability that a
+    reference that differs from the oracle agrees at every point.
+    """
 
     trials: int
     points: tuple  # tuple of {name: str} assignments, in trial order
     agreements: int
     first_disagreement: Optional[dict]  # {"point", "reference", "oracle"}
+    degree_bound: int
+    error_bound: float
 
     @property
     def all_agree(self) -> bool:
@@ -279,7 +291,21 @@ class IdentityTestReport:
             "all_agree": self.all_agree,
             "points": [dict(p) for p in self.points],
             "first_disagreement": self.first_disagreement,
+            "degree_bound": self.degree_bound,
+            "error_bound": self.error_bound,
         }
+
+
+def validate_identity_arguments(n: int, i: int, j: int, trials: int, coordinate_range: int):
+    """Raise ValueError unless the arguments describe a runnable identity test."""
+    if not 2 <= n <= 6:
+        raise ValueError(f"identity test needs 2 <= n <= 6 (got n={n})")
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"need an off-diagonal entry with 1 <= i, j <= {n} (got ({i}, {j}))")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {trials})")
+    if coordinate_range < 1:
+        raise ValueError(f"coordinate range must be >= 1 (got {coordinate_range})")
 
 
 def identity_test(
@@ -294,14 +320,20 @@ def identity_test(
 ) -> IdentityTestReport:
     """Compare a reference polynomial against the exact oracle at random points.
 
-    ``reference`` is anything with an exact ``evaluate(point)`` (an expanded
-    Polynomial or an unexpanded ParsedExpression).  Point t draws integer
-    coordinates from the stream seeded by mix64(seed, t), keeping reports
-    deterministic and order-independent.  Disagreement is a result, not an
-    error.
+    ``reference`` is an expanded Polynomial or an unexpanded
+    ParsedExpression.  Point t draws integer coordinates in
+    [-coordinate_range, coordinate_range] from the stream seeded by
+    mix64(seed, t), keeping reports deterministic and order-independent.
+    Disagreement is a result, not an error; arguments outside
+    ``validate_identity_arguments`` raise ValueError.
+
+    The difference of reference and oracle has total degree at most
+    d = max(degree bound of the reference, 2n(n-1)): entries of L^-1 have
+    degree <= n-1, so entries of T have degree <= 2n and its (n-1)-minors
+    degree <= 2n(n-1).  If the two differ, all points agree with
+    probability at most (d / (2 coordinate_range + 1)) ** trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    validate_identity_arguments(n, i, j, trials, coordinate_range)
     if oracle is None:
         oracle = exact_entry_oracle(n, i, j)
     variables = cholesky_variables(n)
@@ -311,7 +343,7 @@ def identity_test(
     for t in range(trials):
         rng = np.random.default_rng(mix64(seed, t))
         coords = rng.integers(-coordinate_range, coordinate_range + 1, size=len(variables))
-        point = {name: Fraction(int(c)) for name, c in zip(variables.names, coords)}
+        point = {name: int(c) for name, c in zip(variables.names, coords)}
         points.append({name: str(v) for name, v in point.items()})
         expected = oracle(point)
         got = reference.evaluate(point)
@@ -323,11 +355,21 @@ def identity_test(
                 "reference": str(got),
                 "oracle": str(expected),
             }
+    if isinstance(reference, ParsedExpression):
+        reference_degree = reference.degree_bound()
+    else:
+        reference_degree = reference.total_degree()
+    degree = max(reference_degree, 2 * n * (n - 1))
+    ratio = degree / (2 * coordinate_range + 1)
+    # A probability bound: at most 1, and never reported as 0 on underflow.
+    error_bound = 1.0 if ratio >= 1 else max(ratio**trials, math.ulp(0.0))
     return IdentityTestReport(
         trials=trials,
         points=tuple(points),
         agreements=agreements,
         first_disagreement=first_disagreement,
+        degree_bound=degree,
+        error_bound=error_bound,
     )
 
 

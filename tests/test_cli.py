@@ -1,17 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import irgalab
 from irgalab.sos import data_path
 
 DEMO = str(data_path("gauge4_demo.mat"))
 
+# The CLI subprocess imports the same irgalab as the tests, installed or not.
+PACKAGE_ROOT = str(Path(irgalab.__file__).resolve().parent.parent)
+
 
 def run_cli(*args, **kwargs):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "irgalab.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 
@@ -109,6 +120,16 @@ class TestSosCommands:
         )
         assert proc.returncode == 0
         assert payload_of(proc)["report"]["all_agree"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--n", "7"), ("--n", "3", "--i", "5"), ("--n", "6", "--trials", "0"),
+         ("--n", "6", "--range", "-5"), ("--n", "1")],
+    )
+    def test_identity_test_bad_arguments_are_usage_errors(self, args):
+        proc = run_cli("sos", "identity-test", *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 class TestPolyCommands:

@@ -139,3 +139,77 @@ def test_expression_evaluation_matches_expansion():
     polynomial = parse_polynomial(text)
     point = {"a": Fraction(5, 3), "b": Fraction(-7, 2)}
     assert expression.evaluate(point) == polynomial.evaluate(point)
+
+
+class TestCompiledEvaluation:
+    POINTS = (
+        {name: Fraction(k - 7, k + 2) for k, name in enumerate("abcdef")},
+        {name: QuadExt3(Fraction(k, 3), 1 - k) for k, name in enumerate("abcdef")},
+    )
+
+    @pytest.mark.parametrize("asset", ["pn3", "pn4", "s4-entry12"])
+    def test_matches_expansion_on_bundled_assets(self, asset):
+        from irgalab.sos import builtin_expression
+
+        expression = builtin_expression(asset)
+        polynomial = expression.to_polynomial()
+        for point in self.POINTS:
+            assert expression.evaluate(point) == polynomial.evaluate(point)
+
+    def test_sqrt3_literal(self):
+        expression = parse_expression("(sqrt3 a + 1)^2 - 2 sqrt3 a")
+        point = {"a": QuadExt3(0, 1)}
+        assert expression.evaluate(point) == 10
+        assert expression.evaluate(point) == expression.to_polynomial().evaluate(point)
+
+    def test_missing_variable_raises(self):
+        from irgalab.exact import IncompleteAssignmentError
+
+        with pytest.raises(IncompleteAssignmentError):
+            parse_expression("a b + c").evaluate({"a": 1, "b": 2})
+
+    def test_integer_points_stay_integer(self):
+        value = parse_expression("(a + 2 b)^3 - 4/2 a").evaluate({"a": 3, "b": -1})
+        assert type(value) is int and value == -5
+
+    def test_size_six_program_shares_subexpressions(self):
+        from irgalab.sos import builtin_expression
+
+        expression = builtin_expression("s6-entry12")
+        assert len(expression._compiled()) == 881
+        assert expression.degree_bound() == 31
+        assert expression.variable_names() == frozenset("abcdefghijkmnpq")
+
+
+# Random expressions paired with their value at POINT, computed directly.
+POINT = {"a": Fraction(2, 3), "b": -3, "c": QuadExt3(Fraction(1, 2), 1)}
+
+leaf_expressions = st.one_of(
+    st.sampled_from("abc").map(lambda name: (name, POINT[name])),
+    st.fractions(min_value=0, max_value=9, max_denominator=5).map(lambda q: (str(q), q)),
+    st.just(("sqrt3", QuadExt3(0, 1))),
+)
+
+
+def _combine(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda p: (f"({p[0][0]} + {p[1][0]})", p[0][1] + p[1][1])),
+        pair.map(lambda p: (f"({p[0][0]} - {p[1][0]})", p[0][1] - p[1][1])),
+        pair.map(lambda p: (f"({p[0][0]}) ({p[1][0]})", p[0][1] * p[1][1])),
+        # Repeated subtrees share one slot in the compiled program.
+        children.map(lambda c: (f"(({c[0]}) ({c[0]}) - {c[0]})", c[1] * c[1] - c[1])),
+        st.tuples(children, st.integers(0, 3)).map(
+            lambda p: (f"({p[0][0]})^{p[1]}", p[0][1] ** p[1])
+        ),
+        children.map(lambda c: (f"-({c[0]})", -c[1])),
+    )
+
+
+@given(st.recursive(leaf_expressions, _combine, max_leaves=12))
+@settings(max_examples=80, deadline=None)
+def test_compiled_evaluation_matches_direct_arithmetic(case):
+    text, value = case
+    expression = parse_expression(text)
+    assert expression.evaluate(POINT) == value
+    assert expression.to_polynomial().evaluate(POINT) == value

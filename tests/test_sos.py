@@ -213,3 +213,42 @@ class TestIdentityTest:
         a = identity_test(expression, 6, 1, 2, trials=2, seed=9)
         b = identity_test(expression, 6, 1, 2, trials=2, seed=9)
         assert a.points == b.points and a.agreements == b.agreements
+
+
+class TestIdentityTestBounds:
+    def test_oracle_same_on_int_and_fraction_points(self):
+        oracle = exact_entry_oracle(6, 1, 2)
+        names = cholesky_variables(6).names
+        ints = {name: (-1) ** k * (37 * k + 5) for k, name in enumerate(names)}
+        fractions = {name: Fraction(value) for name, value in ints.items()}
+        assert oracle(ints) == oracle(fractions)
+
+    def test_bound_from_expanded_reference(self):
+        # pn3 has total degree 6, below the oracle's 2n(n-1) = 12 at n = 3.
+        report = identity_test(builtin_polynomial("pn3"), 3, 2, 3, trials=3, coordinate_range=100)
+        assert report.all_agree
+        assert report.degree_bound == 12
+        assert report.error_bound == (12 / 201) ** 3
+        payload = report.to_json_dict()
+        assert payload["degree_bound"] == 12 and payload["error_bound"] == report.error_bound
+
+    def test_bound_from_size_six_tree(self):
+        report = identity_test(builtin_expression("s6-entry12"), 6, 1, 2, trials=2, seed=1)
+        assert report.degree_bound == 60
+        assert report.error_bound == (60 / 2_000_001) ** 2
+
+    def test_bound_stays_a_probability(self):
+        reference = builtin_polynomial("pn3")
+        assert identity_test(reference, 3, 2, 3, trials=2, coordinate_range=1).error_bound == 1.0
+        tiny = identity_test(reference, 3, 2, 3, trials=200, coordinate_range=10**6)
+        assert 0.0 < tiny.error_bound < 1e-300
+
+    @pytest.mark.parametrize(
+        "n, i, j, trials, coordinate_range",
+        [(7, 1, 2, 1, 5), (1, 1, 2, 1, 5), (3, 5, 1, 1, 5), (3, 2, 2, 1, 5),
+         (3, 1, 2, 0, 5), (3, 1, 2, 1, 0)],
+    )
+    def test_bad_arguments_raise_value_error(self, n, i, j, trials, coordinate_range):
+        with pytest.raises(ValueError):
+            identity_test(builtin_polynomial("pn3"), n, i, j, trials=trials,
+                          coordinate_range=coordinate_range)
