@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import _pcg64, linalg
-from .linalg import Matrix, NotPositiveDefiniteError, NotSymmetricError
+from .linalg import Matrix, NotPositiveDefiniteError
 
 __all__ = [
     "mix64",
@@ -80,28 +80,23 @@ def rga(m):
     return m * linalg.inverse(m).T
 
 
-def _check_symmetric(p):
-    if isinstance(p, Matrix):
-        if not p.is_symmetric():
-            raise NotSymmetricError("input must be symmetric")
-    else:
-        scale = max(np.abs(p).max(), 1.0)
-        if np.abs(p - p.T).max() > linalg.SYMMETRY_RTOL * scale:
-            raise NotSymmetricError("input must be symmetric")
-
-
 def irga(p):
     """Inverse relative gain array (P o P^-1)^-1 of a symmetric matrix.
 
     For positive-definite P the Hadamard product is itself PD (Schur product
-    theorem) and therefore invertible; the guard below covers indefinite
-    symmetric inputs anyway.
+    theorem) and therefore invertible; the inverse's singularity check covers
+    indefinite symmetric inputs anyway.
     """
+    if not isinstance(p, Matrix):
+        p = np.asarray(p, dtype=float)
+    linalg._check_symmetric(p)
+    return _irga(p)
+
+
+def _irga(p):
+    """``irga`` of a Matrix or float array already known to be symmetric."""
     if isinstance(p, Matrix):
-        _check_symmetric(p)
         return p.hadamard(p.inverse()).inverse()
-    p = np.asarray(p, dtype=float)
-    _check_symmetric(p)
     return linalg.inverse(p * linalg.inverse(p))
 
 
@@ -154,11 +149,13 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     The input must be symmetric positive definite; violations raise rather
     than report.
     """
-    _check_symmetric(p)
-    if not linalg.is_positive_definite(p):
+    if not isinstance(p, Matrix):
+        p = np.asarray(p, dtype=float)
+    linalg._check_symmetric(p)
+    if not linalg._is_positive_definite(p):
         raise NotPositiveDefiniteError("input must be positive definite")
+    s = _irga(p)
     if isinstance(p, Matrix):
-        s = irga(p)
         one = Fraction(1)
         row_devs = [abs(v - one) for v in s.row_sums()]
         col_devs = [abs(v - one) for v in s.col_sums()]
@@ -171,12 +168,11 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
             max_row_sum_dev=Fraction(0),
             max_col_sum_dev=Fraction(0),
             min_entry=min_entry,
-            pd=linalg.is_positive_definite(s),
+            pd=linalg._is_positive_definite(s),
             nonnegative=nonnegative,
             doubly_stochastic=nonnegative,
             mode="exact",
         )
-    s = irga(p)
     row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
     col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
     min_entry = float(s.min())
@@ -187,7 +183,7 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
         max_row_sum_dev=row_dev,
         max_col_sum_dev=col_dev,
         min_entry=min_entry,
-        pd=linalg.is_positive_definite(0.5 * (s + s.T)),
+        pd=linalg._is_positive_definite(0.5 * (s + s.T)),
         nonnegative=nonnegative,
         doubly_stochastic=doubly,
         mode="float",

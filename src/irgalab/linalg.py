@@ -6,15 +6,18 @@ Two carriers coexist and most public functions dispatch on type:
 * ``Matrix``, an immutable row-tuple container holding exact scalars
   (int, Fraction, QuadExt3, or Polynomial) for certification work.
 
-Exact determinants use fraction-free Bareiss elimination; exact inverses are
-adjugate/determinant.  Matrices of Polynomial entries (no exact division
+Exact determinants use fraction-free Bareiss elimination; exact inverses use
+one fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968), which
+yields the adjugate and the determinant together, over the integers for
+int/Fraction matrices.  Matrices of Polynomial entries (no exact division
 available) fall back to cofactor expansion with minor memoization.  Float
-inverses use partially pivoted LU with an explicit pivot-magnitude check.
+inverses use partially pivoted LU (LAPACK getrf/getrs) with an explicit
+pivot-magnitude check.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -229,21 +232,18 @@ class Matrix:
         return _det_bareiss(self.rows)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse as adjugate over determinant."""
+        """Exact inverse as adjugate over determinant (one Gauss-Jordan pass).
+
+        int and Fraction matrices give Fraction entries.
+        """
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
         if _has_polynomial_entries(self):
             raise TypeError("exact inverse over polynomial entries is not supported")
-        d = self.det()
-        if d == 0:
-            raise SingularMatrixError("matrix is singular")
-        inv_d = Fraction(1) / d
-        n = self.n_rows
-        if n == 1:
-            return Matrix([[inv_d]])
-        return Matrix.from_function(
-            n, n, lambda i, j: adjugate_entry(self, i + 1, j + 1) * inv_d
-        )
+        adj, d = _adjugate_det(self.rows)
+        if isinstance(d, (int, Fraction)):
+            return Matrix([[Fraction(v, d) for v in row] for row in adj])
+        return Matrix([[v / d for v in row] for row in adj])
 
     def to_float_array(self) -> np.ndarray:
         return np.array([[float(a) for a in row] for row in self.rows], dtype=float)
@@ -302,6 +302,87 @@ def _exact_div(value, divisor):
             raise ArithmeticError("inexact division in Bareiss elimination")
         return q
     return value / divisor
+
+
+def _integer_scaled(rows):
+    """(D*A as integer rows, D) for D the LCM of the entries' denominators.
+
+    None unless every entry is an int or a Fraction.
+    """
+    if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        return None
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
+def _adjugate_det(rows) -> tuple:
+    """(adj(A), det(A)) of a square exact matrix A, adjugate as a list of rows.
+
+    One fraction-free Gauss-Jordan pass on [A | I]: step k swaps in a
+    nonzero pivot if needed and updates every other row by
+    row_i <- (pivot*row_i - a_ik*row_k) / previous pivot, a division that is
+    always exact.  The pass ends at [d*I | d*A'^-1] for the row-swapped A'
+    with d = det(A'), i.e. at +-(det(A), adj(A)).  int/Fraction matrices run
+    over the integers on D*A (D = LCM of the denominators), then
+    adj(A) = adj(D*A) / D^(n-1) and det(A) = det(D*A) / D^n.  Raises
+    SingularMatrixError when A is singular.
+    """
+    scaled = _integer_scaled(rows)
+    a = [list(row) for row in rows] if scaled is None else scaled[0]
+    n = len(a)
+    for i in range(n):
+        a[i].extend(1 if j == i else 0 for j in range(n))
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                raise SingularMatrixError("matrix is singular")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(n):
+            if i != k:
+                lead = a[i][k]
+                a[i] = [_exact_div(pivot * x - lead * y, prev) for x, y in zip(a[i], row_k)]
+        prev = pivot
+    adj = [row[n:] if sign == 1 else [-v for v in row[n:]] for row in a]
+    det = sign * prev
+    if scaled is None or scaled[1] == 1:
+        return adj, det
+    scale = scaled[1]
+    return (
+        [[Fraction(v, scale ** (n - 1)) for v in row] for row in adj],
+        Fraction(det, scale**n),
+    )
+
+
+def _leading_minors_positive(rows) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive.
+
+    Bareiss elimination without row swaps leaves the (k+1)-th leading minor
+    as the k-th pivot, so one pass reads all of them and stops at the first
+    that is not positive.  int/Fraction matrices run over the integers on
+    D*A, whose leading minors are those of A times powers of D > 0.
+    """
+    scaled = _integer_scaled(rows)
+    a = [list(row) for row in rows] if scaled is None else scaled[0]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k]
+        if not pivot > 0:
+            return False
+        for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = _exact_div(pivot * row_i[j] - lead * row_k[j], prev)
+        prev = pivot
+    return True
 
 
 def _det_cofactor_memo(rows) -> object:
@@ -393,9 +474,10 @@ def kron(a, b):
 
 
 def inverse(a, pivot_rtol: float = PIVOT_RTOL):
-    """Exact adjugate/determinant inverse, or float partially pivoted LU.
+    """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
-    The float path rejects pivots below ``pivot_rtol * max|entry|`` with
+    The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
+    do) and rejects pivots below ``pivot_rtol * max|entry|`` with
     NumericallySingularError; the exact path raises SingularMatrixError when
     the determinant vanishes.
     """
@@ -407,20 +489,30 @@ def inverse(a, pivot_rtol: float = PIVOT_RTOL):
     scale = np.abs(a).max()
     if scale == 0:
         raise NumericallySingularError("zero matrix")
-    with warnings.catch_warnings():
-        # Exactly singular inputs trip a LinAlgWarning before the pivot
-        # check below turns them into an exception.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < pivot_rtol * scale:
+    # An exactly singular input leaves a zero pivot (getrf info > 0), which
+    # the check below rejects before getrs could divide by it.
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
+    pivot = np.abs(lu.diagonal()).min()
+    if pivot < pivot_rtol * scale:
         raise NumericallySingularError(
-            f"pivot {pivots.min():.3e} below {pivot_rtol:.0e} * max entry {scale:.3e}"
+            f"pivot {pivot:.3e} below {pivot_rtol:.0e} * max entry {scale:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
+    return scipy.linalg.lapack.dgetrs(lu, piv, np.eye(a.shape[0]))[0]
 
 
-def _check_symmetry_float(a: np.ndarray, rtol: float):
+def _check_symmetric(a, rtol: float = SYMMETRY_RTOL):
+    """Raise NotSymmetricError unless ``a`` is symmetric.
+
+    Exact matrices must be symmetric entry for entry; float arrays must be
+    square (else DimensionMismatchError) and symmetric within
+    ``rtol * max(max|entry|, 1)``.
+    """
+    if isinstance(a, Matrix):
+        if not a.is_symmetric():
+            raise NotSymmetricError("matrix is not symmetric")
+        return
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > rtol * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
@@ -429,9 +521,7 @@ def _check_symmetry_float(a: np.ndarray, rtol: float):
 def cholesky(a: np.ndarray, symmetry_rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Lower-triangular factor with positive diagonal; A must be symmetric PD."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("Cholesky of a non-square matrix")
-    _check_symmetry_float(a, symmetry_rtol)
+    _check_symmetric(a, symmetry_rtol)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -440,19 +530,16 @@ def cholesky(a: np.ndarray, symmetry_rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 
 def is_positive_definite(a, symmetry_rtol: float = SYMMETRY_RTOL) -> bool:
     """Sylvester criterion (exact scalars) or Cholesky success (floats)."""
+    if not isinstance(a, Matrix):
+        a = np.asarray(a, dtype=float)
+    _check_symmetric(a, symmetry_rtol)
+    return _is_positive_definite(a)
+
+
+def _is_positive_definite(a) -> bool:
+    """``is_positive_definite`` for a Matrix or float array known to be symmetric."""
     if isinstance(a, Matrix):
-        if not a.is_symmetric():
-            raise NotSymmetricError("matrix is not symmetric")
-        n = a.n_rows
-        for k in range(1, n + 1):
-            leading = Matrix([row[:k] for row in a.rows[:k]])
-            if not leading.det() > 0:
-                return False
-        return True
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("PD test on a non-square matrix")
-    _check_symmetry_float(a, symmetry_rtol)
+        return _leading_minors_positive(a.rows)
     try:
         np.linalg.cholesky(a)
         return True

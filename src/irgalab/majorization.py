@@ -238,14 +238,14 @@ class BirkhoffDecomposition:
         }
 
 
-def _find_matching(support: np.ndarray) -> list | None:
-    """Perfect matching rows->cols inside a boolean support matrix."""
-    n = support.shape[0]
+def _find_matching(support: list) -> list | None:
+    """Perfect matching rows->cols; ``support[r]`` lists row r's columns in order."""
+    n = len(support)
     match_col = [-1] * n  # column -> row
 
     def augment(row, seen):
-        for col in range(n):
-            if support[row, col] and not seen[col]:
+        for col in support[row]:
+            if not seen[col]:
                 seen[col] = True
                 if match_col[col] < 0 or augment(match_col[col], seen):
                     match_col[col] = row
@@ -272,6 +272,8 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("input must be square")
     n = s.shape[0]
+    if not np.isfinite(s).all():
+        raise NotDoublyStochasticError("non-finite entry")
     if s.min() < -tol:
         raise NotDoublyStochasticError(f"negative entry {s.min():.3e}")
     if (
@@ -279,25 +281,32 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
         or np.abs(s.sum(axis=0) - 1.0).max() > tol
     ):
         raise NotDoublyStochasticError("row/column sums differ from 1 beyond tol")
-    residual = s.clip(min=0.0)
+    # Python floats, as the loop reads and updates single entries (the same
+    # IEEE doubles as numpy's).  ``support[r]`` lists, in column order, the
+    # columns c with residual[r][c] > tol; only the entries on the extracted
+    # permutation change, so it is updated there alone.
+    residual = s.clip(min=0.0).tolist()
+    support = [[c for c, v in enumerate(row) if v > tol] for row in residual]
     weights = []
     perms = []
     limit = (n - 1) ** 2 + 1
-    while residual.max() > tol:
+    while any(support):
         if len(weights) >= limit:
             raise NotDoublyStochasticError(
                 "decomposition exceeded the permutation budget; input too far from doubly stochastic"
             )
-        perm = _find_matching(residual > tol)
+        perm = _find_matching(support)
         if perm is None:
             raise NotDoublyStochasticError(
                 "no perfect matching in the positive support"
             )
-        weight = float(min(residual[r, c] for r, c in enumerate(perm)))
+        weight = min(residual[r][c] for r, c in enumerate(perm))
         weights.append(weight)
         perms.append(tuple(perm))
         for r, c in enumerate(perm):
-            residual[r, c] -= weight
+            residual[r][c] -= weight
+            if not residual[r][c] > tol:
+                support[r].remove(c)
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms))
 
 

@@ -95,11 +95,15 @@ class SearchTrace:
         }
 
 
-def _make_state(gauge: Gauge, spectrum: np.ndarray) -> SearchState:
+def _float_rga(gauge: Gauge) -> np.ndarray:
     rga_p = gauge.rga_matrix()
     if hasattr(rga_p, "to_float_array"):
         rga_p = rga_p.to_float_array()
-    diagonal = np.asarray(rga_p, dtype=float) @ spectrum
+    return np.asarray(rga_p, dtype=float)
+
+
+def _make_state(rga_p: np.ndarray, spectrum: np.ndarray) -> SearchState:
+    diagonal = rga_p @ spectrum
     diag_entropy = shannon_entropy(diagonal) if diagonal.min() >= 0 else None
     return SearchState(
         spectrum=spectrum,
@@ -151,13 +155,17 @@ def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
     spectral entropy strictly).
     """
     gauge.require_valid()
-    spectrum = np.asarray(spectrum, dtype=float)
-    current = _make_state(gauge, spectrum)
+    return _step(_float_rga(gauge), np.asarray(spectrum, dtype=float), config)
+
+
+def _step(rga_p: np.ndarray, spectrum: np.ndarray, config: SearchConfig) -> Optional[np.ndarray]:
+    """``step`` with RGA(P) already computed as a float array."""
+    current = _make_state(rga_p, spectrum)
     sign = 1.0 if config.direction == "max_entropy" else -1.0
     best = None
     best_gain = 0.0
     for _, _, candidate in neighbors(spectrum, config.delta):
-        candidate_state = _make_state(gauge, candidate)
+        candidate_state = _make_state(rga_p, candidate)
         if not _admissible(
             current.diagonal, candidate_state.diagonal, config.direction, config.tol
         ):
@@ -175,11 +183,12 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
     spectrum = np.asarray(start_spectrum, dtype=float)
     if spectrum.min() <= 0:
         raise ValueError("start spectrum must be positive")
-    states = [_make_state(gauge, spectrum)]
+    rga_p = _float_rga(gauge)
+    states = [_make_state(rga_p, spectrum)]
     moves = []
     termination = "iter_budget"
     for _ in range(config.max_iters):
-        next_spectrum = step(gauge, spectrum, config)
+        next_spectrum = _step(rga_p, spectrum, config)
         if next_spectrum is None:
             termination = "local_optimum"
             break
@@ -188,5 +197,5 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
         loss_index = int(np.argmin(difference))
         moves.append((gain_index, loss_index))
         spectrum = next_spectrum
-        states.append(_make_state(gauge, spectrum))
+        states.append(_make_state(rga_p, spectrum))
     return SearchTrace(states=tuple(states), moves=tuple(moves), termination=termination)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exact import Polynomial, VariableSet
 from .irga import mix64
-from .linalg import Matrix, adjugate_entry, hadamard
+from .linalg import Matrix, _adjugate_det, adjugate_entry, hadamard
 from .polytext import ParsedExpression, parse_expression, parse_polynomial
 
 __all__ = [
@@ -241,8 +241,8 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
     Builds L from a rational assignment of the strict-lower parameters and
     evaluates entirely in rational arithmetic; this is the independent side
     of the randomized identity test and never touches the symbolic path.
-    Integer coordinates stay ``int`` while L and R = L L^T are built, which
-    keeps the exact inverse of R in integer arithmetic.
+    T is built from adj(R) = R^-1 (det R = 1) as one Gauss-Jordan pass
+    gives it, so integer coordinates keep L, R, T and the result ``int``.
     """
     variables = cholesky_variables(n)
 
@@ -258,7 +258,7 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
                 k += 1
         lower = Matrix(rows)
         gram = lower @ lower.transpose()
-        t = hadamard(gram, gram.inverse())
+        t = hadamard(gram, Matrix(_adjugate_det(gram.rows)[0]))
         return adjugate_entry(t, i, j)
 
     return oracle

@@ -266,9 +266,10 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
             f"spectrum length {spectrum.shape} vs gauge size {gauge.n}"
         )
     p = gauge.p.to_float_array() if gauge.is_exact else np.asarray(gauge.p, dtype=float)
-    m = (p * spectrum) @ linalg.inverse(p)
+    p_inv = linalg.inverse(p)
+    m = (p * spectrum) @ p_inv
     diagonal = np.diag(m).copy()
-    predicted = rga(p) @ spectrum
+    predicted = (p * p_inv.T) @ spectrum  # RGA(P) = P o P^-T
     dev = float(np.abs(diagonal - predicted).max())
     scale = max(1.0, float(np.abs(diagonal).max()))
     if dev > _SPDD_CONSTRUCTION_TOL * scale:

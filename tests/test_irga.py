@@ -110,6 +110,22 @@ class TestCheckConjecture:
         assert not outcome.report.doubly_stochastic
 
 
+class TestFloatPathPinned:
+    def test_rng_range_ten_verdicts(self):
+        # Reruns of the float chain are bit-identical, and its absolute 1e-10
+        # tolerance misjudges 19 of these 200 moderately conditioned samples.
+        # A replacement float inverse must keep that count (bit-level
+        # agreement with scipy's LU is pinned in test_linalg).
+        not_doubly = 0
+        for seed in range(200):
+            p = random_pd(5, seed, rng_range=10).p
+            first, second = check_conjecture(p), check_conjecture(p)
+            assert np.array_equal(first.s, second.s)
+            assert first.to_json_dict() == second.to_json_dict()
+            not_doubly += not first.doubly_stochastic
+        assert not_doubly == 19
+
+
 class TestRandomPd:
     def test_deterministic(self):
         a = random_pd(3, 12345, 2.0)

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irgalab.exact import Polynomial, VariableSet
+from irgalab.exact import Polynomial, QuadExt3, VariableSet
+from irgalab.irga import random_pd
 from irgalab.linalg import (
+    _adjugate_det,
     DimensionMismatchError,
     Matrix,
     NotPositiveDefiniteError,
@@ -114,6 +119,84 @@ class TestInverse:
                     assert adjugate_entry(m, i, j) == det * inv[i - 1, j - 1]
 
 
+def reference_adjugate(m):
+    """adj(m) from n^2 cofactor determinants, independent of the Gauss-Jordan pass."""
+    n = m.n_rows
+    if n == 1:
+        return [[1]]
+    return [[adjugate_entry(m, i + 1, j + 1) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square rational matrices with many zero entries: row swaps and singular cases are common."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=7))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    return Matrix(rows)
+
+
+class TestGaussJordanInverse:
+    @given(rational_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_adjugate_over_determinant(self, m):
+        det = m.det()
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            with pytest.raises(SingularMatrixError):
+                _adjugate_det(m.rows)
+            return
+        adj = reference_adjugate(m)
+        assert _adjugate_det(m.rows) == (adj, det)
+        inv = m.inverse()
+        n = m.n_rows
+        assert all(type(v) is Fraction for row in inv.rows for v in row)
+        assert inv == Matrix([[Fraction(adj[i][j]) / det for j in range(n)] for i in range(n)])
+
+    def test_integer_matrix_gives_integer_adjugate(self):
+        m = Matrix([[0, 2, 1], [1, 1, 0], [3, 0, 1]])  # zero leading entry: needs a row swap
+        adj, det = _adjugate_det(m.rows)
+        assert det == m.det() == -5
+        assert adj == reference_adjugate(m)
+        assert all(type(v) is int for row in adj for v in row)
+        assert m @ m.inverse() == Matrix.identity(3)
+
+    def test_permutation_matrix(self):
+        m = frac_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert m.inverse() == m.transpose()
+
+    def test_quadratic_extension_entries(self):
+        m = Matrix(
+            [
+                [QuadExt3(0, 0), QuadExt3(1, 1), QuadExt3(2)],
+                [QuadExt3(1, -1), QuadExt3(Fraction(1, 2), 0), QuadExt3(0, 1)],
+                [QuadExt3(3), QuadExt3(0, 2), QuadExt3(1, 1)],
+            ]
+        )
+        det = m.det()
+        inv = m.inverse()
+        for i in range(3):
+            for j in range(3):
+                assert inv[i, j] == adjugate_entry(m, i + 1, j + 1) / det
+        assert m @ inv == Matrix.identity(3, one=QuadExt3(1), zero=QuadExt3(0))
+
+
+class TestFloatInverse:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_bit_identical_to_scipy_lu(self, n):
+        # The same LAPACK routines lu_factor/lu_solve run, so every bit agrees.
+        for seed in range(25):
+            for band in (2.0, 10.0):
+                p = random_pd(n, seed, rng_range=band).p
+                t = p * inverse(p)
+                for a in (p, t):
+                    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
+                    assert np.array_equal(inverse(a), expected)
+
+
 class TestAdjugateEntry:
     def test_identity_off_diagonal(self):
         variables = VariableSet("a")
@@ -170,6 +253,22 @@ class TestPositiveDefinite:
     def test_indefinite(self):
         assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert not is_positive_definite(frac_matrix([[1, 2], [2, 1]]))
+
+    def test_zero_leading_minor(self):
+        assert not is_positive_definite(frac_matrix([[0, 0], [0, 1]]))
+        assert not is_positive_definite(frac_matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+        assert not is_positive_definite(Matrix([[2, 1, 0], [1, 1, 1], [0, 1, 1]]))  # det 0
+
+    @given(rational_matrices(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_agrees_with_leading_minors(self, a, gram):
+        # A^T A is PD or has a zero minor; A + A^T is mostly indefinite.
+        sym = a.transpose() @ a if gram else a + a.transpose()
+        n = sym.n_rows
+        expected = all(
+            Matrix([row[:k] for row in sym.rows[:k]]).det() > 0 for k in range(1, n + 1)
+        )
+        assert is_positive_definite(sym) == expected
 
     def test_worked_demo_matrix(self):
         from irgalab.linalg import load_matrix

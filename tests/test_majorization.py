@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irgalab.irga import check_conjecture, random_pd
 from irgalab.majorization import (
     NotDoublyStochasticError,
     birkhoff,
@@ -8,6 +9,42 @@ from irgalab.majorization import (
     shannon_entropy,
     transfer_chain,
 )
+
+
+def reference_birkhoff(s, tol=1e-9):
+    """The numpy-array Birkhoff loop that ``birkhoff`` replaced, kept as its reference."""
+    n = s.shape[0]
+
+    def find_matching(support):
+        match_col = [-1] * n
+
+        def augment(row, seen):
+            for col in range(n):
+                if support[row, col] and not seen[col]:
+                    seen[col] = True
+                    if match_col[col] < 0 or augment(match_col[col], seen):
+                        match_col[col] = row
+                        return True
+            return False
+
+        for row in range(n):
+            if not augment(row, [False] * n):
+                return None
+        perm = [0] * n
+        for col, row in enumerate(match_col):
+            perm[row] = col
+        return perm
+
+    residual = s.clip(min=0.0)
+    weights, perms = [], []
+    while residual.max() > tol:
+        perm = find_matching(residual > tol)
+        weight = float(min(residual[r, c] for r, c in enumerate(perm)))
+        weights.append(weight)
+        perms.append(tuple(perm))
+        for r, c in enumerate(perm):
+            residual[r, c] -= weight
+    return tuple(weights), tuple(perms)
 
 
 def random_doubly_stochastic(rng, n, mixtures=None):
@@ -121,6 +158,20 @@ class TestBirkhoff:
     def test_rejects_bad_column_sums(self):
         with pytest.raises(NotDoublyStochasticError):
             birkhoff(np.array([[0.9, 0.2], [0.1, 0.8]]))
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(NotDoublyStochasticError):
+            birkhoff(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+    def test_equals_numpy_reference(self):
+        # Same matching order and the same float subtractions: equal to the bit.
+        rng = np.random.default_rng(17)
+        for k in range(300):
+            n = int(rng.integers(2, 7))
+            report = check_conjecture(random_pd(n, k, rng_range=2.0).p)
+            s = report.s if k % 2 and report.doubly_stochastic else random_doubly_stochastic(rng, n + 1)
+            decomposition = birkhoff(s)
+            assert (decomposition.weights, decomposition.permutations) == reference_birkhoff(s)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(NotDoublyStochasticError):

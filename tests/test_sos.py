@@ -222,6 +222,7 @@ class TestIdentityTestBounds:
         ints = {name: (-1) ** k * (37 * k + 5) for k, name in enumerate(names)}
         fractions = {name: Fraction(value) for name, value in ints.items()}
         assert oracle(ints) == oracle(fractions)
+        assert type(oracle(ints)) is int  # T = R o adj(R) never leaves the integers
 
     def test_bound_from_expanded_reference(self):
         # pn3 has total degree 6, below the oracle's 2n(n-1) = 12 at n = 3.
