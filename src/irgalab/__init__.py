@@ -61,7 +61,6 @@ from .sos import (
     exact_entry_oracle,
     identity_test,
     symbolic_gram,
-    verify_certificate,
 )
 from .spdd import (
     BlockPlan,

@@ -98,6 +98,11 @@ def _run_command(ctx, command, inputs, body):
     except _NUMERIC_ERRORS as exc:
         _summary(f"numeric failure: {exc}", quiet)
         sys.exit(EXIT_NUMERIC)
+    except (ValueError, IndexError) as exc:
+        # Argument checks in the library raise these; the typed numeric
+        # errors above are ValueError subclasses and keep their own code.
+        _summary(str(exc), quiet)
+        sys.exit(EXIT_USAGE)
     _emit(command, inputs, outcome, payload, started, out_path)
     _summary(summary, quiet)
     sys.exit(_outcome_code(outcome))
@@ -144,47 +149,28 @@ def _vector_arg(value: str) -> np.ndarray:
     return _parse_inline_vector(value)
 
 
-def _resolve_polynomial(spec: str, variables=None):
+def _resolve_spec(spec: str, what: str, builtin, load):
+    """``builtin(name)`` for a "builtin:name" spec, else ``load(path)``.
+
+    Unknown builtins and unreadable files are usage errors; JSON that does
+    not decode is a parse error.
+    """
     if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
         try:
-            return sosmod.builtin_polynomial(name, variables)
+            return builtin(spec.split(":", 1)[1])
         except KeyError as exc:
             raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
     try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            return parse_polynomial(handle.read(), variables)
+        return load(spec)
     except OSError as exc:
-        raise _ReportFailure(EXIT_USAGE, f"cannot read polynomial {spec}: {exc}") from exc
-
-
-def _resolve_expression(spec: str):
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        try:
-            return sosmod.builtin_expression(name)
-        except KeyError as exc:
-            raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
-    try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            return parse_expression(handle.read())
-    except OSError as exc:
-        raise _ReportFailure(EXIT_USAGE, f"cannot read polynomial {spec}: {exc}") from exc
-
-
-def _resolve_certificate(spec: str):
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        try:
-            return sosmod.builtin_certificate(name)
-        except KeyError as exc:
-            raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
-    try:
-        return sosmod.SoSCertificate.load(spec)
-    except OSError as exc:
-        raise _ReportFailure(EXIT_USAGE, f"cannot read certificate {spec}: {exc}") from exc
+        raise _ReportFailure(EXIT_USAGE, f"cannot read {what} {spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ReportFailure(EXIT_PARSE, f"bad certificate JSON: {exc}") from exc
+        raise _ReportFailure(EXIT_PARSE, f"bad {what} JSON: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 @click.group()
@@ -324,7 +310,9 @@ def sos_verify(ctx, cert, target):
     """Expand a sum-of-squares certificate and compare with the target."""
 
     def body():
-        certificate = _resolve_certificate(cert)
+        certificate = _resolve_spec(
+            cert, "certificate", sosmod.builtin_certificate, sosmod.SoSCertificate.load
+        )
         if target.startswith("derived:"):
             try:
                 _, n_text, i_text, j_text = target.split(":")
@@ -332,7 +320,12 @@ def sos_verify(ctx, cert, target):
             except ValueError as exc:
                 raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
         else:
-            goal = _resolve_polynomial(target, certificate.variables)
+            goal = _resolve_spec(
+                target,
+                "polynomial",
+                lambda name: sosmod.builtin_polynomial(name, certificate.variables),
+                lambda path: parse_polynomial(_read_text(path), certificate.variables),
+            )
         check = certificate.verify(goal)
         payload = {"check": check.to_json_dict(), "terms": len(certificate)}
         if check.ok:
@@ -355,11 +348,13 @@ def sos_identity(ctx, reference, n, i_index, j_index, trials, seed, coord_range)
     """Randomized identity test of a reference polynomial vs the exact oracle."""
 
     def body():
-        try:
-            sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
-        except ValueError as exc:
-            raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
-        expression = _resolve_expression(reference)
+        sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
+        expression = _resolve_spec(
+            reference,
+            "polynomial",
+            sosmod.builtin_expression,
+            lambda path: parse_expression(_read_text(path)),
+        )
         report = sosmod.identity_test(
             expression, n, i_index, j_index,
             trials=trials, seed=seed, coordinate_range=coord_range,
@@ -402,11 +397,7 @@ def poly_parse(ctx, source, variables):
     """Parse a polynomial file and print its canonical rendering."""
 
     def body():
-        if source == "-":
-            text = sys.stdin.read()
-        else:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
+        text = sys.stdin.read() if source == "-" else _read_text(source)
         varset = VariableSet(variables) if variables else None
         polynomial = parse_polynomial(text, varset)
         payload = {
@@ -429,8 +420,7 @@ def poly_eval(ctx, source, assignment):
     """Evaluate a polynomial file exactly at a rational point."""
 
     def body():
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(source)
         point = {}
         try:
             for pair in assignment.split(","):

@@ -106,7 +106,8 @@ class IrgaReport:
 
     In exact mode the row/column sums are identically one, so both deviation
     fields are exact zeros and ``doubly_stochastic`` reduces to
-    ``nonnegative``.
+    ``nonnegative``.  ``check_conjecture`` and the Kronecker / block
+    compositions in ``spdd`` build it with the same ``_membership_report``.
     """
 
     s: object
@@ -154,39 +155,46 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     linalg._check_symmetric(p)
     if not linalg._is_positive_definite(p):
         raise NotPositiveDefiniteError("input must be positive definite")
-    s = _irga(p)
-    if isinstance(p, Matrix):
+    report = _membership_report(_irga(p), tol)
+    if report.mode == "exact" and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):
+        raise AssertionError("exact IRGA row/column sums must be identically 1")
+    return report
+
+
+def _membership_report(s, tol: float) -> IrgaReport:
+    """Doubly-stochastic membership report for an already-computed S.
+
+    Exact S (a Matrix) is tested without tolerance; float S tolerates
+    ``tol`` on the minimum entry and on the row/column sums.  S is
+    symmetric, so PD-ness uses the unchecked test (on 0.5*(S+S^T) for
+    float S, which is symmetric bit for bit).
+    """
+    if isinstance(s, Matrix):
         one = Fraction(1)
-        row_devs = [abs(v - one) for v in s.row_sums()]
-        col_devs = [abs(v - one) for v in s.col_sums()]
-        if max(row_devs) != 0 or max(col_devs) != 0:
-            raise AssertionError("exact IRGA row/column sums must be identically 1")
+        row_dev = max(abs(v - one) for v in s.row_sums())
+        col_dev = max(abs(v - one) for v in s.col_sums())
         min_entry = s.min_entry()
         nonnegative = min_entry >= 0
-        return IrgaReport(
-            s=s,
-            max_row_sum_dev=Fraction(0),
-            max_col_sum_dev=Fraction(0),
-            min_entry=min_entry,
-            pd=linalg._is_positive_definite(s),
-            nonnegative=nonnegative,
-            doubly_stochastic=nonnegative,
-            mode="exact",
-        )
-    row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
-    col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
-    min_entry = float(s.min())
-    nonnegative = min_entry >= -tol
-    doubly = nonnegative and max(row_dev, col_dev) <= tol
+        doubly = nonnegative and row_dev == 0 and col_dev == 0
+        pd = linalg._is_positive_definite(s)
+        mode = "exact"
+    else:
+        row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
+        col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
+        min_entry = float(s.min())
+        nonnegative = min_entry >= -tol
+        doubly = nonnegative and max(row_dev, col_dev) <= tol
+        pd = linalg._is_positive_definite(0.5 * (s + s.T))
+        mode = "float"
     return IrgaReport(
         s=s,
         max_row_sum_dev=row_dev,
         max_col_sum_dev=col_dev,
         min_entry=min_entry,
-        pd=linalg._is_positive_definite(0.5 * (s + s.T)),
+        pd=pd,
         nonnegative=nonnegative,
         doubly_stochastic=doubly,
-        mode="float",
+        mode=mode,
     )
 
 
@@ -317,14 +325,6 @@ def _batch_min_irga_entries(n: int, seed: int, ts, rng_range: float) -> np.ndarr
     return ss.reshape(count, -1).min(axis=1)
 
 
-def _trial_invertible(n: int, seed: int, t: int, rng_range: float) -> bool:
-    try:
-        _batch_min_irga_entries(n, seed, [t], rng_range)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _certify_trial(n: int, seed: int, t: int, rng_range: float) -> tuple:
     """Exact recheck of one float hit on the dyadic rounding of its L."""
     values = _search_lower(n, seed, [t], rng_range)[0]
@@ -363,20 +363,19 @@ def search_counterexample(
         raise ValueError("trials must be >= 1")
     chunks = [range(start, min(start + chunk_size, trials)) for start in range(0, trials, chunk_size)]
 
+    def single_min(t):
+        try:
+            return _batch_min_irga_entries(n, seed, [t], rng_range)[0]
+        except np.linalg.LinAlgError:
+            return np.inf
+
     def scan(ts):
         try:
             mins = _batch_min_irga_entries(n, seed, ts, rng_range)
         except np.linalg.LinAlgError:
             # A numerically singular trial poisons the whole batch; redo the
             # batch one trial at a time and skip the offenders.
-            mins = np.array(
-                [
-                    _batch_min_irga_entries(n, seed, [t], rng_range)[0]
-                    if _trial_invertible(n, seed, t, rng_range)
-                    else np.inf
-                    for t in ts
-                ]
-            )
+            mins = [single_min(t) for t in ts]
         return [t for t, value in zip(ts, mins) if value < -tol]
 
     if threads > 1:

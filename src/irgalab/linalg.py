@@ -234,15 +234,19 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Exact inverse as adjugate over determinant (one Gauss-Jordan pass).
 
-        int and Fraction matrices give Fraction entries.
+        int and Fraction matrices give Fraction entries, each normalised
+        once from A^-1 = D * adj(D*A) / det(D*A) over the integer matrix D*A.
         """
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
         if _has_polynomial_entries(self):
             raise TypeError("exact inverse over polynomial entries is not supported")
+        scaled = _integer_scaled(self.rows)
+        if scaled is not None:
+            rows, scale = scaled
+            adj, d = _adjugate_det(rows)
+            return Matrix([[Fraction(scale * v, d) for v in row] for row in adj])
         adj, d = _adjugate_det(self.rows)
-        if isinstance(d, (int, Fraction)):
-            return Matrix([[Fraction(v, d) for v in row] for row in adj])
         return Matrix([[v / d for v in row] for row in adj])
 
     def to_float_array(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .exact import Polynomial, VariableSet
-from .irga import mix64
+from .irga import _build_lower, mix64
 from .linalg import Matrix, _adjugate_det, adjugate_entry, hadamard
 from .polytext import ParsedExpression, parse_expression, parse_polynomial
 
@@ -78,32 +78,16 @@ def cholesky_variables(n: int) -> VariableSet:
     return VariableSet(_PARAMETER_LETTERS[:count])
 
 
-def _symbolic_lower(n: int) -> Matrix:
-    variables = cholesky_variables(n)
-    one = Polynomial.constant(variables, 1)
-    zero = Polynomial.zero(variables)
-    rows = []
-    k = 0
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(one)
-            elif j < i:
-                row.append(Polynomial.variable(variables, variables.names[k]))
-                k += 1
-            else:
-                row.append(zero)
-        rows.append(row)
-    return Matrix(rows)
-
-
 @lru_cache(maxsize=None)
 def symbolic_gram(n: int) -> Matrix:
     """R = L L^T over the symbolic unit-diagonal L; det(R) = 1 identically."""
     if not 2 <= n <= 6:
         raise ValueError("symbolic Gram matrix available for sizes 2..6")
-    lower = _symbolic_lower(n)
+    variables = cholesky_variables(n)
+    values = [Polynomial.variable(variables, name) for name in variables.names]
+    lower = Matrix(
+        _build_lower(n, values, Polynomial.constant(variables, 1), Polynomial.zero(variables))
+    )
     return lower @ lower.transpose()
 
 
@@ -182,14 +166,13 @@ class SoSCertificate:
     def from_json_dict(cls, payload: dict) -> "SoSCertificate":
         try:
             variables = VariableSet(payload["variables"])
-            raw_terms = payload["terms"]
-        except (KeyError, TypeError) as exc:
+            raw_terms = [(Fraction(item["multiplier"]), item["body"]) for item in payload["terms"]]
+            for _, body in raw_terms:
+                if not isinstance(body, str):
+                    raise TypeError(f"term body must be a string, got {body!r}")
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidCertificateError(f"malformed certificate JSON: {exc}") from exc
-        terms = []
-        for item in raw_terms:
-            multiplier = Fraction(item["multiplier"])
-            body = parse_polynomial(item["body"], variables)
-            terms.append((multiplier, body))
+        terms = [(multiplier, parse_polynomial(body, variables)) for multiplier, body in raw_terms]
         return cls(variables, terms)
 
     @classmethod
@@ -227,11 +210,6 @@ class SoSCertificate:
         )
 
 
-def verify_certificate(certificate: SoSCertificate, target: Polynomial) -> CertificateCheck:
-    """Functional spelling of SoSCertificate.verify."""
-    return certificate.verify(target)
-
-
 # -- randomized identity testing ------------------------------------------------
 
 
@@ -249,14 +227,7 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
     def oracle(point: Mapping[str, Fraction]) -> Fraction:
         values = [point[name] for name in variables.names]
         values = [v if isinstance(v, int) else Fraction(v) for v in values]
-        rows = [[0] * n for _ in range(n)]
-        k = 0
-        for r in range(n):
-            rows[r][r] = 1
-            for c in range(r):
-                rows[r][c] = values[k]
-                k += 1
-        lower = Matrix(rows)
+        lower = Matrix(_build_lower(n, values, 1, 0))
         gram = lower @ lower.transpose()
         t = hadamard(gram, Matrix(_adjugate_det(gram.rows)[0]))
         return adjugate_entry(t, i, j)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .irga import IrgaReport, check_conjecture, irga, random_pd, mix64, rga
+from .irga import IrgaReport, _membership_report, check_conjecture, irga, random_pd, mix64, rga
 from .linalg import Matrix
 from .majorization import MajorizationVerdict, majorizes, shannon_entropy
 
@@ -149,7 +149,7 @@ def kron_gauge(a: Gauge, b: Gauge, tol: float = 1e-10) -> Gauge:
         dev = float(np.abs(recomputed - s).max())
         if dev > _KRON_CONSISTENCY_TOL:
             raise AssertionError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
-    report = _report_for_composed(s, tol)
+    report = _membership_report(s, tol)
     return Gauge(
         p=p,
         s=s,
@@ -167,7 +167,7 @@ def block_gauge(children: Sequence[Gauge], tol: float = 1e-10) -> Gauge:
     exact = all(child.is_exact for child in children)
     p = _block_diag([child.p for child in children], exact)
     s = _block_diag([child.s for child in children], exact)
-    report = _report_for_composed(s, tol)
+    report = _membership_report(s, tol)
     return Gauge(
         p=p,
         s=s,
@@ -179,54 +179,16 @@ def block_gauge(children: Sequence[Gauge], tol: float = 1e-10) -> Gauge:
 
 
 def _block_diag(blocks, exact: bool):
-    if exact:
-        total = sum(b.n_rows for b in blocks)
-        rows = [[Fraction(0)] * total for _ in range(total)]
-        offset = 0
-        for b in blocks:
-            for i in range(b.n_rows):
-                for j in range(b.n_cols):
-                    rows[offset + i][offset + j] = b[i, j]
-            offset += b.n_rows
-        return Matrix(rows)
-    import scipy.linalg as sla
-
-    return sla.block_diag(*[np.asarray(b, dtype=float) for b in blocks])
-
-
-def _report_for_composed(s, tol: float) -> IrgaReport:
-    """Doubly-stochastic membership report for an already-computed S."""
-    if isinstance(s, Matrix):
-        one = Fraction(1)
-        row_dev = max(abs(v - one) for v in s.row_sums())
-        col_dev = max(abs(v - one) for v in s.col_sums())
-        min_entry = s.min_entry()
-        nonneg = min_entry >= 0
-        return IrgaReport(
-            s=s,
-            max_row_sum_dev=row_dev,
-            max_col_sum_dev=col_dev,
-            min_entry=min_entry,
-            pd=linalg.is_positive_definite(s),
-            nonnegative=nonneg,
-            doubly_stochastic=nonneg and row_dev == 0 and col_dev == 0,
-            mode="exact",
-        )
-    s = np.asarray(s, dtype=float)
-    row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
-    col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
-    min_entry = float(s.min())
-    nonneg = min_entry >= -tol
-    return IrgaReport(
-        s=s,
-        max_row_sum_dev=row_dev,
-        max_col_sum_dev=col_dev,
-        min_entry=min_entry,
-        pd=linalg.is_positive_definite(0.5 * (s + s.T)),
-        nonnegative=nonneg,
-        doubly_stochastic=nonneg and max(row_dev, col_dev) <= tol,
-        mode="float",
-    )
+    """Block-diagonal matrix of exact Matrix blocks, or of float arrays."""
+    blocks = [b.rows if exact else np.asarray(b, dtype=float) for b in blocks]
+    total = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * total for _ in range(total)] if exact else np.zeros((total, total))
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[offset + i][offset : offset + len(row)] = row
+        offset += len(b)
+    return Matrix(out) if exact else out
 
 
 _SPDD_CONSTRUCTION_TOL = 1e-9

@@ -10,6 +10,7 @@ import irgalab
 from irgalab.sos import data_path
 
 DEMO = str(data_path("gauge4_demo.mat"))
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 # The CLI subprocess imports the same irgalab as the tests, installed or not.
 PACKAGE_ROOT = str(Path(irgalab.__file__).resolve().parent.parent)
@@ -245,6 +246,48 @@ class TestSearchCommand:
 
 
 class TestReportContract:
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (("irga", "check", "--mode", "exact", DEMO), "irga_check_exact_gauge4_demo.json"),
+            (("spdd", "gauge", "--mode", "exact", DEMO), "spdd_gauge_exact_gauge4_demo.json"),
+            (("spdd", "construct", "--n", "11", "--seed", "2", "--mode", "exact"),
+             "spdd_construct_exact_n11_seed2.json"),
+        ],
+    )
+    def test_exact_payloads_match_golden_files(self, args, golden):
+        # Pure rational arithmetic: the same payload on every platform.
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert payload_of(proc) == json.loads((GOLDEN / golden).read_text())
+
+    @pytest.mark.parametrize(
+        "args, cert, code",
+        [
+            (("sos", "derive", "--n", "3", "--entry", "2", "2"), None, 2),
+            (("sos", "derive", "--n", "3", "--entry", "1", "9"), None, 2),
+            (("sos", "derive", "--n", "1"), None, 2),
+            (("spdd", "construct", "--n", "1"), None, 2),
+            (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "0"), None, 2),
+            (("sos", "verify", "--cert", "builtin:n5", "--target", "builtin:pn3"), None, 2),
+            (("sos", "verify", "--cert", "builtin:n3", "--target", "missing.poly"), None, 2),
+            (("sos", "identity-test", "--n", "6", "--reference", "missing.poly"), None, 2),
+            (("sos", "verify", "--cert", "missing.json", "--target", "builtin:pn3"), None, 2),
+            (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
+             '{"variables": "abc", "terms": [', 3),
+            (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
+             '{"variables": "abc", "terms": [{"body": "a"}]}', 4),
+            (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
+             '{"variables": "abc", "terms": [{"multiplier": "x", "body": "a"}]}', 4),
+        ],
+    )
+    def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
+        if cert is not None:
+            (tmp_path / "cert.json").write_text(cert)
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+
     def test_reports_are_deterministic_modulo_wall_time(self):
         a = run_cli("irga", "check", DEMO)
         b = run_cli("irga", "check", DEMO)

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,21 @@ class TestSearch:
         outcome = search_counterexample(7, trials, seed=seed)
         assert (outcome.trial_index, outcome.float_hits) == expected
         assert outcome.seed == seed
+
+    def test_singular_batch_fallback_matches_batched_scan(self, monkeypatch):
+        # Every multi-trial batch fails, so each trial runs alone; trial 0
+        # (not a hit) also fails alone and must be skipped, not raised.
+        expected = search_counterexample(7, 6000, seed=5)
+        module = importlib.import_module("irgalab.irga")
+        batch = module._batch_min_irga_entries
+
+        def singular_batches(n, seed, ts, rng_range):
+            if len(ts) > 1 or ts[0] == 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return batch(n, seed, ts, rng_range)
+
+        monkeypatch.setattr(module, "_batch_min_irga_entries", singular_batches)
+        assert search_counterexample(7, 6000, seed=5) == expected
 
     def test_exact_certification_refutes_float_noise(self):
         # Every reported hit is exact; uncertified float hits are counted.

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from irgalab.irga import random_pd
+from irgalab.irga import check_conjecture, random_pd
 from irgalab.linalg import Matrix, load_matrix
 from irgalab.sos import data_path
 from irgalab.spdd import (
@@ -12,6 +12,7 @@ from irgalab.spdd import (
     assemble_gpdd,
     block_gauge,
     block_plan,
+    kron_gauge,
     kron_spdd,
     make_gauge,
     make_spdd,
@@ -227,6 +228,16 @@ class TestBlockGaugeStructure:
         ]
         gauge = block_gauge(children)
         assert gauge.is_exact and gauge.n == 5 and gauge.valid
+
+    @pytest.mark.parametrize("sizes, seed", [((2, 3), 51), ((3, 2), 61), ((4, 2), 71)])
+    def test_composed_report_equals_check_conjecture(self, sizes, seed):
+        # Composed gauges report through check_conjecture's own builder.
+        a, b = (
+            make_gauge(random_pd(n, seed + k, mode="exact").p, mode="proven")
+            for k, n in enumerate(sizes)
+        )
+        for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
+            assert gauge.report.to_json_dict() == check_conjecture(gauge.p).to_json_dict()
 
 
 class TestUnitaryContrast:
