@@ -44,7 +44,6 @@ _NUMERIC_ERRORS = (
     spddmod.InvalidGaugeError,
     spddmod.GaugeModeError,
     sosmod.SymbolicCapabilityError,
-    sosmod.InvalidCertificateError,
     IncompatibleVariablesError,
     IncompleteAssignmentError,
 )
@@ -89,7 +88,7 @@ def _run_command(ctx, command, inputs, body):
     out_path = ctx.obj.get("out")
     try:
         outcome, payload, summary = body()
-    except PolyParseError as exc:
+    except (PolyParseError, sosmod.InvalidCertificateError) as exc:
         _summary(f"parse error: {exc}", quiet)
         sys.exit(EXIT_PARSE)
     except _ReportFailure as exc:

@@ -459,12 +459,19 @@ def adjugate_entry(m: Matrix, i: int, j: int):
 # -- dispatching wrappers -----------------------------------------------------
 
 
+def _float_array(a) -> np.ndarray:
+    """A float array of either carrier, so exact and float operands mix."""
+    if isinstance(a, Matrix):
+        return a.to_float_array()
+    return np.asarray(a, dtype=float)
+
+
 def hadamard(a, b):
     """Entrywise product; operands must have equal dimensions."""
     if isinstance(a, Matrix) and isinstance(b, Matrix):
         return a.hadamard(b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _float_array(a)
+    b = _float_array(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
     return a * b
@@ -474,7 +481,7 @@ def kron(a, b):
     """Kronecker product; accepts matrices or vectors of either carrier."""
     if isinstance(a, Matrix) and isinstance(b, Matrix):
         return a.kron(b)
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.kron(_float_array(a), _float_array(b))
 
 
 def inverse(a, pivot_rtol: float = PIVOT_RTOL):

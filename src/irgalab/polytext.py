@@ -1,4 +1,4 @@
-"""Plain-text polynomial grammar: parsing, rendering, and tree evaluation.
+"""Plain-text polynomial grammar: parsing, rendering, and exact evaluation.
 
 Grammar (EBNF)::
 
@@ -15,13 +15,14 @@ reserved word.  Unicode superscript digits are accepted and mean the same
 as ``^k``.
 
 ``parse_polynomial`` expands the input into a canonical ``Polynomial``.
-``parse_expression`` keeps the parse tree, which can be evaluated exactly
-without expansion; that is the only practical route for the very large
-bundled reference polynomial.
+``parse_expression`` parses straight into a program of shared
+subexpressions, which can be evaluated exactly without expansion; that is
+the only practical route for the very large bundled reference polynomial.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -37,8 +38,20 @@ __all__ = [
     "render_polynomial",
 ]
 
-_SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
-_SUPER_VALUE = {ch: i for i, ch in enumerate(_SUPERSCRIPTS)}
+_SUPER_DIGITS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+# One token per match; any other single character falls through to
+# ``char``, where str.isspace/str.isalpha decide whether it is whitespace,
+# a variable, or an error.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<sqrt3>sqrt3)"
+    r"|(?P<num>[0-9]+(?:/[0-9]*)?)"
+    r"|(?P<op>[-+^()])"
+    r"|(?P<super>[⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+    r"|(?P<char>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -64,68 +77,39 @@ class PolyParseError(ValueError):
         self.diagnostic = diagnostic
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit() also accepts the unicode superscripts, which must lex
-    # as exponents instead.
-    return "0" <= ch <= "9"
-
-
 # Tokens are (kind, value, offset); kinds:
 #   num var sqrt3 + - ^ super ( ) end
+# Integral literals are int, so integer points stay in integer arithmetic.
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+    for match in _TOKEN.finditer(text):
+        kind, token, offset = match.lastgroup, match.group(), match.start()
+        if kind == "skip":
             continue
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("sqrt3", i):
-            tokens.append(("sqrt3", None, i))
-            i += 5
-            continue
-        if ch.isalpha():
-            tokens.append(("var", ch, i))
-            i += 1
-            continue
-        if _is_ascii_digit(ch):
-            start = i
-            while i < n and _is_ascii_digit(text[i]):
-                i += 1
-            numerator = int(text[start:i])
-            if i < n and text[i] == "/":
-                j = i + 1
-                if j < n and _is_ascii_digit(text[j]):
-                    while j < n and _is_ascii_digit(text[j]):
-                        j += 1
-                    denominator = int(text[i + 1 : j])
-                    if denominator == 0:
-                        raise PolyParseError(_diag(text, start, "zero denominator"))
-                    tokens.append(("num", Fraction(numerator, denominator), start))
-                    i = j
-                    continue
-                raise PolyParseError(_diag(text, i, "malformed rational", ("digit",)))
-            tokens.append(("num", Fraction(numerator), start))
-            continue
-        if ch in "+-^()":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        if ch in _SUPER_VALUE:
-            start = i
-            value = 0
-            while i < n and text[i] in _SUPER_VALUE:
-                value = value * 10 + _SUPER_VALUE[text[i]]
-                i += 1
-            tokens.append(("super", value, start))
-            continue
-        raise PolyParseError(_diag(text, i, f"unexpected character {ch!r}"))
-    tokens.append(("end", None, n))
+        if kind == "num":
+            numerator, slash, denominator = token.partition("/")
+            value = int(numerator)
+            if slash:
+                if not denominator:
+                    slash_at = offset + len(numerator)
+                    raise PolyParseError(_diag(text, slash_at, "malformed rational", ("digit",)))
+                if int(denominator) == 0:
+                    raise PolyParseError(_diag(text, offset, "zero denominator"))
+                value = Fraction(value, int(denominator))
+                if value.denominator == 1:
+                    value = value.numerator
+            tokens.append(("num", value, offset))
+        elif kind == "super":
+            tokens.append(("super", int(token.translate(_SUPER_DIGITS)), offset))
+        elif kind == "char":
+            if token.isspace():
+                continue
+            if not token.isalpha():
+                raise PolyParseError(_diag(text, offset, f"unexpected character {token!r}"))
+            tokens.append(("var", token, offset))
+        else:
+            tokens.append((token, None, offset))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -135,9 +119,12 @@ def _diag(text: str, offset: int, message: str, expected: tuple[str, ...] = ()):
     return ParseDiagnostic(offset, line, column, message, expected)
 
 
-# Parse trees are nested tuples:
-#   ("num", Fraction)  ("sqrt3",)  ("var", name)
-#   ("add", (sign, node), ...)  ("mul", node, ...)  ("pow", node, k)
+# The parser emits a program: instruction k computes slot k from earlier
+# slots, and equal instructions share one slot, so repeated subexpressions
+# are computed once.  Instructions:
+#   ("var", name)  ("num", value)  ("pow", slot, k)
+#   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
+# Each method returns the slot of what it parsed; the last one is the root.
 class _Parser:
     _FACTOR_START = ("var", "num", "sqrt3", "(")
 
@@ -146,6 +133,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed
+        self.program = []
+        self.slots = {}
+
+    def emit(self, instruction) -> int:
+        slot = self.slots.get(instruction)
+        if slot is None:
+            slot = self.slots[instruction] = len(self.program)
+            self.program.append(instruction)
+        return slot
 
     def peek(self):
         return self.tokens[self.pos]
@@ -159,20 +155,20 @@ class _Parser:
         offset = self.peek()[2]
         raise PolyParseError(_diag(self.text, offset, message, tuple(expected)))
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         if self.peek()[0] != "end":
             self.fail(f"unexpected token after expression", ("end of input",))
-        return node
+        return tuple(self.program)
 
     def expr(self):
         parts = [(1, self.term())]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             parts.append((1 if op == "+" else -1, self.term()))
-        if len(parts) == 1 and parts[0][0] == 1:
+        if len(parts) == 1:
             return parts[0][1]
-        return ("add",) + tuple(parts)
+        return self.emit(("add", tuple(parts)))
 
     def term(self):
         sign = 1
@@ -182,10 +178,10 @@ class _Parser:
         factors = [self.factor()]
         while self.peek()[0] in self._FACTOR_START:
             factors.append(self.factor())
-        node = factors[0] if len(factors) == 1 else ("mul",) + tuple(factors)
+        slot = factors[0] if len(factors) == 1 else self.emit(("mul", tuple(factors)))
         if sign == -1:
-            return ("add", (-1, node))
-        return node
+            return self.emit(("add", ((-1, slot),)))
+        return slot
 
     def factor(self):
         base = self.base()
@@ -193,74 +189,36 @@ class _Parser:
         if kind == "^":
             self.advance()
             kind, value, _ = self.peek()
-            if kind != "num" or value.denominator != 1:
+            if kind != "num" or type(value) is not int:
                 self.fail("malformed exponent", ("nonnegative integer",))
             self.advance()
-            return ("pow", base, int(value))
+            return self.emit(("pow", base, value))
         if kind == "super":
             self.advance()
-            return ("pow", base, value)
+            return self.emit(("pow", base, value))
         return base
 
     def base(self):
         kind, value, offset = self.peek()
         if kind == "num":
             self.advance()
-            return ("num", value)
+            return self.emit(("num", value))
         if kind == "sqrt3":
             self.advance()
-            return ("sqrt3",)
+            return self.emit(("num", QuadExt3(0, 1)))
         if kind == "var":
             if self.allowed is not None and value not in self.allowed:
                 self.fail(f"unknown identifier {value!r}")
             self.advance()
-            return ("var", value)
+            return self.emit(("var", value))
         if kind == "(":
             self.advance()
-            node = self.expr()
+            slot = self.expr()
             if self.peek()[0] != ")":
                 self.fail("unbalanced parentheses", (")",))
             self.advance()
-            return node
+            return slot
         self.fail("expected a factor", ("variable", "number", "sqrt3", "("))
-
-
-# A compiled program is the parse tree in post-order with equal subtrees
-# merged: instruction k computes slot k from earlier slots.  Instructions:
-#   ("var", name)  ("num", value)  ("pow", slot, k)
-#   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
-# Integral literals are stored as int, so integer points stay in integer
-# arithmetic; the last instruction is the root.
-def _compile(tree) -> tuple:
-    program = []
-    slots = {}
-
-    def emit(instruction):
-        slot = slots.get(instruction)
-        if slot is None:
-            slot = slots[instruction] = len(program)
-            program.append(instruction)
-        return slot
-
-    def visit(node):
-        kind = node[0]
-        if kind == "var":
-            return emit(node)
-        if kind == "num":
-            value = node[1]
-            return emit(("num", value.numerator if value.denominator == 1 else value))
-        if kind == "sqrt3":
-            return emit(("num", QuadExt3(0, 1)))
-        if kind == "pow":
-            return emit(("pow", visit(node[1]), node[2]))
-        if kind == "mul":
-            return emit(("mul", tuple(visit(child) for child in node[1:])))
-        if kind == "add":
-            return emit(("add", tuple((sign, visit(child)) for sign, child in node[1:])))
-        raise AssertionError(f"unknown node kind {kind}")
-
-    visit(tree)
-    return tuple(program)
 
 
 def _run(program, point: Mapping[str, object]):
@@ -287,30 +245,24 @@ def _run(program, point: Mapping[str, object]):
 
 
 class ParsedExpression:
-    """A syntax tree that can be evaluated exactly without expansion.
+    """A polynomial kept as its parsed program, evaluated exactly without expansion.
 
-    The first evaluation compiles the tree into a program in which equal
-    subtrees are computed once; the program is kept for later calls.
+    ``program`` lists the instructions in the order the parser emitted them;
+    a subexpression that occurs several times in the text is computed once.
     """
 
-    __slots__ = ("tree", "_program")
+    __slots__ = ("program",)
 
-    def __init__(self, tree):
-        self.tree = tree
-        self._program = None
-
-    def _compiled(self) -> tuple:
-        if self._program is None:
-            self._program = _compile(self.tree)
-        return self._program
+    def __init__(self, program: tuple):
+        self.program = program
 
     def variable_names(self) -> frozenset:
-        return frozenset(ins[1] for ins in self._compiled() if ins[0] == "var")
+        return frozenset(ins[1] for ins in self.program if ins[0] == "var")
 
     def degree_bound(self) -> int:
         """An upper bound on the total degree; cancellation can make it loose."""
         degrees = []
-        for instruction in self._compiled():
+        for instruction in self.program:
             kind = instruction[0]
             if kind == "mul":
                 degree = sum(degrees[slot] for slot in instruction[1])
@@ -327,15 +279,13 @@ class ParsedExpression:
         missing = sorted(self.variable_names() - set(point))
         if missing:
             raise IncompleteAssignmentError(f"no value for variable(s) {missing}")
-        return _run(self._compiled(), point)
+        return _run(self.program, point)
 
     def to_polynomial(self, variables: VariableSet | None = None) -> Polynomial:
         names = self.variable_names()
         if variables is None:
             variables = VariableSet(sorted(names))
-        value = _run(
-            self._compiled(), {name: Polynomial.variable(variables, name) for name in names}
-        )
+        value = _run(self.program, {name: Polynomial.variable(variables, name) for name in names})
         if isinstance(value, Polynomial):
             return value
         return Polynomial.constant(variables, value)

@@ -291,12 +291,12 @@ def identity_test(
 ) -> IdentityTestReport:
     """Compare a reference polynomial against the exact oracle at random points.
 
-    ``reference`` is an expanded Polynomial or an unexpanded
-    ParsedExpression.  Point t draws integer coordinates in
-    [-coordinate_range, coordinate_range] from the stream seeded by
-    mix64(seed, t), keeping reports deterministic and order-independent.
-    Disagreement is a result, not an error; arguments outside
-    ``validate_identity_arguments`` raise ValueError.
+    ``reference`` is an expanded Polynomial or a ParsedExpression, whose
+    shared-subexpression program is evaluated without expansion.  Point t
+    draws integer coordinates in [-coordinate_range, coordinate_range] from
+    the stream seeded by mix64(seed, t), keeping reports deterministic and
+    order-independent.  Disagreement is a result, not an error; arguments
+    outside ``validate_identity_arguments`` raise ValueError.
 
     The difference of reference and oracle has total degree at most
     d = max(degree bound of the reference, 2n(n-1)): entries of L^-1 have
@@ -371,7 +371,7 @@ def _read_asset(name: str) -> str:
 
 
 def builtin_expression(name: str) -> ParsedExpression:
-    """A builtin polynomial as an unexpanded parse tree."""
+    """A builtin polynomial, unexpanded: parsed into its shared-subexpression program."""
     return parse_expression(_read_asset(name))
 
 

@@ -179,8 +179,8 @@ def block_gauge(children: Sequence[Gauge], tol: float = 1e-10) -> Gauge:
 
 
 def _block_diag(blocks, exact: bool):
-    """Block-diagonal matrix of exact Matrix blocks, or of float arrays."""
-    blocks = [b.rows if exact else np.asarray(b, dtype=float) for b in blocks]
+    """Block-diagonal Matrix of exact blocks, else a float array of any blocks."""
+    blocks = [b.rows if exact else linalg._float_array(b) for b in blocks]
     total = sum(len(b) for b in blocks)
     out = [[Fraction(0)] * total for _ in range(total)] if exact else np.zeros((total, total))
     offset = 0
@@ -227,7 +227,7 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
         raise linalg.DimensionMismatchError(
             f"spectrum length {spectrum.shape} vs gauge size {gauge.n}"
         )
-    p = gauge.p.to_float_array() if gauge.is_exact else np.asarray(gauge.p, dtype=float)
+    p = linalg._float_array(gauge.p)
     p_inv = linalg.inverse(p)
     m = (p * spectrum) @ p_inv
     diagonal = np.diag(m).copy()
@@ -254,8 +254,8 @@ def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
     """Check diag(M) = RGA(P) * spectrum and spectrum = S * diag(M)."""
     matrix.gauge.require_valid()
     gauge = matrix.gauge
-    p = gauge.p.to_float_array() if gauge.is_exact else np.asarray(gauge.p, dtype=float)
-    s = gauge.s.to_float_array() if gauge.is_exact else np.asarray(gauge.s, dtype=float)
+    p = linalg._float_array(gauge.p)
+    s = linalg._float_array(gauge.s)
     dev_diag = float(np.abs(rga(p) @ matrix.spectrum - matrix.diagonal).max())
     dev_spec = float(np.abs(s @ matrix.diagonal - matrix.spectrum).max())
     dev = max(dev_diag, dev_spec)

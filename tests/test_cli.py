@@ -275,10 +275,13 @@ class TestReportContract:
             (("sos", "verify", "--cert", "missing.json", "--target", "builtin:pn3"), None, 2),
             (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
              '{"variables": "abc", "terms": [', 3),
+            # A malformed certificate file is a parse error.
             (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
-             '{"variables": "abc", "terms": [{"body": "a"}]}', 4),
+             '{"variables": "abc", "terms": [{"body": "a"}]}', 3),
             (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
-             '{"variables": "abc", "terms": [{"multiplier": "x", "body": "a"}]}', 4),
+             '{"variables": "abc", "terms": [{"multiplier": "x", "body": "a"}]}', 3),
+            (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
+             '{"variables": "abc", "terms": [{"multiplier": "-1", "body": "a"}]}', 3),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,15 @@ from irgalab.polytext import (
 )
 
 PN3_TEXT = "a^2 b^2 + a b c + c^2 + a^2 c^2 + b^2 c^2 - 2 a b c^3 + a^2 c^4"
+
+# sha256 of repr(program) for the bundled assets: a parser change must
+# leave these programs unchanged, instruction for instruction.
+PROGRAM_SHA256 = {
+    "s6-entry12": "06d72b5e6f75f5cc6052bdba8dfc729ac3798af25601819f03dbfeb3eeb19b0d",
+    "pn3": "faf9a581e8978ac85ba3e46458901f490a3f17f147fd62c13ae74c3c97da0975",
+    "pn4": "5feda85d3b8c5cb7624dbd438b96033825c2ffd501dba2bc809a35d45be80565",
+    "s4-entry12": "9a87304329aef5d1dd56e33f0c16bcabbee8d10485854de4e1e73bee0d7468d4",
+}
 
 
 class TestParsing:
@@ -90,6 +100,44 @@ class TestDiagnostics:
         # Any syntax problem raises; nothing is returned.
         with pytest.raises(PolyParseError):
             parse_polynomial("a + + b")
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            # Lexical errors.
+            ("3/0", (0, 1, 1, "zero denominator", ())),
+            ("1/", (1, 1, 2, "malformed rational", ("digit",))),
+            ("a ? b", (2, 1, 3, "unexpected character '?'", ())),
+            ("\uff11", (0, 1, 1, "unexpected character '\uff11'", ())),
+            ("\u00bd", (0, 1, 1, "unexpected character '\u00bd'", ())),
+            # Syntax errors.
+            ("a^b", (2, 1, 3, "malformed exponent", ("nonnegative integer",))),
+            ("(a + b", (6, 1, 7, "unbalanced parentheses", (")",))),
+            # The whole input is lexed first, so the lexical error wins.
+            ("a + + b $", (8, 1, 9, "unexpected character '$'", ())),
+        ],
+    )
+    def test_diagnostics_table(self, text, diagnostic):
+        with pytest.raises(PolyParseError) as err:
+            parse_expression(text)
+        d = err.value.diagnostic
+        assert (d.offset, d.line, d.column, d.message, d.expected) == diagnostic
+
+    @pytest.mark.parametrize(
+        "text, program",
+        [
+            ("\u00e9 b", (("var", "\u00e9"), ("var", "b"), ("mul", (0, 1)))),
+            ("a\u00a0b", (("var", "a"), ("var", "b"), ("mul", (0, 1)))),
+            ("a\u00b2b", (("var", "a"), ("pow", 0, 2), ("var", "b"), ("mul", (1, 2)))),
+            ("sqrt33", (("num", QuadExt3(0, 1)), ("num", 3), ("mul", (0, 1)))),
+            ("sqrta", (("var", "s"), ("var", "q"), ("var", "r"), ("var", "t"), ("var", "a"),
+                       ("mul", (0, 1, 2, 3, 4)))),
+        ],
+    )
+    def test_lexical_edge_cases_parse(self, text, program):
+        # Letters and whitespace follow str.isalpha and str.isspace; the
+        # superscript two is an exponent, not a letter or a digit.
+        assert parse_expression(text).program == program
 
 
 class TestRendering:
@@ -176,9 +224,16 @@ class TestCompiledEvaluation:
         from irgalab.sos import builtin_expression
 
         expression = builtin_expression("s6-entry12")
-        assert len(expression._compiled()) == 881
+        assert len(expression.program) == 881
         assert expression.degree_bound() == 31
         assert expression.variable_names() == frozenset("abcdefghijkmnpq")
+
+    @pytest.mark.parametrize("asset, fingerprint", sorted(PROGRAM_SHA256.items()))
+    def test_bundled_programs_are_pinned(self, asset, fingerprint):
+        from irgalab.sos import builtin_expression
+
+        program = builtin_expression(asset).program
+        assert hashlib.sha256(repr(program).encode()).hexdigest() == fingerprint
 
 
 # Random expressions paired with their value at POINT, computed directly.

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,23 @@ class TestBlockGaugeStructure:
         )
         for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
             assert gauge.report.to_json_dict() == check_conjecture(gauge.p).to_json_dict()
+
+    def test_mixed_carriers_compose_as_float(self):
+        # An exact child composes with a float one as its float conversion.
+        exact = make_gauge(random_pd(2, 81, mode="exact").p, mode="proven")
+        other = make_gauge(random_pd(3, 82).p)
+        converted = replace(exact, p=exact.p.to_float_array(), s=exact.s.to_float_array())
+        pairs = [
+            (block_gauge([exact, other]), block_gauge([converted, other])),
+            (kron_gauge(exact, other), kron_gauge(converted, other)),
+            (kron_gauge(other, exact), kron_gauge(other, converted)),
+        ]
+        for mixed, floats in pairs:
+            assert not mixed.is_exact
+            np.testing.assert_array_equal(mixed.p, floats.p)
+            np.testing.assert_array_equal(mixed.s, floats.s)
+            assert mixed.report.to_json_dict() == floats.report.to_json_dict()
+            assert verify_mapping(make_spdd(mixed, np.arange(mixed.n, 0, -1)))
 
 
 class TestUnitaryContrast:
