@@ -11,6 +11,7 @@ Exit codes: 0 verified/found, 1 violated/not found, 2 usage error,
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -107,6 +108,27 @@ def _run_command(ctx, command, inputs, body):
     sys.exit(_outcome_code(outcome))
 
 
+def _reports(fn):
+    """Make ``fn(**params) -> (outcome, payload, summary)`` a report command.
+
+    The report's ``command`` is "<group> <command>" and its ``inputs`` hold
+    every parameter: an option under its long name with "-" turned into
+    "_" (``--gauge-mode`` -> ``gauge_mode``), an argument under its own name.
+    """
+
+    @functools.wraps(fn)
+    def command(**params):
+        ctx = click.get_current_context()
+        inputs = {
+            max(param.opts, key=len).lstrip("-").replace("-", "_"): params[param.name]
+            for param in ctx.command.params
+        }
+        name = f"{ctx.parent.info_name} {ctx.info_name}"
+        _run_command(ctx, name, inputs, lambda: fn(**params))
+
+    return command
+
+
 def _load_matrix_arg(path, mode: str, square: bool = True):
     try:
         matrix = linalg.load_matrix(path, exact=(mode == "exact"))
@@ -194,24 +216,20 @@ def irga_group():
 
 
 @irga_group.command("check")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.pass_context
-def irga_check(ctx, matrix_path, mode, tol):
+@_reports
+def irga_check(matrix, mode, tol):
     """Compute S = (P o P^-1)^-1 and report membership checks."""
-
-    def body():
-        p = _load_matrix_arg(matrix_path, mode)
-        report = check_conjecture(p, tol=tol)
-        outcome = "pass" if report.doubly_stochastic else "fail"
-        summary = (
-            f"S doubly stochastic: {report.doubly_stochastic} "
-            f"(min entry {float(report.min_entry):.6g}, pd {report.pd})"
-        )
-        return outcome, {"report": report.to_json_dict()}, summary
-
-    _run_command(ctx, "irga check", {"matrix": str(matrix_path), "mode": mode, "tol": tol}, body)
+    p = _load_matrix_arg(matrix, mode)
+    report = check_conjecture(p, tol=tol)
+    outcome = "pass" if report.doubly_stochastic else "fail"
+    summary = (
+        f"S doubly stochastic: {report.doubly_stochastic} "
+        f"(min entry {float(report.min_entry):.6g}, pd {report.pd})"
+    )
+    return outcome, {"report": report.to_json_dict()}, summary
 
 
 @irga_group.command("search-counterexample")
@@ -221,50 +239,36 @@ def irga_check(ctx, matrix_path, mode, tol):
 @click.option("--range", "rng_range", type=float, default=2.0, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
-@click.pass_context
-def irga_search(ctx, n, trials, seed, rng_range, tol, threads):
+@_reports
+def irga_search(n, trials, seed, rng_range, tol, threads):
     """Randomized search for a sample whose IRGA has a negative entry."""
-
-    def body():
-        if n < 2 or trials < 1:
-            raise _ReportFailure(EXIT_USAGE, "need --n >= 2 and --trials >= 1")
-        outcome_obj = search_counterexample(
-            n, trials, seed=seed, rng_range=rng_range, tol=tol, threads=threads
-        )
-        payload = {
-            "trials": outcome_obj.trials,
-            "float_hits": outcome_obj.float_hits,
-            "hit_rate": outcome_obj.hit_rate,
-            "uncertified_hits": outcome_obj.uncertified_hits,
-            "found": outcome_obj.found,
-        }
-        if outcome_obj.found:
-            payload["trial_index"] = outcome_obj.trial_index
-            payload["sample_seed"] = outcome_obj.sample.seed
-            payload["l"] = outcome_obj.sample.l_entries_json()
-            payload["min_entry_exact"] = str(outcome_obj.report.min_entry)
-            payload["min_entry_float"] = float(outcome_obj.report.min_entry)
-            summary = (
-                f"counterexample at trial {outcome_obj.trial_index}: exact min entry "
-                f"{float(outcome_obj.report.min_entry):.6g} "
-                f"({outcome_obj.float_hits} float hits / {trials} trials)"
-            )
-            return "found", payload, summary
-        return (
-            "not_found",
-            payload,
-            f"no counterexample in {trials} trials ({outcome_obj.float_hits} float hits)",
-        )
-
-    inputs = {
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "range": rng_range,
-        "tol": tol,
-        "threads": threads,
+    outcome_obj = search_counterexample(
+        n, trials, seed=seed, rng_range=rng_range, tol=tol, threads=threads
+    )
+    payload = {
+        "trials": outcome_obj.trials,
+        "float_hits": outcome_obj.float_hits,
+        "hit_rate": outcome_obj.hit_rate,
+        "uncertified_hits": outcome_obj.uncertified_hits,
+        "found": outcome_obj.found,
     }
-    _run_command(ctx, "irga search-counterexample", inputs, body)
+    if outcome_obj.found:
+        payload["trial_index"] = outcome_obj.trial_index
+        payload["sample_seed"] = outcome_obj.sample.seed
+        payload["l"] = outcome_obj.sample.l_entries_json()
+        payload["min_entry_exact"] = str(outcome_obj.report.min_entry)
+        payload["min_entry_float"] = float(outcome_obj.report.min_entry)
+        summary = (
+            f"counterexample at trial {outcome_obj.trial_index}: exact min entry "
+            f"{float(outcome_obj.report.min_entry):.6g} "
+            f"({outcome_obj.float_hits} float hits / {trials} trials)"
+        )
+        return "found", payload, summary
+    return (
+        "not_found",
+        payload,
+        f"no counterexample in {trials} trials ({outcome_obj.float_hits} float hits)",
+    )
 
 
 # ----------------------------------------------------------------- sos
@@ -279,59 +283,51 @@ def sos_group():
 @click.option("--n", type=int, required=True)
 @click.option("--entry", nargs=2, type=int, default=(None, None),
               help="Row and column of the entry (defaults to (2,3) for n=3, else (1,2)).")
-@click.pass_context
-def sos_derive(ctx, n, entry):
+@_reports
+def sos_derive(n, entry):
     """Derive the entry polynomial symbolically (sizes 2..4)."""
-
-    def body():
-        i, j = entry
-        if i is None:
-            i, j = (2, 3) if n == 3 else (1, 2)
-        polynomial = sosmod.entry_polynomial(n, i, j)
-        payload = {
-            "n": n,
-            "entry": [i, j],
-            "terms": len(polynomial),
-            "total_degree": polynomial.total_degree(),
-            "polynomial": render_polynomial(polynomial),
-        }
-        return "pass", payload, f"derived entry ({i},{j}) of size {n}: {len(polynomial)} terms"
-
-    _run_command(ctx, "sos derive", {"n": n, "entry": list(entry)}, body)
+    i, j = entry
+    if i is None:
+        i, j = (2, 3) if n == 3 else (1, 2)
+    polynomial = sosmod.entry_polynomial(n, i, j)
+    payload = {
+        "n": n,
+        "entry": [i, j],
+        "terms": len(polynomial),
+        "total_degree": polynomial.total_degree(),
+        "polynomial": render_polynomial(polynomial),
+    }
+    return "pass", payload, f"derived entry ({i},{j}) of size {n}: {len(polynomial)} terms"
 
 
 @sos_group.command("verify")
 @click.option("--cert", required=True, help="builtin:n3, builtin:n4, or a JSON file path.")
 @click.option("--target", required=True,
               help="builtin:pn3/pn4/s4-entry12, a polynomial file, or derived:N:I:J.")
-@click.pass_context
-def sos_verify(ctx, cert, target):
+@_reports
+def sos_verify(cert, target):
     """Expand a sum-of-squares certificate and compare with the target."""
-
-    def body():
-        certificate = _resolve_spec(
-            cert, "certificate", sosmod.builtin_certificate, sosmod.SoSCertificate.load
+    certificate = _resolve_spec(
+        cert, "certificate", sosmod.builtin_certificate, sosmod.SoSCertificate.load
+    )
+    if target.startswith("derived:"):
+        try:
+            _, n_text, i_text, j_text = target.split(":")
+            goal = sosmod.entry_polynomial(int(n_text), int(i_text), int(j_text))
+        except ValueError as exc:
+            raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
+    else:
+        goal = _resolve_spec(
+            target,
+            "polynomial",
+            lambda name: sosmod.builtin_polynomial(name, certificate.variables),
+            lambda path: parse_polynomial(_read_text(path), certificate.variables),
         )
-        if target.startswith("derived:"):
-            try:
-                _, n_text, i_text, j_text = target.split(":")
-                goal = sosmod.entry_polynomial(int(n_text), int(i_text), int(j_text))
-            except ValueError as exc:
-                raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
-        else:
-            goal = _resolve_spec(
-                target,
-                "polynomial",
-                lambda name: sosmod.builtin_polynomial(name, certificate.variables),
-                lambda path: parse_polynomial(_read_text(path), certificate.variables),
-            )
-        check = certificate.verify(goal)
-        payload = {"check": check.to_json_dict(), "terms": len(certificate)}
-        if check.ok:
-            return "pass", payload, f"certificate matches target exactly ({len(certificate)} squares)"
-        return "fail", payload, f"certificate mismatch on {len(check.difference)} monomials"
-
-    _run_command(ctx, "sos verify", {"cert": cert, "target": target}, body)
+    check = certificate.verify(goal)
+    payload = {"check": check.to_json_dict(), "terms": len(certificate)}
+    if check.ok:
+        return "pass", payload, f"certificate matches target exactly ({len(certificate)} squares)"
+    return "fail", payload, f"certificate mismatch on {len(check.difference)} monomials"
 
 
 @sos_group.command("identity-test")
@@ -342,42 +338,29 @@ def sos_verify(ctx, cert, target):
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "coord_range", type=int, default=10**6, show_default=True)
-@click.pass_context
-def sos_identity(ctx, reference, n, i_index, j_index, trials, seed, coord_range):
+@_reports
+def sos_identity(reference, n, i_index, j_index, trials, seed, coord_range):
     """Randomized identity test of a reference polynomial vs the exact oracle."""
-
-    def body():
-        sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
-        expression = _resolve_spec(
-            reference,
-            "polynomial",
-            sosmod.builtin_expression,
-            lambda path: parse_expression(_read_text(path)),
-        )
-        report = sosmod.identity_test(
-            expression, n, i_index, j_index,
-            trials=trials, seed=seed, coordinate_range=coord_range,
-        )
-        payload = {"report": report.to_json_dict()}
-        if report.all_agree:
-            return "pass", payload, f"{report.agreements}/{report.trials} points agree exactly"
-        return (
-            "fail",
-            payload,
-            f"disagreement: {report.agreements}/{report.trials} points agree; "
-            "check the transcription or the variable-to-position mapping",
-        )
-
-    inputs = {
-        "reference": reference,
-        "n": n,
-        "i": i_index,
-        "j": j_index,
-        "trials": trials,
-        "seed": seed,
-        "range": coord_range,
-    }
-    _run_command(ctx, "sos identity-test", inputs, body)
+    sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
+    expression = _resolve_spec(
+        reference,
+        "polynomial",
+        sosmod.builtin_expression,
+        lambda path: parse_expression(_read_text(path)),
+    )
+    report = sosmod.identity_test(
+        expression, n, i_index, j_index,
+        trials=trials, seed=seed, coordinate_range=coord_range,
+    )
+    payload = {"report": report.to_json_dict()}
+    if report.all_agree:
+        return "pass", payload, f"{report.agreements}/{report.trials} points agree exactly"
+    return (
+        "fail",
+        payload,
+        f"disagreement: {report.agreements}/{report.trials} points agree; "
+        "check the transcription or the variable-to-position mapping",
+    )
 
 
 # ---------------------------------------------------------------- poly
@@ -391,48 +374,40 @@ def poly_group():
 @poly_group.command("parse")
 @click.argument("source", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 @click.option("--variables", default=None, help="Restrict identifiers to this letter set.")
-@click.pass_context
-def poly_parse(ctx, source, variables):
+@_reports
+def poly_parse(source, variables):
     """Parse a polynomial file and print its canonical rendering."""
-
-    def body():
-        text = sys.stdin.read() if source == "-" else _read_text(source)
-        varset = VariableSet(variables) if variables else None
-        polynomial = parse_polynomial(text, varset)
-        payload = {
-            "terms": len(polynomial),
-            "total_degree": polynomial.total_degree(),
-            "variables": list(polynomial.variables.names),
-            "canonical": render_polynomial(polynomial),
-        }
-        return "pass", payload, f"{len(polynomial)} terms over {''.join(polynomial.variables.names)}"
-
-    _run_command(ctx, "poly parse", {"source": str(source), "variables": variables}, body)
+    text = sys.stdin.read() if source == "-" else _read_text(source)
+    varset = VariableSet(variables) if variables else None
+    polynomial = parse_polynomial(text, varset)
+    payload = {
+        "terms": len(polynomial),
+        "total_degree": polynomial.total_degree(),
+        "variables": list(polynomial.variables.names),
+        "canonical": render_polynomial(polynomial),
+    }
+    return "pass", payload, f"{len(polynomial)} terms over {''.join(polynomial.variables.names)}"
 
 
 @poly_group.command("eval")
 @click.argument("source", type=click.Path(exists=True, dir_okay=False))
 @click.option("--at", "assignment", required=True,
               help='Comma-separated name=value pairs, e.g. "a=1/2,b=3,c=-1".')
-@click.pass_context
-def poly_eval(ctx, source, assignment):
+@_reports
+def poly_eval(source, assignment):
     """Evaluate a polynomial file exactly at a rational point."""
-
-    def body():
-        text = _read_text(source)
-        point = {}
-        try:
-            for pair in assignment.split(","):
-                name, _, value = pair.partition("=")
-                point[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _ReportFailure(EXIT_USAGE, f"bad assignment {assignment!r}: {exc}") from exc
-        expression = parse_expression(text)
-        value = expression.evaluate(point)
-        payload = {"value": str(value), "value_float": float(value)}
-        return "pass", payload, f"value = {value}"
-
-    _run_command(ctx, "poly eval", {"source": str(source), "at": assignment}, body)
+    text = _read_text(source)
+    point = {}
+    try:
+        for pair in assignment.split(","):
+            name, _, value = pair.partition("=")
+            point[name.strip()] = Fraction(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _ReportFailure(EXIT_USAGE, f"bad assignment {assignment!r}: {exc}") from exc
+    expression = parse_expression(text)
+    value = expression.evaluate(point)
+    payload = {"value": str(value), "value_float": float(value)}
+    return "pass", payload, f"value = {value}"
 
 
 # ------------------------------------------------------------- majorize
@@ -447,83 +422,67 @@ def majorize_group():
 @click.option("--y", "y_spec", required=True, help="Majorizing vector (inline or file).")
 @click.option("--x", "x_spec", required=True, help="Majorized candidate (inline or file).")
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def majorize_check(ctx, y_spec, x_spec, tol):
+@_reports
+def majorize_check(y_spec, x_spec, tol):
     """Decide whether y majorizes x."""
-
-    def body():
-        y = _vector_arg(y_spec)
-        x = _vector_arg(x_spec)
-        verdict = mj.majorizes(y, x, tol=tol)
-        outcome = "pass" if verdict.holds else "fail"
-        return outcome, {"verdict": verdict.to_json_dict()}, f"majorizes: {verdict.holds}"
-
-    _run_command(ctx, "majorize check", {"y": y_spec, "x": x_spec, "tol": tol}, body)
+    y = _vector_arg(y_spec)
+    x = _vector_arg(x_spec)
+    verdict = mj.majorizes(y, x, tol=tol)
+    outcome = "pass" if verdict.holds else "fail"
+    return outcome, {"verdict": verdict.to_json_dict()}, f"majorizes: {verdict.holds}"
 
 
 @majorize_group.command("construct")
 @click.option("--y", "y_spec", required=True)
 @click.option("--x", "x_spec", required=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def majorize_construct(ctx, y_spec, x_spec, tol):
+@_reports
+def majorize_construct(y_spec, x_spec, tol):
     """Build an explicit T-transform chain mapping y onto x."""
-
-    def body():
-        y = _vector_arg(y_spec)
-        x = _vector_arg(x_spec)
-        try:
-            chain = mj.transfer_chain(y, x, tol=tol)
-        except ValueError as exc:
-            return "fail", {"error": str(exc)}, str(exc)
-        applied = chain.apply(y)
-        payload = {
-            "chain": chain.to_json_dict(),
-            "transforms": len(chain),
-            "max_apply_error": float(np.abs(applied - x).max()),
-        }
-        return "pass", payload, f"{len(chain)} transforms map y onto x"
-
-    _run_command(ctx, "majorize construct", {"y": y_spec, "x": x_spec, "tol": tol}, body)
+    y = _vector_arg(y_spec)
+    x = _vector_arg(x_spec)
+    try:
+        chain = mj.transfer_chain(y, x, tol=tol)
+    except ValueError as exc:
+        return "fail", {"error": str(exc)}, str(exc)
+    applied = chain.apply(y)
+    payload = {
+        "chain": chain.to_json_dict(),
+        "transforms": len(chain),
+        "max_apply_error": float(np.abs(applied - x).max()),
+    }
+    return "pass", payload, f"{len(chain)} transforms map y onto x"
 
 
 @majorize_group.command("birkhoff")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def majorize_birkhoff(ctx, matrix_path, tol):
+@_reports
+def majorize_birkhoff(matrix, tol):
     """Decompose a doubly stochastic matrix into permutations."""
-
-    def body():
-        s = _load_matrix_arg(matrix_path, "float")
-        decomposition = mj.birkhoff(s, tol=tol)
-        residual = float(np.abs(decomposition.reconstruct() - s).max())
-        payload = {
-            "decomposition": decomposition.to_json_dict(),
-            "permutation_count": len(decomposition),
-            "weight_sum": float(sum(decomposition.weights)),
-            "reconstruction_error": residual,
-        }
-        return "pass", payload, f"{len(decomposition)} permutations, residual {residual:.3e}"
-
-    _run_command(ctx, "majorize birkhoff", {"matrix": str(matrix_path), "tol": tol}, body)
+    s = _load_matrix_arg(matrix, "float")
+    decomposition = mj.birkhoff(s, tol=tol)
+    residual = float(np.abs(decomposition.reconstruct() - s).max())
+    payload = {
+        "decomposition": decomposition.to_json_dict(),
+        "permutation_count": len(decomposition),
+        "weight_sum": float(sum(decomposition.weights)),
+        "reconstruction_error": residual,
+    }
+    return "pass", payload, f"{len(decomposition)} permutations, residual {residual:.3e}"
 
 
 @majorize_group.command("entropy")
-@click.argument("vector_spec")
-@click.pass_context
-def majorize_entropy(ctx, vector_spec):
+@click.argument("vector")
+@_reports
+def majorize_entropy(vector):
     """Shannon entropy of a vector normalized to a distribution."""
-
-    def body():
-        v = _vector_arg(vector_spec)
-        try:
-            value = mj.shannon_entropy(v)
-        except ValueError as exc:
-            raise _ReportFailure(EXIT_NUMERIC, str(exc)) from exc
-        return "pass", {"entropy": value}, f"entropy = {value:.6f} nats"
-
-    _run_command(ctx, "majorize entropy", {"vector": vector_spec}, body)
+    v = _vector_arg(vector)
+    try:
+        value = mj.shannon_entropy(v)
+    except ValueError as exc:
+        raise _ReportFailure(EXIT_NUMERIC, str(exc)) from exc
+    return "pass", {"entropy": value}, f"entropy = {value:.6f} nats"
 
 
 # ----------------------------------------------------------------- spdd
@@ -540,88 +499,68 @@ def _gauge_from_path(path, gauge_mode, mode):
 
 
 @spdd_group.command("gauge")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured",
               show_default=True)
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float", show_default=True)
-@click.pass_context
-def spdd_gauge(ctx, matrix_path, gauge_mode, mode):
+@_reports
+def spdd_gauge(matrix, gauge_mode, mode):
     """Validate a matrix as a gauge (IRGA doubly stochastic)."""
-
-    def body():
-        gauge = _gauge_from_path(matrix_path, gauge_mode, mode)
-        payload = {
-            "valid": gauge.valid,
-            "provenance": gauge.provenance_json(),
-            "report": gauge.report.to_json_dict(),
-        }
-        outcome = "pass" if gauge.valid else "fail"
-        return outcome, payload, f"gauge valid: {gauge.valid}"
-
-    inputs = {"matrix": str(matrix_path), "gauge_mode": gauge_mode, "mode": mode}
-    _run_command(ctx, "spdd gauge", inputs, body)
+    gauge = _gauge_from_path(matrix, gauge_mode, mode)
+    payload = {
+        "valid": gauge.valid,
+        "provenance": gauge.provenance_json(),
+        "report": gauge.report.to_json_dict(),
+    }
+    outcome = "pass" if gauge.valid else "fail"
+    return outcome, payload, f"gauge valid: {gauge.valid}"
 
 
 @spdd_group.command("make")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--spectrum", required=True, help="Spectrum vector (inline or file).")
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured")
-@click.pass_context
-def spdd_make(ctx, matrix_path, spectrum, gauge_mode):
+@_reports
+def spdd_make(matrix, spectrum, gauge_mode):
     """Build M = P diag(e) P^-1 and report diagonal and entropies."""
-
-    def body():
-        gauge = _gauge_from_path(matrix_path, gauge_mode, "float")
-        e = _vector_arg(spectrum)
-        matrix = spddmod.make_spdd(gauge, e)
-        payload = {
-            "m": [[float(v) for v in row] for row in matrix.m],
-            "diagonal": [float(v) for v in matrix.diagonal],
-            "spectrum": [float(v) for v in matrix.spectrum],
-            "spectral_entropy": matrix.spectral_entropy(),
-            "diagonal_entropy": matrix.diagonal_entropy(),
-            "gauge_valid": gauge.valid,
-        }
-        return "pass", payload, f"built {matrix.n}x{matrix.n} matrix; gauge valid: {gauge.valid}"
-
-    inputs = {"matrix": str(matrix_path), "spectrum": spectrum, "gauge_mode": gauge_mode}
-    _run_command(ctx, "spdd make", inputs, body)
+    gauge = _gauge_from_path(matrix, gauge_mode, "float")
+    e = _vector_arg(spectrum)
+    spdd = spddmod.make_spdd(gauge, e)
+    payload = {
+        "m": [[float(v) for v in row] for row in spdd.m],
+        "diagonal": [float(v) for v in spdd.diagonal],
+        "spectrum": [float(v) for v in spdd.spectrum],
+        "spectral_entropy": spdd.spectral_entropy(),
+        "diagonal_entropy": spdd.diagonal_entropy(),
+        "gauge_valid": gauge.valid,
+    }
+    return "pass", payload, f"built {spdd.n}x{spdd.n} matrix; gauge valid: {gauge.valid}"
 
 
 @spdd_group.command("verify")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--spectrum", required=True)
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured")
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def spdd_verify(ctx, matrix_path, spectrum, gauge_mode, tol):
+@_reports
+def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
-
-    def body():
-        gauge = _gauge_from_path(matrix_path, gauge_mode, "float")
-        e = _vector_arg(spectrum)
-        matrix = spddmod.make_spdd(gauge, e)
-        mapping = spddmod.verify_mapping(matrix, tol=tol)
-        verdict = spddmod.verify_majorization_theorem(matrix, tol=tol)
-        payload = {
-            "mapping_ok": mapping.ok,
-            "mapping_max_deviation": mapping.max_deviation,
-            "majorization": verdict.to_json_dict(),
-        }
-        ok = mapping.ok and verdict.holds
-        return (
-            "pass" if ok else "fail",
-            payload,
-            f"mapping ok: {mapping.ok}; diagonal majorizes spectrum: {verdict.holds}",
-        )
-
-    inputs = {
-        "matrix": str(matrix_path),
-        "spectrum": spectrum,
-        "gauge_mode": gauge_mode,
-        "tol": tol,
+    gauge = _gauge_from_path(matrix, gauge_mode, "float")
+    e = _vector_arg(spectrum)
+    spdd = spddmod.make_spdd(gauge, e)
+    mapping = spddmod.verify_mapping(spdd, tol=tol)
+    verdict = spddmod.verify_majorization_theorem(spdd, tol=tol)
+    payload = {
+        "mapping_ok": mapping.ok,
+        "mapping_max_deviation": mapping.max_deviation,
+        "majorization": verdict.to_json_dict(),
     }
-    _run_command(ctx, "spdd verify", inputs, body)
+    ok = mapping.ok and verdict.holds
+    return (
+        "pass" if ok else "fail",
+        payload,
+        f"mapping ok: {mapping.ok}; diagonal majorizes spectrum: {verdict.holds}",
+    )
 
 
 @spdd_group.command("kron")
@@ -630,31 +569,26 @@ def spdd_verify(ctx, matrix_path, spectrum, gauge_mode, tol):
 @click.option("--pb", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--eb", required=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def spdd_kron(ctx, pa, ea, pb, eb, tol):
+@_reports
+def spdd_kron(pa, ea, pb, eb, tol):
     """Kronecker-compose two SPDD matrices and verify the retained property."""
-
-    def body():
-        ga = _gauge_from_path(pa, "conjectured", "float")
-        gb = _gauge_from_path(pb, "conjectured", "float")
-        ma = spddmod.make_spdd(ga, _vector_arg(ea))
-        mb = spddmod.make_spdd(gb, _vector_arg(eb))
-        composed = spddmod.kron_spdd(ma, mb)
-        mapping = spddmod.verify_mapping(composed, tol=tol)
-        verdict = spddmod.verify_majorization_theorem(composed, tol=tol)
-        payload = {
-            "n": composed.n,
-            "mapping_ok": mapping.ok,
-            "mapping_max_deviation": mapping.max_deviation,
-            "majorization": verdict.to_json_dict(),
-            "spectrum": [float(v) for v in composed.spectrum],
-            "diagonal": [float(v) for v in composed.diagonal],
-        }
-        ok = mapping.ok and verdict.holds
-        return "pass" if ok else "fail", payload, f"{composed.n}x{composed.n} composition ok: {ok}"
-
-    inputs = {"pa": str(pa), "ea": ea, "pb": str(pb), "eb": eb, "tol": tol}
-    _run_command(ctx, "spdd kron", inputs, body)
+    ga = _gauge_from_path(pa, "conjectured", "float")
+    gb = _gauge_from_path(pb, "conjectured", "float")
+    ma = spddmod.make_spdd(ga, _vector_arg(ea))
+    mb = spddmod.make_spdd(gb, _vector_arg(eb))
+    composed = spddmod.kron_spdd(ma, mb)
+    mapping = spddmod.verify_mapping(composed, tol=tol)
+    verdict = spddmod.verify_majorization_theorem(composed, tol=tol)
+    payload = {
+        "n": composed.n,
+        "mapping_ok": mapping.ok,
+        "mapping_max_deviation": mapping.max_deviation,
+        "majorization": verdict.to_json_dict(),
+        "spectrum": [float(v) for v in composed.spectrum],
+        "diagonal": [float(v) for v in composed.diagonal],
+    }
+    ok = mapping.ok and verdict.holds
+    return "pass" if ok else "fail", payload, f"{composed.n}x{composed.n} composition ok: {ok}"
 
 
 @spdd_group.command("construct")
@@ -663,46 +597,33 @@ def spdd_kron(ctx, pa, ea, pb, eb, tol):
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float", show_default=True)
 @click.option("--spectra", type=int, default=5, show_default=True,
               help="Random positive spectra to sweep through the majorization check.")
-@click.pass_context
-def spdd_construct(ctx, n, seed, mode, spectra):
+@_reports
+def spdd_construct(n, seed, mode, spectra):
     """Assemble a block-diagonal gauge of any size n >= 2 and sweep it."""
-
-    def body():
-        plan = spddmod.block_plan(n)
-        gauge = spddmod.assemble_gpdd(plan, seed, mode=mode)
-        float_gauge = gauge
-        if gauge.is_exact:
-            float_gauge = spddmod.block_gauge(
-                [
-                    spddmod.make_gauge(child.p.to_float_array(), mode="proven")
-                    for child in gauge.children
-                ]
-            )
-        rng = np.random.default_rng(seed)
-        sweep = []
-        all_hold = True
-        for _ in range(spectra):
-            e = rng.uniform(0.1, 10.0, n)
-            matrix = spddmod.make_spdd(float_gauge, e)
-            verdict = spddmod.verify_majorization_theorem(matrix)
-            sweep.append(verdict.holds)
-            all_hold = all_hold and verdict.holds
-        payload = {
-            "plan": list(plan.sizes),
-            "valid": gauge.valid,
-            "mode": mode,
-            "report": gauge.report.to_json_dict(),
-            "majorization_sweep": sweep,
-        }
-        ok = gauge.valid and all_hold
-        return (
-            "pass" if ok else "fail",
-            payload,
-            f"plan {list(plan.sizes)} valid: {gauge.valid}; sweep all hold: {all_hold}",
-        )
-
-    inputs = {"n": n, "seed": seed, "mode": mode, "spectra": spectra}
-    _run_command(ctx, "spdd construct", inputs, body)
+    plan = spddmod.block_plan(n)
+    gauge = spddmod.assemble_gpdd(plan, seed, mode=mode)
+    rng = np.random.default_rng(seed)
+    sweep = []
+    all_hold = True
+    for _ in range(spectra):
+        e = rng.uniform(0.1, 10.0, n)
+        matrix = spddmod.make_spdd(gauge, e)
+        verdict = spddmod.verify_majorization_theorem(matrix)
+        sweep.append(verdict.holds)
+        all_hold = all_hold and verdict.holds
+    payload = {
+        "plan": list(plan.sizes),
+        "valid": gauge.valid,
+        "mode": mode,
+        "report": gauge.report.to_json_dict(),
+        "majorization_sweep": sweep,
+    }
+    ok = gauge.valid and all_hold
+    return (
+        "pass" if ok else "fail",
+        payload,
+        f"plan {list(plan.sizes)} valid: {gauge.valid}; sweep all hold: {all_hold}",
+    )
 
 
 @spdd_group.command("unitary")
@@ -710,22 +631,17 @@ def spdd_construct(ctx, n, seed, mode, spectra):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--spectrum", required=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def spdd_unitary(ctx, n, seed, spectrum, tol):
+@_reports
+def spdd_unitary(n, seed, spectrum, tol):
     """Contrast check: orthogonal diagonalization reverses the ordering."""
-
-    def body():
-        e = _vector_arg(spectrum)
-        verdict = spddmod.unitary_class_check(n, seed, e, tol=tol)
-        outcome = "pass" if verdict.holds else "fail"
-        return (
-            outcome,
-            {"verdict": verdict.to_json_dict()},
-            f"spectrum majorizes diagonal: {verdict.holds}",
-        )
-
-    inputs = {"n": n, "seed": seed, "spectrum": spectrum, "tol": tol}
-    _run_command(ctx, "spdd unitary", inputs, body)
+    e = _vector_arg(spectrum)
+    verdict = spddmod.unitary_class_check(n, seed, e, tol=tol)
+    outcome = "pass" if verdict.holds else "fail"
+    return (
+        outcome,
+        {"verdict": verdict.to_json_dict()},
+        f"spectrum majorizes diagonal: {verdict.holds}",
+    )
 
 
 # ---------------------------------------------------------------- search
@@ -737,7 +653,7 @@ def search_group():
 
 
 @search_group.command("run")
-@click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--e0", required=True, help="Start spectrum (inline or file).")
 @click.option("--delta", type=float, required=True)
 @click.option("--direction", type=click.Choice(["max_entropy", "min_entropy"]),
@@ -745,34 +661,21 @@ def search_group():
 @click.option("--max-iters", type=int, default=1000, show_default=True)
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured")
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def search_run(ctx, matrix_path, e0, delta, direction, max_iters, gauge_mode, tol):
+@_reports
+def search_run(matrix, e0, delta, direction, max_iters, gauge_mode, tol):
     """Run the lattice search from a start spectrum under a gauge."""
-
-    def body():
-        gauge = _gauge_from_path(matrix_path, gauge_mode, "float")
-        start = _vector_arg(e0)
-        config = searchmod.SearchConfig(
-            delta=delta, direction=direction, max_iters=max_iters, tol=tol
-        )
-        trace = searchmod.run(gauge, start, config)
-        payload = {"trace": trace.to_json_dict(), "steps": len(trace.moves)}
-        summary = (
-            f"{len(trace.moves)} moves, termination {trace.termination}, "
-            f"final spectral entropy {trace.states[-1].spectral_entropy:.6f}"
-        )
-        return "pass", payload, summary
-
-    inputs = {
-        "matrix": str(matrix_path),
-        "e0": e0,
-        "delta": delta,
-        "direction": direction,
-        "max_iters": max_iters,
-        "gauge_mode": gauge_mode,
-        "tol": tol,
-    }
-    _run_command(ctx, "search run", inputs, body)
+    gauge = _gauge_from_path(matrix, gauge_mode, "float")
+    start = _vector_arg(e0)
+    config = searchmod.SearchConfig(
+        delta=delta, direction=direction, max_iters=max_iters, tol=tol
+    )
+    trace = searchmod.run(gauge, start, config)
+    payload = {"trace": trace.to_json_dict(), "steps": len(trace.moves)}
+    summary = (
+        f"{len(trace.moves)} moves, termination {trace.termination}, "
+        f"final spectral entropy {trace.states[-1].spectral_entropy:.6f}"
+    )
+    return "pass", payload, summary
 
 
 if __name__ == "__main__":

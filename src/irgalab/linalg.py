@@ -326,13 +326,12 @@ def _adjugate_det(rows) -> tuple:
     nonzero pivot if needed and updates every other row by
     row_i <- (pivot*row_i - a_ik*row_k) / previous pivot, a division that is
     always exact.  The pass ends at [d*I | d*A'^-1] for the row-swapped A'
-    with d = det(A'), i.e. at +-(det(A), adj(A)).  int/Fraction matrices run
-    over the integers on D*A (D = LCM of the denominators), then
-    adj(A) = adj(D*A) / D^(n-1) and det(A) = det(D*A) / D^n.  Raises
-    SingularMatrixError when A is singular.
+    with d = det(A'), i.e. at +-(det(A), adj(A)).  On integer rows (what
+    Matrix.inverse passes for int/Fraction matrices, scaled to D*A) the
+    whole pass stays in int; other exact entries divide with _exact_div.
+    Raises SingularMatrixError when A is singular.
     """
-    scaled = _integer_scaled(rows)
-    a = [list(row) for row in rows] if scaled is None else scaled[0]
+    a = [list(row) for row in rows]
     n = len(a)
     for i in range(n):
         a[i].extend(1 if j == i else 0 for j in range(n))
@@ -353,14 +352,7 @@ def _adjugate_det(rows) -> tuple:
                 a[i] = [_exact_div(pivot * x - lead * y, prev) for x, y in zip(a[i], row_k)]
         prev = pivot
     adj = [row[n:] if sign == 1 else [-v for v in row[n:]] for row in a]
-    det = sign * prev
-    if scaled is None or scaled[1] == 1:
-        return adj, det
-    scale = scaled[1]
-    return (
-        [[Fraction(v, scale ** (n - 1)) for v in row] for row in adj],
-        Fraction(det, scale**n),
-    )
+    return adj, sign * prev
 
 
 def _leading_minors_positive(rows) -> bool:

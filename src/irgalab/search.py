@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import _float_array
 from .majorization import majorizes, shannon_entropy
 from .spdd import Gauge
 
@@ -95,13 +96,6 @@ class SearchTrace:
         }
 
 
-def _float_rga(gauge: Gauge) -> np.ndarray:
-    rga_p = gauge.rga_matrix()
-    if hasattr(rga_p, "to_float_array"):
-        rga_p = rga_p.to_float_array()
-    return np.asarray(rga_p, dtype=float)
-
-
 def _make_state(rga_p: np.ndarray, spectrum: np.ndarray) -> SearchState:
     diagonal = rga_p @ spectrum
     diag_entropy = shannon_entropy(diagonal) if diagonal.min() >= 0 else None
@@ -155,7 +149,7 @@ def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
     spectral entropy strictly).
     """
     gauge.require_valid()
-    return _step(_float_rga(gauge), np.asarray(spectrum, dtype=float), config)
+    return _step(_float_array(gauge.rga_matrix()), np.asarray(spectrum, dtype=float), config)
 
 
 def _step(rga_p: np.ndarray, spectrum: np.ndarray, config: SearchConfig) -> Optional[np.ndarray]:
@@ -183,7 +177,7 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
     spectrum = np.asarray(start_spectrum, dtype=float)
     if spectrum.min() <= 0:
         raise ValueError("start spectrum must be positive")
-    rga_p = _float_rga(gauge)
+    rga_p = _float_array(gauge.rga_matrix())
     states = [_make_state(rga_p, spectrum)]
     moves = []
     termination = "iter_budget"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exact import Polynomial, VariableSet
 from .irga import _build_lower, mix64
-from .linalg import Matrix, _adjugate_det, adjugate_entry, hadamard
+from .linalg import Matrix, _adjugate_det, _integer_scaled, adjugate_entry, hadamard
 from .polytext import ParsedExpression, parse_expression, parse_polynomial
 
 __all__ = [
@@ -220,7 +220,9 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
     evaluates entirely in rational arithmetic; this is the independent side
     of the randomized identity test and never touches the symbolic path.
     T is built from adj(R) = R^-1 (det R = 1) as one Gauss-Jordan pass
-    gives it, so integer coordinates keep L, R, T and the result ``int``.
+    gives it, on D*R over the integers (D = LCM of R's denominators):
+    (D*R) o adj(D*R) = D^n * T, whose adjugate entry is D^(n(n-1)) times
+    the answer.  Integer coordinates (D = 1) keep the result ``int``.
     """
     variables = cholesky_variables(n)
 
@@ -228,9 +230,10 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
         values = [point[name] for name in variables.names]
         values = [v if isinstance(v, int) else Fraction(v) for v in values]
         lower = Matrix(_build_lower(n, values, 1, 0))
-        gram = lower @ lower.transpose()
-        t = hadamard(gram, Matrix(_adjugate_det(gram.rows)[0]))
-        return adjugate_entry(t, i, j)
+        rows, scale = _integer_scaled((lower @ lower.transpose()).rows)
+        t = hadamard(Matrix(rows), Matrix(_adjugate_det(rows)[0]))
+        value = adjugate_entry(t, i, j)
+        return value if scale == 1 else Fraction(value, scale ** (n * (n - 1)))
 
     return oracle
 

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import irgalab
+from irgalab.cli import main
 from irgalab.sos import data_path
 
 DEMO = str(data_path("gauge4_demo.mat"))
@@ -282,6 +284,8 @@ class TestReportContract:
              '{"variables": "abc", "terms": [{"multiplier": "x", "body": "a"}]}', 3),
             (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
              '{"variables": "abc", "terms": [{"multiplier": "-1", "body": "a"}]}', 3),
+            (("irga", "search-counterexample", "--n", "1", "--trials", "5"), None, 2),
+            (("irga", "search-counterexample", "--n", "5", "--trials", "0"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -290,6 +294,63 @@ class TestReportContract:
         proc = run_cli(*args, cwd=tmp_path)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, inputs, outcome, code",
+        [
+            (("irga", "check", "p.mat", "--mode", "exact"),
+             {"matrix": "p.mat", "mode": "exact", "tol": 1e-10}, "pass", 0),
+            (("irga", "search-counterexample", "--n", "4", "--trials", "50", "--seed", "3"),
+             {"n": 4, "range": 2.0, "seed": 3, "threads": 1, "tol": 1e-10, "trials": 50},
+             "not_found", 1),
+            (("sos", "derive", "--n", "3"), {"entry": [None, None], "n": 3}, "pass", 0),
+            (("sos", "verify", "--cert", "builtin:n3", "--target", "builtin:pn3"),
+             {"cert": "builtin:n3", "target": "builtin:pn3"}, "pass", 0),
+            (("sos", "identity-test", "--reference", "builtin:s4-entry12", "--n", "4",
+              "--trials", "2"),
+             {"i": 1, "j": 2, "n": 4, "range": 1000000, "reference": "builtin:s4-entry12",
+              "seed": 0, "trials": 2}, "pass", 0),
+            (("poly", "parse", "e.poly"), {"source": "e.poly", "variables": None}, "pass", 0),
+            (("poly", "eval", "e.poly", "--at", "a=3,b=1/9"),
+             {"at": "a=3,b=1/9", "source": "e.poly"}, "pass", 0),
+            (("majorize", "check", "--y", "1,0", "--x", "0.6,0.6"),
+             {"tol": 1e-09, "x": "0.6,0.6", "y": "1,0"}, "fail", 1),
+            (("majorize", "construct", "--y", "1,0", "--x", "0.5,0.5"),
+             {"tol": 1e-09, "x": "0.5,0.5", "y": "1,0"}, "pass", 0),
+            (("majorize", "birkhoff", "s.mat"), {"matrix": "s.mat", "tol": 1e-09}, "pass", 0),
+            (("majorize", "entropy", "1,1"), {"vector": "1,1"}, "pass", 0),
+            (("spdd", "gauge", "p.mat", "--gauge-mode", "proven"),
+             {"gauge_mode": "proven", "matrix": "p.mat", "mode": "float"}, "pass", 0),
+            (("spdd", "make", "p.mat", "--spectrum", "3,1"),
+             {"gauge_mode": "conjectured", "matrix": "p.mat", "spectrum": "3,1"}, "pass", 0),
+            (("spdd", "verify", "p.mat", "--spectrum", "3,1"),
+             {"gauge_mode": "conjectured", "matrix": "p.mat", "spectrum": "3,1", "tol": 1e-09},
+             "pass", 0),
+            (("spdd", "kron", "--pa", "p.mat", "--ea", "3,1", "--pb", "p.mat", "--eb", "1,2"),
+             {"ea": "3,1", "eb": "1,2", "pa": "p.mat", "pb": "p.mat", "tol": 1e-09}, "pass", 0),
+            (("spdd", "construct", "--n", "5", "--spectra", "2"),
+             {"mode": "float", "n": 5, "seed": 0, "spectra": 2}, "pass", 0),
+            (("spdd", "unitary", "--n", "3", "--seed", "1", "--spectrum", "3,2,1"),
+             {"n": 3, "seed": 1, "spectrum": "3,2,1", "tol": 1e-09}, "pass", 0),
+            (("search", "run", "p.mat", "--e0", "3,1", "--delta", "1", "--max-iters", "5"),
+             {"delta": 1.0, "direction": "max_entropy", "e0": "3,1", "gauge_mode": "conjectured",
+              "matrix": "p.mat", "max_iters": 5, "tol": 1e-09}, "pass", 0),
+        ],
+    )
+    def test_every_command_records_its_envelope(self, tmp_path, monkeypatch, args, inputs,
+                                                 outcome, code):
+        # In-process, so all 18 commands stay cheap; every parameter, defaults
+        # included, is recorded under its option (or argument) name.
+        (tmp_path / "p.mat").write_text("2 1\n1 1\n")
+        (tmp_path / "s.mat").write_text("2/3 1/3\n1/3 2/3\n")
+        (tmp_path / "e.poly").write_text("a^2 b - 1/2\n")
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, list(args))
+        assert result.exit_code == code
+        report = json.loads(result.stdout)
+        assert report["command"] == " ".join(args[:2])
+        assert report["inputs"] == inputs
+        assert report["outcome"] == outcome
 
     def test_reports_are_deterministic_modulo_wall_time(self):
         a = run_cli("irga", "check", DEMO)

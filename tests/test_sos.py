@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from irgalab.exact import Polynomial, VariableSet
-from irgalab.linalg import cholesky
+from irgalab.irga import _build_lower
+from irgalab.linalg import Matrix, adjugate_entry, cholesky, hadamard
 from irgalab.polytext import parse_polynomial, render_polynomial
 from irgalab.sos import (
     InvalidCertificateError,
@@ -223,6 +224,17 @@ class TestIdentityTestBounds:
         fractions = {name: Fraction(value) for name, value in ints.items()}
         assert oracle(ints) == oracle(fractions)
         assert type(oracle(ints)) is int  # T = R o adj(R) never leaves the integers
+
+    @pytest.mark.parametrize("n, i, j", [(3, 2, 3), (5, 1, 2), (6, 1, 2), (6, 4, 2)])
+    def test_oracle_at_rational_points_equals_direct_formula(self, n, i, j):
+        # The oracle runs on D*R over the integers; check the D^(n(n-1))
+        # rescaling against adj(T) with T = R o R^-1 built in Fractions.
+        names = cholesky_variables(n).names
+        point = {name: Fraction((-1) ** k * (7 * k + 3), k % 4 + 2) for k, name in enumerate(names)}
+        lower = Matrix(_build_lower(n, [point[name] for name in names], 1, 0))
+        gram = lower @ lower.transpose()
+        expected = adjugate_entry(hadamard(gram, gram.inverse()), i, j)
+        assert exact_entry_oracle(n, i, j)(point) == expected
 
     def test_bound_from_expanded_reference(self):
         # pn3 has total degree 6, below the oracle's 2n(n-1) = 12 at n = 3.
