@@ -14,7 +14,6 @@ from .irga import (
     PdSample,
     SearchOutcome,
     check_conjecture,
-    irga,
     mix64,
     random_pd,
     rga,

@@ -8,11 +8,12 @@ Two carriers coexist and most public functions dispatch on type:
 
 Exact determinants use fraction-free Bareiss elimination; exact inverses use
 one fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968), which
-yields the adjugate and the determinant together, over the integers for
-int/Fraction matrices.  Matrices of Polynomial entries (no exact division
-available) fall back to cofactor expansion with minor memoization.  Float
-inverses use partially pivoted LU (LAPACK getrf/getrs) with an explicit
-pivot-magnitude check.
+yields the adjugate and the determinant together.  Both run over the
+integers for int/Fraction matrices, on D*A with D the LCM of the entries'
+denominators.  Matrices of Polynomial entries (no exact division available)
+fall back to cofactor expansion along the first row.  Float inverses use
+partially pivoted LU (LAPACK getrf/getrs) with an explicit pivot-magnitude
+check.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ __all__ = [
     "load_matrix",
     "load_vector",
     "format_matrix",
-    "format_vector",
     "SYMMETRY_RTOL",
     "PIVOT_RTOL",
 ]
 
-# Centralized float tolerance defaults; every call site can override.
+# The float tolerances: the symmetry check's and the singular-pivot check's.
 SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 
@@ -130,10 +130,6 @@ class Matrix:
         n = len(entries)
         return cls([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_function(cls, n_rows: int, n_cols: int, fn) -> "Matrix":
-        return cls([[fn(i, j) for j in range(n_cols)] for i in range(n_rows)])
-
     # -- arithmetic --------------------------------------------------------------
 
     def _same_shape(self, other: "Matrix"):
@@ -148,12 +144,6 @@ class Matrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.n_cols != other.n_rows:
             raise DimensionMismatchError(
@@ -163,9 +153,6 @@ class Matrix:
         return Matrix(
             [[_dot(row, col) for col in cols] for row in self.rows]
         )
-
-    def scale(self, factor) -> "Matrix":
-        return Matrix([[factor * a for a in row] for row in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows))
@@ -203,16 +190,6 @@ class Matrix:
     def min_entry(self):
         return min(a for row in self.rows for a in row)
 
-    def mat_vec(self, vector: Sequence) -> tuple:
-        if len(vector) != self.n_cols:
-            raise DimensionMismatchError(f"vector length {len(vector)} vs {self.n_cols} cols")
-        return tuple(_dot(row, vector) for row in self.rows)
-
-    def diagonal_entries(self) -> tuple:
-        if not self.is_square:
-            raise DimensionMismatchError("diagonal of a non-square matrix")
-        return tuple(self.rows[i][i] for i in range(self.n_rows))
-
     def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
         return Matrix(
             [
@@ -225,11 +202,17 @@ class Matrix:
     # -- determinant / inverse -------------------------------------------------------
 
     def det(self):
+        """Exact determinant; for int/Fraction A, det(D*A) / D^n, an int when D = 1."""
         if not self.is_square:
             raise DimensionMismatchError("determinant of a non-square matrix")
         if _has_polynomial_entries(self):
-            return _det_cofactor_memo(self.rows)
-        return _det_bareiss(self.rows)
+            return _det_laplace(self.rows)
+        scaled = _integer_scaled(self.rows)
+        if scaled is None:
+            return _det_bareiss(self.rows)
+        rows, scale = scaled
+        d = _det_bareiss(rows)
+        return d if scale == 1 else Fraction(d, scale**self.n_rows)
 
     def inverse(self) -> "Matrix":
         """Exact inverse as adjugate over determinant (one Gauss-Jordan pass).
@@ -381,56 +364,19 @@ def _leading_minors_positive(rows) -> bool:
     return True
 
 
-def _det_cofactor_memo(rows) -> object:
-    """Determinant by cofactor expansion with memoized minors.
+def _det_laplace(rows):
+    """Determinant by cofactor expansion along the first row.
 
-    Used for Polynomial scalars (no exact division).  Expands along the row
-    with the fewest nonzero entries inside the current minor; minors are
-    memoized on their (rows, cols) index sets, which share heavily across
-    the adjugate entries of one matrix.
+    Used for Polynomial scalars (no exact division); the symbolic entry
+    polynomials only need minors of size at most 3.
     """
-    n = len(rows)
-    memo: dict = {}
-
-    def minor(row_ids: tuple, col_ids: tuple):
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        key = (row_ids, col_ids)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # Pick the sparsest row of the current minor.
-        best_pos = 0
-        best_count = None
-        for pos, ri in enumerate(row_ids):
-            count = sum(1 for cj in col_ids if _is_nonzero(rows[ri][cj]))
-            if best_count is None or count < best_count:
-                best_pos, best_count = pos, count
-        ri = row_ids[best_pos]
-        rest_rows = row_ids[:best_pos] + row_ids[best_pos + 1 :]
-        total = None
-        for pos, cj in enumerate(col_ids):
-            entry = rows[ri][cj]
-            if not _is_nonzero(entry):
-                continue
-            rest_cols = col_ids[:pos] + col_ids[pos + 1 :]
-            part = entry * minor(rest_rows, rest_cols)
-            if (best_pos + pos) % 2:
-                part = -part
-            total = part if total is None else total + part
-        if total is None:
-            total = 0 * rows[row_ids[0]][col_ids[0]]
-        memo[key] = total
-        return total
-
-    ids = tuple(range(n))
-    return minor(ids, ids)
-
-
-def _is_nonzero(entry) -> bool:
-    if isinstance(entry, Polynomial):
-        return not entry.is_zero
-    return entry != 0
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for col, entry in enumerate(rows[0]):
+        term = entry * _det_laplace([row[:col] + row[col + 1 :] for row in rows[1:]])
+        total = total - term if col % 2 else total + term
+    return total
 
 
 def adjugate_entry(m: Matrix, i: int, j: int):
@@ -476,11 +422,11 @@ def kron(a, b):
     return np.kron(_float_array(a), _float_array(b))
 
 
-def inverse(a, pivot_rtol: float = PIVOT_RTOL):
+def inverse(a):
     """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
     The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
-    do) and rejects pivots below ``pivot_rtol * max|entry|`` with
+    do) and rejects pivots below ``PIVOT_RTOL * max|entry|`` with
     NumericallySingularError; the exact path raises SingularMatrixError when
     the determinant vanishes.
     """
@@ -496,19 +442,19 @@ def inverse(a, pivot_rtol: float = PIVOT_RTOL):
     # the check below rejects before getrs could divide by it.
     lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
     pivot = np.abs(lu.diagonal()).min()
-    if pivot < pivot_rtol * scale:
+    if pivot < PIVOT_RTOL * scale:
         raise NumericallySingularError(
-            f"pivot {pivot:.3e} below {pivot_rtol:.0e} * max entry {scale:.3e}"
+            f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
     return scipy.linalg.lapack.dgetrs(lu, piv, np.eye(a.shape[0]))[0]
 
 
-def _check_symmetric(a, rtol: float = SYMMETRY_RTOL):
+def _check_symmetric(a):
     """Raise NotSymmetricError unless ``a`` is symmetric.
 
     Exact matrices must be symmetric entry for entry; float arrays must be
     square (else DimensionMismatchError) and symmetric within
-    ``rtol * max(max|entry|, 1)``.
+    ``SYMMETRY_RTOL * max(max|entry|, 1)``.
     """
     if isinstance(a, Matrix):
         if not a.is_symmetric():
@@ -517,25 +463,25 @@ def _check_symmetric(a, rtol: float = SYMMETRY_RTOL):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > rtol * scale:
+    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
 
 
-def cholesky(a: np.ndarray, symmetry_rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor with positive diagonal; A must be symmetric PD."""
     a = np.asarray(a, dtype=float)
-    _check_symmetric(a, symmetry_rtol)
+    _check_symmetric(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def is_positive_definite(a, symmetry_rtol: float = SYMMETRY_RTOL) -> bool:
+def is_positive_definite(a) -> bool:
     """Sylvester criterion (exact scalars) or Cholesky success (floats)."""
     if not isinstance(a, Matrix):
         a = np.asarray(a, dtype=float)
-    _check_symmetric(a, symmetry_rtol)
+    _check_symmetric(a)
     return _is_positive_definite(a)
 
 
@@ -566,16 +512,12 @@ def _strip_lines(text: str) -> list[str]:
     return rows
 
 
-def _parse_entry_exact(token: str) -> Fraction:
-    return Fraction(token)
-
-
 def parse_matrix_text(text: str, exact: bool = False):
     rows = [line.split() for line in _strip_lines(text)]
     if not rows:
         raise ValueError("empty matrix file")
     if exact:
-        return Matrix([[_parse_entry_exact(tok) for tok in row] for row in rows])
+        return Matrix([[Fraction(tok) for tok in row] for row in rows])
     try:
         return np.array([[float(Fraction(tok)) for tok in row] for row in rows], dtype=float)
     except ValueError as exc:
@@ -587,7 +529,7 @@ def parse_vector_text(text: str, exact: bool = False):
     if not tokens:
         raise ValueError("empty vector file")
     if exact:
-        return tuple(_parse_entry_exact(tok) for tok in tokens)
+        return tuple(Fraction(tok) for tok in tokens)
     return np.array([float(Fraction(tok)) for tok in tokens], dtype=float)
 
 
@@ -613,7 +555,3 @@ def format_matrix(matrix) -> str:
     else:
         rows = np.asarray(matrix)
     return "\n".join(" ".join(_format_entry(v) for v in row) for row in rows) + "\n"
-
-
-def format_vector(vector) -> str:
-    return " ".join(_format_entry(v) for v in vector) + "\n"

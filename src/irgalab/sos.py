@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from operator import mul
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .exact import Polynomial, VariableSet
 from .irga import _build_lower, mix64
-from .linalg import Matrix, _adjugate_det, _integer_scaled, adjugate_entry, hadamard
+from .linalg import Matrix, adjugate_entry
 from .polytext import ParsedExpression, parse_expression, parse_polynomial
 
 __all__ = [
@@ -78,28 +79,47 @@ def cholesky_variables(n: int) -> VariableSet:
     return VariableSet(_PARAMETER_LETTERS[:count])
 
 
+def _symbolic_lower(n: int) -> Matrix:
+    variables = cholesky_variables(n)
+    values = [Polynomial.variable(variables, name) for name in variables.names]
+    return Matrix(
+        _build_lower(n, values, Polynomial.constant(variables, 1), Polynomial.zero(variables))
+    )
+
+
 @lru_cache(maxsize=None)
 def symbolic_gram(n: int) -> Matrix:
     """R = L L^T over the symbolic unit-diagonal L; det(R) = 1 identically."""
     if not 2 <= n <= 6:
         raise ValueError("symbolic Gram matrix available for sizes 2..6")
-    variables = cholesky_variables(n)
-    values = [Polynomial.variable(variables, name) for name in variables.names]
-    lower = Matrix(
-        _build_lower(n, values, Polynomial.constant(variables, 1), Polynomial.zero(variables))
-    )
+    lower = _symbolic_lower(n)
     return lower @ lower.transpose()
 
 
-def _adjugate_matrix(m: Matrix) -> Matrix:
-    n = m.n_rows
-    return Matrix.from_function(n, n, lambda i, j: adjugate_entry(m, i + 1, j + 1))
+def _t_from_lower(lower: Matrix) -> Matrix:
+    """T = R o adj(R) for R = L L^T with unit-diagonal lower-triangular L.
+
+    det(R) = 1, so adj(R) = R^-1 = X^T X with X = L^-1, and the forward
+    substitution X_ij = -(L_ij + sum over j < k < i of L_ik X_kj) needs no
+    division: one code path serves int, Fraction and Polynomial entries.
+    """
+    n, l = lower.n_rows, lower.rows
+    x = [list(row) for row in l]
+    for i in range(n):
+        for j in range(i):
+            x[i][j] = -sum((l[i][k] * x[k][j] for k in range(j + 1, i)), l[i][j])
+    # Row i of L up to the diagonal; column j of X from the bottom up to the
+    # diagonal.  map() stops at the shorter one: k = min(i, j), k = max(i, j).
+    rows = [row[: i + 1] for i, row in enumerate(l)]
+    cols = [[x[k][j] for k in range(n - 1, j - 1, -1)] for j in range(n)]
+    r = [[sum(map(mul, rows[i], rows[j])) for j in range(n)] for i in range(n)]
+    adj = [[sum(map(mul, cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return Matrix(r).hadamard(Matrix(adj))
 
 
 @lru_cache(maxsize=None)
 def _hadamard_gram_adjugate(n: int) -> Matrix:
-    gram = symbolic_gram(n)
-    return hadamard(gram, _adjugate_matrix(gram))
+    return _t_from_lower(_symbolic_lower(n))
 
 
 @lru_cache(maxsize=None)
@@ -218,22 +238,16 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
 
     Builds L from a rational assignment of the strict-lower parameters and
     evaluates entirely in rational arithmetic; this is the independent side
-    of the randomized identity test and never touches the symbolic path.
-    T is built from adj(R) = R^-1 (det R = 1) as one Gauss-Jordan pass
-    gives it, on D*R over the integers (D = LCM of R's denominators):
-    (D*R) o adj(D*R) = D^n * T, whose adjugate entry is D^(n(n-1)) times
-    the answer.  Integer coordinates (D = 1) keep the result ``int``.
+    of the randomized identity test.  It shares with the symbolic side only
+    the generic L^-1 substitution that builds T, never its polynomials.
+    Integer coordinates keep the result ``int``.
     """
     variables = cholesky_variables(n)
 
     def oracle(point: Mapping[str, Fraction]) -> Fraction:
         values = [point[name] for name in variables.names]
         values = [v if isinstance(v, int) else Fraction(v) for v in values]
-        lower = Matrix(_build_lower(n, values, 1, 0))
-        rows, scale = _integer_scaled((lower @ lower.transpose()).rows)
-        t = hadamard(Matrix(rows), Matrix(_adjugate_det(rows)[0]))
-        value = adjugate_entry(t, i, j)
-        return value if scale == 1 else Fraction(value, scale ** (n * (n - 1)))
+        return adjugate_entry(_t_from_lower(Matrix(_build_lower(n, values, 1, 0))), i, j)
 
     return oracle
 
@@ -290,7 +304,6 @@ def identity_test(
     trials: int = 20,
     seed: int = 0,
     coordinate_range: int = 10**6,
-    oracle: Callable[[Mapping[str, Fraction]], Fraction] | None = None,
 ) -> IdentityTestReport:
     """Compare a reference polynomial against the exact oracle at random points.
 
@@ -308,8 +321,7 @@ def identity_test(
     probability at most (d / (2 coordinate_range + 1)) ** trials.
     """
     validate_identity_arguments(n, i, j, trials, coordinate_range)
-    if oracle is None:
-        oracle = exact_entry_oracle(n, i, j)
+    oracle = exact_entry_oracle(n, i, j)
     variables = cholesky_variables(n)
     points = []
     agreements = 0

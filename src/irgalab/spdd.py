@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .irga import IrgaReport, _membership_report, check_conjecture, irga, random_pd, mix64, rga
+from .irga import (
+    NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, irga, mix64, random_pd, rga
+)
 from .linalg import Matrix
 from .majorization import MajorizationVerdict, majorizes, shannon_entropy
 
@@ -110,7 +112,7 @@ class Gauge:
         }
 
 
-def make_gauge(p, mode: str = "conjectured", tol: float = 1e-10) -> Gauge:
+def make_gauge(p, mode: str = "conjectured") -> Gauge:
     """Atomic gauge from a symmetric PD matrix.
 
     ``mode`` bounds the size: "proven" allows up to 4, "conjectured" up to
@@ -123,7 +125,7 @@ def make_gauge(p, mode: str = "conjectured", tol: float = 1e-10) -> Gauge:
     n = p.n_rows if isinstance(p, Matrix) else np.asarray(p).shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")
-    report = check_conjecture(p, tol=tol)
+    report = check_conjecture(p)
     return Gauge(
         p=p,
         s=report.s,
@@ -136,7 +138,7 @@ def make_gauge(p, mode: str = "conjectured", tol: float = 1e-10) -> Gauge:
 _KRON_CONSISTENCY_TOL = 1e-9
 
 
-def kron_gauge(a: Gauge, b: Gauge, tol: float = 1e-10) -> Gauge:
+def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
     """Kronecker composition: P = Pa (x) Pb carries S = Sa (x) Sb.
 
     The mixed product property makes the composed S the IRGA of the
@@ -149,7 +151,7 @@ def kron_gauge(a: Gauge, b: Gauge, tol: float = 1e-10) -> Gauge:
         dev = float(np.abs(recomputed - s).max())
         if dev > _KRON_CONSISTENCY_TOL:
             raise AssertionError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
-    report = _membership_report(s, tol)
+    report = _membership_report(s, NONNEG_TOL)
     return Gauge(
         p=p,
         s=s,
@@ -160,14 +162,14 @@ def kron_gauge(a: Gauge, b: Gauge, tol: float = 1e-10) -> Gauge:
     )
 
 
-def block_gauge(children: Sequence[Gauge], tol: float = 1e-10) -> Gauge:
+def block_gauge(children: Sequence[Gauge]) -> Gauge:
     """Block-diagonal composition; S is block-diagonal of the children's S."""
     if not children:
         raise ValueError("block gauge needs at least one child")
     exact = all(child.is_exact for child in children)
     p = _block_diag([child.p for child in children], exact)
     s = _block_diag([child.s for child in children], exact)
-    report = _membership_report(s, tol)
+    report = _membership_report(s, NONNEG_TOL)
     return Gauge(
         p=p,
         s=s,
@@ -322,7 +324,7 @@ def block_plan(n: int) -> BlockPlan:
     return BlockPlan(sizes)
 
 
-def assemble_gpdd(plan: BlockPlan, seed: int, rng_range: float = 2.0, mode: str = "float") -> Gauge:
+def assemble_gpdd(plan: BlockPlan, seed: int, mode: str = "float") -> Gauge:
     """Block-diagonal gauge with one random PD block per plan entry.
 
     Block b draws from the stream seeded by mix64(seed, b); every block size
@@ -330,7 +332,7 @@ def assemble_gpdd(plan: BlockPlan, seed: int, rng_range: float = 2.0, mode: str 
     """
     children = []
     for index, size in enumerate(plan):
-        sample = random_pd(size, mix64(seed, index), rng_range=rng_range, mode=mode)
+        sample = random_pd(size, mix64(seed, index), mode=mode)
         children.append(make_gauge(sample.p, mode="proven"))
     return block_gauge(children)
 

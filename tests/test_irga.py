@@ -1,4 +1,5 @@
 import importlib
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,13 @@ from irgalab.sos import data_path
 
 def frac_matrix(rows):
     return Matrix([[Fraction(v) for v in row] for row in rows])
+
+
+def test_package_attribute_irga_is_the_module():
+    import irgalab
+
+    assert isinstance(irgalab.irga, types.ModuleType)
+    assert irgalab.irga.irga is irga
 
 
 class TestRga:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -195,6 +197,58 @@ class TestFloatInverse:
                 for a in (p, t):
                     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
                     assert np.array_equal(inverse(a), expected)
+
+
+def leibniz_det(rows):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)]."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+POLY_VARIABLES = VariableSet("ab")
+small_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3
+).map(lambda terms: Polynomial(POLY_VARIABLES, terms))
+
+
+class TestDeterminant:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.integers(-9, 9), st.fractions(-5, 5, max_denominator=7)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_det_equals_leibniz_sum(self, rows):
+        det = Matrix(rows).det()
+        assert det == leibniz_det(rows)
+        if all(Fraction(v).denominator == 1 for row in rows for v in row):
+            assert type(det) is int
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(small_polynomials, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_polynomial_det_commutes_with_evaluation(self, rows, values):
+        point = dict(zip("ab", values))
+        at_point = Matrix([[entry.evaluate(point) for entry in row] for row in rows])
+        assert Matrix(rows).det().evaluate(point) == at_point.det()
 
 
 class TestAdjugateEntry:

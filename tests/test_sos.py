@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +55,34 @@ class TestSymbolicGram:
             symbolic_gram(7)
 
 
+# sha256 of repr(entry_polynomial(n, i, j).sorted_terms()), keyed by (n, min(i, j),
+# max(i, j)) since adj(T) is symmetric: a change to how T or its minors are
+# built must leave every symbolic entry polynomial unchanged, coefficient
+# types included.
+ENTRY_POLYNOMIAL_SHA256 = {
+    (2, 1, 2): "9255178249b91e46e514d1773412d591cb60f03b2a7ef60a8b99c08842ddb146",
+    (3, 1, 2): "af2a3af60a60fde8871b04671ef2be08e6b5f007e01390c020b0952fc12a898b",
+    (3, 1, 3): "db6569f372f58884e829e2856f0fe2d4e6fc68a5644b853b5ed1808dffef7823",
+    (3, 2, 3): "8f16b3066f04e8c281f963795ef94c53363f3417803c169a77e61dc367b5e200",
+    (4, 1, 2): "6f5a2be475c71e59c51e750936e018b06ba490a1d102879f7886b478a6966d3b",
+    (4, 1, 3): "1aa493724be0072aa43f2e59188f402f3454790cbfc6105de3637d8e4790d98d",
+    (4, 1, 4): "fd46d8beb972ee93d1e905cad2d861a39b32b642dc52ce5472cd123ba9be398a",
+    (4, 2, 3): "7014c99c29d43fc94eaf2bc8d64d09d5833b969941d07f194dac05bf632c0c24",
+    (4, 2, 4): "8fec05309c5852cbf0023324c8c1b2458a0fe97dc775e70531a8880d48967183",
+    (4, 3, 4): "0a76c6bd645104a81bd86a364d4024ebdea60eda744a7214fda74d8414ac18c7",
+}
+
+
 class TestEntryPolynomial:
+    @pytest.mark.parametrize(
+        "n, i, j",
+        [(n, i, j) for n in (2, 3, 4) for i in range(1, n + 1) for j in range(1, n + 1) if i != j],
+    )
+    def test_entry_polynomials_are_pinned(self, n, i, j):
+        terms = repr(entry_polynomial(n, i, j).sorted_terms())
+        expected = ENTRY_POLYNOMIAL_SHA256[(n, min(i, j), max(i, j))]
+        assert hashlib.sha256(terms.encode()).hexdigest() == expected
+
     def test_size_two(self):
         assert entry_polynomial(2, 1, 2) == parse_polynomial("a^2", cholesky_variables(2))
 
@@ -225,12 +253,23 @@ class TestIdentityTestBounds:
         assert oracle(ints) == oracle(fractions)
         assert type(oracle(ints)) is int  # T = R o adj(R) never leaves the integers
 
-    @pytest.mark.parametrize("n, i, j", [(3, 2, 3), (5, 1, 2), (6, 1, 2), (6, 4, 2)])
-    def test_oracle_at_rational_points_equals_direct_formula(self, n, i, j):
-        # The oracle runs on D*R over the integers; check the D^(n(n-1))
-        # rescaling against adj(T) with T = R o R^-1 built in Fractions.
+    @pytest.mark.parametrize(
+        "n, i, j, integral",
+        [
+            pytest.param(n, i, j, False, id=f"{n}-{i}-{j}")
+            for n, i, j in [(2, 1, 2), (3, 2, 3), (4, 3, 1), (5, 1, 2), (6, 1, 2), (6, 4, 2)]
+        ]
+        + [pytest.param(5, 2, 4, True, id="5-2-4-integral")],
+    )
+    def test_oracle_at_rational_points_equals_direct_formula(self, n, i, j, integral):
+        # The oracle builds adj(R) = X^T X from X = L^-1 by substitution;
+        # check it against adj(T) with T = R o R^-1 from the Gauss-Jordan
+        # inverse, at points with and without denominators.
         names = cholesky_variables(n).names
-        point = {name: Fraction((-1) ** k * (7 * k + 3), k % 4 + 2) for k, name in enumerate(names)}
+        point = {
+            name: Fraction((-1) ** k * (7 * k + 3), 1 if integral else k % 4 + 2)
+            for k, name in enumerate(names)
+        }
         lower = Matrix(_build_lower(n, [point[name] for name in names], 1, 0))
         gram = lower @ lower.transpose()
         expected = adjugate_entry(hadamard(gram, gram.inverse()), i, j)
