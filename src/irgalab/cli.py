@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -129,45 +130,27 @@ def _reports(fn):
     return command
 
 
-def _load_matrix_arg(path, mode: str, square: bool = True):
+def _load_matrix_arg(path, mode: str):
     try:
         matrix = linalg.load_matrix(path, exact=(mode == "exact"))
     except (ValueError, OSError) as exc:
         raise _ReportFailure(EXIT_PARSE, f"cannot read matrix {path}: {exc}") from exc
-    if square:
-        shape = (
-            (matrix.n_rows, matrix.n_cols)
-            if isinstance(matrix, linalg.Matrix)
-            else matrix.shape
+    rows = matrix.rows if isinstance(matrix, linalg.Matrix) else matrix
+    if len(rows) != len(rows[0]):
+        raise _ReportFailure(
+            EXIT_USAGE, f"{path}: expected a square matrix, got {len(rows)}x{len(rows[0])}"
         )
-        if shape[0] != shape[1]:
-            raise _ReportFailure(
-                EXIT_USAGE, f"{path}: expected a square matrix, got {shape[0]}x{shape[1]}"
-            )
     return matrix
-
-
-def _load_vector_arg(path, exact=False):
-    try:
-        return linalg.load_vector(path, exact=exact)
-    except (ValueError, OSError) as exc:
-        raise _ReportFailure(EXIT_PARSE, f"cannot read vector {path}: {exc}") from exc
-
-
-def _parse_inline_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(Fraction(tok)) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise _ReportFailure(EXIT_PARSE, f"bad vector literal {text!r}: {exc}") from exc
 
 
 def _vector_arg(value: str) -> np.ndarray:
     """A vector given inline ("3,1" or "3 1") or as a file path."""
-    import os
-
-    if os.path.exists(value):
-        return _load_vector_arg(value)
-    return _parse_inline_vector(value)
+    try:
+        if os.path.exists(value):
+            return linalg.load_vector(value)
+        return linalg.parse_vector_text(value.replace(",", " "))
+    except (ValueError, OSError) as exc:
+        raise _ReportFailure(EXIT_PARSE, f"cannot read vector {value!r}: {exc}") from exc
 
 
 def _resolve_spec(spec: str, what: str, builtin, load):
@@ -255,7 +238,7 @@ def irga_search(n, trials, seed, rng_range, tol, threads):
     if outcome_obj.found:
         payload["trial_index"] = outcome_obj.trial_index
         payload["sample_seed"] = outcome_obj.sample.seed
-        payload["l"] = outcome_obj.sample.l_entries_json()
+        payload["l"] = linalg.to_json(outcome_obj.sample.l)
         payload["min_entry_exact"] = str(outcome_obj.report.min_entry)
         payload["min_entry_float"] = float(outcome_obj.report.min_entry)
         summary = (
@@ -595,7 +578,7 @@ def spdd_kron(pa, ea, pb, eb, tol):
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float", show_default=True)
-@click.option("--spectra", type=int, default=5, show_default=True,
+@click.option("--spectra", type=click.IntRange(min=0), default=5, show_default=True,
               help="Random positive spectra to sweep through the majorization check.")
 @_reports
 def spdd_construct(n, seed, mode, spectra):

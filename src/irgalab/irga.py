@@ -117,26 +117,18 @@ class IrgaReport:
     pd: bool
     nonnegative: bool
     doubly_stochastic: bool
-    mode: str
+
+    @property
+    def mode(self) -> str:
+        """The carrier of S: "exact" for a Matrix, else "float"."""
+        return "exact" if isinstance(self.s, Matrix) else "float"
 
     def to_json_dict(self) -> dict:
-        if self.mode == "exact":
-            s_rows = [[str(v) for v in row] for row in self.s.rows]
-            extrema = {
-                "min_entry": str(self.min_entry),
-                "max_row_sum_dev": str(self.max_row_sum_dev),
-                "max_col_sum_dev": str(self.max_col_sum_dev),
-            }
-        else:
-            s_rows = [[float(v) for v in row] for row in np.asarray(self.s)]
-            extrema = {
-                "min_entry": float(self.min_entry),
-                "max_row_sum_dev": float(self.max_row_sum_dev),
-                "max_col_sum_dev": float(self.max_col_sum_dev),
-            }
         return {
-            "s": s_rows,
-            **extrema,
+            "s": linalg.to_json(self.s),
+            "min_entry": linalg.to_json(self.min_entry),
+            "max_row_sum_dev": linalg.to_json(self.max_row_sum_dev),
+            "max_col_sum_dev": linalg.to_json(self.max_col_sum_dev),
             "pd": self.pd,
             "nonnegative": self.nonnegative,
             "doubly_stochastic": self.doubly_stochastic,
@@ -156,7 +148,7 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     if not linalg._is_positive_definite(p):
         raise NotPositiveDefiniteError("input must be positive definite")
     report = _membership_report(_irga(p), tol)
-    if report.mode == "exact" and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):
+    if isinstance(p, Matrix) and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):
         raise AssertionError("exact IRGA row/column sums must be identically 1")
     return report
 
@@ -177,7 +169,6 @@ def _membership_report(s, tol: float) -> IrgaReport:
         nonnegative = min_entry >= 0
         doubly = nonnegative and row_dev == 0 and col_dev == 0
         pd = linalg._is_positive_definite(s)
-        mode = "exact"
     else:
         row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
         col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
@@ -185,7 +176,6 @@ def _membership_report(s, tol: float) -> IrgaReport:
         nonnegative = min_entry >= -tol
         doubly = nonnegative and max(row_dev, col_dev) <= tol
         pd = linalg._is_positive_definite(0.5 * (s + s.T))
-        mode = "float"
     return IrgaReport(
         s=s,
         max_row_sum_dev=row_dev,
@@ -194,7 +184,6 @@ def _membership_report(s, tol: float) -> IrgaReport:
         pd=pd,
         nonnegative=nonnegative,
         doubly_stochastic=doubly,
-        mode=mode,
     )
 
 
@@ -206,12 +195,6 @@ class PdSample:
     n: int
     l: object
     p: object
-    mode: str
-
-    def l_entries_json(self):
-        if self.mode == "exact":
-            return [[str(v) for v in row] for row in self.l.rows]
-        return [[float(v) for v in row] for row in np.asarray(self.l)]
 
 
 def _strict_lower_count(n: int) -> int:
@@ -244,13 +227,13 @@ def random_pd(n: int, seed: int, rng_range: float = 2.0, mode: str = "float") ->
         nums = rng.integers(-top, top + 1, size=m) if m else []
         values = [Fraction(int(v), DYADIC_DENOMINATOR) for v in nums]
         l = Matrix(_build_lower(n, values, Fraction(1), Fraction(0)))
-        return PdSample(seed=seed, n=n, l=l, p=l @ l.transpose(), mode="exact")
+        return PdSample(seed=seed, n=n, l=l, p=l @ l.transpose())
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
     values = rng.uniform(-rng_range, rng_range, size=m)
     l = np.eye(n)
     l[np.tril_indices(n, -1)] = values
-    return PdSample(seed=seed, n=n, l=l, p=l @ l.T, mode="float")
+    return PdSample(seed=seed, n=n, l=l, p=l @ l.T)
 
 
 @dataclass(frozen=True)
@@ -334,7 +317,7 @@ def _certify_trial(n: int, seed: int, t: int, rng_range: float) -> tuple:
     l = Matrix(_build_lower(n, dyadic, Fraction(1), Fraction(0)))
     p = l @ l.transpose()
     report = check_conjecture(p, tol=0.0)
-    sample = PdSample(seed=mix64(seed, t), n=n, l=l, p=p, mode="exact")
+    sample = PdSample(seed=mix64(seed, t), n=n, l=l, p=p)
     return sample, report
 
 
@@ -361,6 +344,8 @@ def search_counterexample(
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     chunks = [range(start, min(start + chunk_size, trials)) for start in range(0, trials, chunk_size)]
 
     def single_min(t):

@@ -6,14 +6,14 @@ Two carriers coexist and most public functions dispatch on type:
 * ``Matrix``, an immutable row-tuple container holding exact scalars
   (int, Fraction, QuadExt3, or Polynomial) for certification work.
 
-Exact determinants use fraction-free Bareiss elimination; exact inverses use
-one fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968), which
-yields the adjugate and the determinant together.  Both run over the
-integers for int/Fraction matrices, on D*A with D the LCM of the entries'
-denominators.  Matrices of Polynomial entries (no exact division available)
-fall back to cofactor expansion along the first row.  Float inverses use
-partially pivoted LU (LAPACK getrf/getrs) with an explicit pivot-magnitude
-check.
+Determinants of int/Fraction matrices run fraction-free Bareiss elimination
+on D*A, with D the LCM of the entries' denominators; any other entries
+(Polynomial, QuadExt3, or a mix) use cofactor expansion along the first
+row.  Exact inverses use one fraction-free Gauss-Jordan pass (Bareiss,
+Math. Comp. 22, 1968), which yields the adjugate and the determinant
+together, over the integers on D*A for int/Fraction matrices.  Float
+inverses use partially pivoted LU (LAPACK getrf/getrs) with an explicit
+pivot-magnitude check.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
-
-from .exact import Polynomial
 
 __all__ = [
     "Matrix",
@@ -42,7 +40,7 @@ __all__ = [
     "is_positive_definite",
     "load_matrix",
     "load_vector",
-    "format_matrix",
+    "to_json",
     "SYMMETRY_RTOL",
     "PIVOT_RTOL",
 ]
@@ -205,11 +203,9 @@ class Matrix:
         """Exact determinant; for int/Fraction A, det(D*A) / D^n, an int when D = 1."""
         if not self.is_square:
             raise DimensionMismatchError("determinant of a non-square matrix")
-        if _has_polynomial_entries(self):
-            return _det_laplace(self.rows)
         scaled = _integer_scaled(self.rows)
         if scaled is None:
-            return _det_bareiss(self.rows)
+            return _det_laplace(self.rows)
         rows, scale = scaled
         d = _det_bareiss(rows)
         return d if scale == 1 else Fraction(d, scale**self.n_rows)
@@ -222,8 +218,6 @@ class Matrix:
         """
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
-        if _has_polynomial_entries(self):
-            raise TypeError("exact inverse over polynomial entries is not supported")
         scaled = _integer_scaled(self.rows)
         if scaled is not None:
             rows, scale = scaled
@@ -244,10 +238,6 @@ def _dot(row, col):
     return total
 
 
-def _has_polynomial_entries(m: Matrix) -> bool:
-    return isinstance(m.rows[0][0], Polynomial)
-
-
 def _det_bareiss(rows) -> object:
     """Fraction-free Bareiss elimination with row pivoting.
 
@@ -266,7 +256,7 @@ def _det_bareiss(rows) -> object:
                     sign = -sign
                     break
             else:
-                return 0 * prev
+                return 0
         pivot = a[k][k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -512,25 +502,27 @@ def _strip_lines(text: str) -> list[str]:
     return rows
 
 
+def _entry(token: str, exact: bool):
+    """``Fraction(token)`` or its float; ValueError also for q = 0 and float overflow."""
+    try:
+        value = Fraction(token)
+        return value if exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad entry {token!r}") from exc
+
+
 def parse_matrix_text(text: str, exact: bool = False):
-    rows = [line.split() for line in _strip_lines(text)]
+    rows = [[_entry(tok, exact) for tok in line.split()] for line in _strip_lines(text)]
     if not rows:
         raise ValueError("empty matrix file")
-    if exact:
-        return Matrix([[Fraction(tok) for tok in row] for row in rows])
-    try:
-        return np.array([[float(Fraction(tok)) for tok in row] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"bad matrix entry: {exc}") from exc
+    return Matrix(rows) if exact else np.array(rows, dtype=float)
 
 
 def parse_vector_text(text: str, exact: bool = False):
-    tokens = [tok for line in _strip_lines(text) for tok in line.split()]
-    if not tokens:
+    values = [_entry(tok, exact) for line in _strip_lines(text) for tok in line.split()]
+    if not values:
         raise ValueError("empty vector file")
-    if exact:
-        return tuple(Fraction(tok) for tok in tokens)
-    return np.array([float(Fraction(tok)) for tok in tokens], dtype=float)
+    return tuple(values) if exact else np.array(values, dtype=float)
 
 
 def load_matrix(path, exact: bool = False):
@@ -543,15 +535,10 @@ def load_vector(path, exact: bool = False):
         return parse_vector_text(handle.read(), exact=exact)
 
 
-def _format_entry(value) -> str:
-    if isinstance(value, Fraction):
+def to_json(value):
+    """A Matrix as rows of str, a rational as str, anything else as float(s)."""
+    if isinstance(value, Matrix):
+        return [[str(v) for v in row] for row in value.rows]
+    if isinstance(value, (int, Fraction)):
         return str(value)
-    return repr(float(value))
-
-
-def format_matrix(matrix) -> str:
-    if isinstance(matrix, Matrix):
-        rows = matrix.rows
-    else:
-        rows = np.asarray(matrix)
-    return "\n".join(" ".join(_format_entry(v) for v in row) for row in rows) + "\n"
+    return np.asarray(value, dtype=float).tolist()

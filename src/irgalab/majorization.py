@@ -172,7 +172,9 @@ def transfer_chain(y, x, tol: float = 1e-9) -> TransferChain:
 
     For inputs given in descending order the chain has at most n-1
     averaging transforms; arbitrary orderings may add zero-lambda swap
-    transforms that only rearrange entries.
+    transforms that only rearrange entries.  Raises ValueError when y does
+    not majorize x, or majorizes it only within ``tol`` so that no chain
+    reaches x.
     """
     verdict = majorizes(y, x, tol=tol)
     if not verdict.holds:
@@ -204,7 +206,7 @@ def transfer_chain(y, x, tol: float = 1e-9) -> TransferChain:
             None,
         )
         if j is None:
-            raise AssertionError("rearrangement fix-up failed to match values")
+            raise ValueError(f"y majorizes x only within tol={tol:g}; no chain reaches x")
         transforms.append(TTransform(0.0, i, j))
         current[i], current[j] = current[j], current[i]
     return TransferChain(tuple(transforms))

@@ -286,6 +286,19 @@ class TestReportContract:
              '{"variables": "abc", "terms": [{"multiplier": "-1", "body": "a"}]}', 3),
             (("irga", "search-counterexample", "--n", "1", "--trials", "5"), None, 2),
             (("irga", "search-counterexample", "--n", "5", "--trials", "0"), None, 2),
+            # Every matrix or vector token that is not a decimal or p/q with
+            # q != 0 (within float range in float mode) is a parse error.
+            (("irga", "check", "cert.json"), "1 1/0\n1/0 1\n", 3),
+            (("irga", "check", "cert.json", "--mode", "exact"), "1 1/0\n1/0 1\n", 3),
+            (("irga", "check", "cert.json"), "1e400 1\n1 1\n", 3),
+            (("majorize", "check", "--y", "1/0,1", "--x", "1,1"), None, 3),
+            (("majorize", "entropy", "cert.json"), "1\n1/0\n", 3),
+            # x is majorized only within --tol, so no chain reaches it.
+            (("majorize", "construct", "--y", "1,0", "--x", "1.0005,-0.0005", "--tol", "1e-3"),
+             None, 1),
+            (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--threads", "0"),
+             None, 2),
+            (("spdd", "construct", "--n", "5", "--spectra", "-1"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

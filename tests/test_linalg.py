@@ -20,13 +20,13 @@ from irgalab.linalg import (
     SingularMatrixError,
     adjugate_entry,
     cholesky,
-    format_matrix,
     hadamard,
     inverse,
     is_positive_definite,
     kron,
     parse_matrix_text,
     parse_vector_text,
+    to_json,
 )
 
 
@@ -250,6 +250,11 @@ class TestDeterminant:
         at_point = Matrix([[entry.evaluate(point) for entry in row] for row in rows])
         assert Matrix(rows).det().evaluate(point) == at_point.det()
 
+    def test_polynomial_det_with_integer_leading_entry(self):
+        a = Polynomial.variable(VariableSet("a"), "a")
+        m = Matrix([[0, a, a], [a, 1, a], [a, a, 1]])
+        assert m.det() == 2 * a**3 - 2 * a**2
+
 
 class TestAdjugateEntry:
     def test_identity_off_diagonal(self):
@@ -337,8 +342,6 @@ class TestFileFormats:
         text = "# comment\n1/2 3\n\n-2 0.25  # trailing\n"
         m = parse_matrix_text(text, exact=True)
         assert m == frac_matrix([[Fraction(1, 2), 3], [-2, Fraction(1, 4)]])
-        again = parse_matrix_text(format_matrix(m), exact=True)
-        assert again == m
 
     def test_matrix_float(self):
         m = parse_matrix_text("1 2\n3 4\n")
@@ -348,6 +351,23 @@ class TestFileFormats:
         assert list(parse_vector_text("1 2 3")) == [1.0, 2.0, 3.0]
         assert list(parse_vector_text("1\n2\n3\n")) == [1.0, 2.0, 3.0]
         assert parse_vector_text("1/3", exact=True) == (Fraction(1, 3),)
+
+    @pytest.mark.parametrize(
+        "token, exact",
+        [("1/0", False), ("1/0", True), ("nan", False), ("nan", True),
+         ("x", False), ("x", True), ("1e400", False)],
+    )
+    def test_bad_entry_rejected(self, token, exact):
+        with pytest.raises(ValueError):
+            parse_matrix_text(f"1 {token}\n{token} 1\n", exact=exact)
+        with pytest.raises(ValueError):
+            parse_vector_text(f"1 {token}", exact=exact)
+
+    def test_to_json(self):
+        assert to_json(frac_matrix([[Fraction(1, 2), 3]])) == [["1/2", "3"]]
+        assert to_json(Fraction(-1, 3)) == "-1/3"
+        assert to_json(np.array([[0.5, 2.0]])) == [[0.5, 2.0]]
+        assert to_json(np.float64(0.25)) == 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
