@@ -172,6 +172,13 @@ def _resolve_spec(spec: str, what: str, builtin, load):
         raise _ReportFailure(EXIT_PARSE, f"bad {what} JSON: {exc}") from exc
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    """``--tol`` callback: a tolerance must be finite and >= 0."""
+    if not 0 <= value < float("inf"):
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -201,7 +208,7 @@ def irga_group():
 @irga_group.command("check")
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
 @_reports
 def irga_check(matrix, mode, tol):
     """Compute S = (P o P^-1)^-1 and report membership checks."""
@@ -220,7 +227,7 @@ def irga_check(matrix, mode, tol):
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "rng_range", type=float, default=2.0, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
 @click.option("--threads", type=int, default=1, show_default=True)
 @_reports
 def irga_search(n, trials, seed, rng_range, tol, threads):
@@ -404,7 +411,7 @@ def majorize_group():
 @majorize_group.command("check")
 @click.option("--y", "y_spec", required=True, help="Majorizing vector (inline or file).")
 @click.option("--x", "x_spec", required=True, help="Majorized candidate (inline or file).")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def majorize_check(y_spec, x_spec, tol):
     """Decide whether y majorizes x."""
@@ -418,7 +425,7 @@ def majorize_check(y_spec, x_spec, tol):
 @majorize_group.command("construct")
 @click.option("--y", "y_spec", required=True)
 @click.option("--x", "x_spec", required=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def majorize_construct(y_spec, x_spec, tol):
     """Build an explicit T-transform chain mapping y onto x."""
@@ -439,7 +446,7 @@ def majorize_construct(y_spec, x_spec, tol):
 
 @majorize_group.command("birkhoff")
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def majorize_birkhoff(matrix, tol):
     """Decompose a doubly stochastic matrix into permutations."""
@@ -524,7 +531,7 @@ def spdd_make(matrix, spectrum, gauge_mode):
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--spectrum", required=True)
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
@@ -551,7 +558,7 @@ def spdd_verify(matrix, spectrum, gauge_mode, tol):
 @click.option("--ea", required=True)
 @click.option("--pb", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--eb", required=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def spdd_kron(pa, ea, pb, eb, tol):
     """Kronecker-compose two SPDD matrices and verify the retained property."""
@@ -613,7 +620,7 @@ def spdd_construct(n, seed, mode, spectra):
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--spectrum", required=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def spdd_unitary(n, seed, spectrum, tol):
     """Contrast check: orthogonal diagonalization reverses the ordering."""
@@ -643,7 +650,7 @@ def search_group():
               default="max_entropy", show_default=True)
 @click.option("--max-iters", type=int, default=1000, show_default=True)
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance)
 @_reports
 def search_run(matrix, e0, delta, direction, max_iters, gauge_mode, tol):
     """Run the lattice search from a start spectrum under a gauge."""

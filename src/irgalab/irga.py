@@ -197,10 +197,6 @@ class PdSample:
     p: object
 
 
-def _strict_lower_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def _build_lower(n: int, values, one, zero):
     rows = [[zero] * n for _ in range(n)]
     k = 0
@@ -212,6 +208,13 @@ def _build_lower(n: int, values, one, zero):
     return rows
 
 
+def _dyadic_sample(seed: int, n: int, nums) -> PdSample:
+    """Exact sample whose L has strict-lower entries nums[k] / 2^16 (row-major)."""
+    values = [Fraction(int(v), DYADIC_DENOMINATOR) for v in nums]
+    l = Matrix(_build_lower(n, values, Fraction(1), Fraction(0)))
+    return PdSample(seed=seed, n=n, l=l, p=l @ l.transpose())
+
+
 def random_pd(n: int, seed: int, rng_range: float = 2.0, mode: str = "float") -> PdSample:
     """Deterministic PD sample; strict-lower entries uniform in [-range, range].
 
@@ -221,13 +224,10 @@ def random_pd(n: int, seed: int, rng_range: float = 2.0, mode: str = "float") ->
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    m = _strict_lower_count(n)
+    m = n * (n - 1) // 2
     if mode == "exact":
         top = int(Fraction(rng_range) * DYADIC_DENOMINATOR)
-        nums = rng.integers(-top, top + 1, size=m) if m else []
-        values = [Fraction(int(v), DYADIC_DENOMINATOR) for v in nums]
-        l = Matrix(_build_lower(n, values, Fraction(1), Fraction(0)))
-        return PdSample(seed=seed, n=n, l=l, p=l @ l.transpose())
+        return _dyadic_sample(seed, n, rng.integers(-top, top + 1, size=m))
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
     values = rng.uniform(-rng_range, rng_range, size=m)
@@ -287,7 +287,7 @@ def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
     Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
     row-scale exponents, then the m entries uniform in +-rng_range/2.
     """
-    m = _strict_lower_count(n)
+    m = n * (n - 1) // 2
     u = _pcg64.random(_mix64_array(seed, ts), n - 1 + m)
     scales = 10.0 ** _uniform(u[:, : n - 1], *_ROW_SCALE_EXPONENTS)
     rows = np.repeat(np.arange(n - 1), np.arange(1, n))
@@ -295,30 +295,18 @@ def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
     return _uniform(u[:, n - 1 :], -half, half) * scales[:, rows]
 
 
-def _batch_min_irga_entries(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
-    """Minimum IRGA entry for each trial index in ``ts`` (float path)."""
-    lower = _search_lower(n, seed, ts, rng_range)
+def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
+    """Minimum float IRGA entry for each row of strict-lower entries."""
     count = len(lower)
     ls = np.broadcast_to(np.eye(n), (count, n, n)).copy()
     tril = np.tril_indices(n, -1)
     ls[:, tril[0], tril[1]] = lower
     ps = ls @ np.transpose(ls, (0, 2, 1))
-    t_mats = ps * np.linalg.inv(ps)
-    ss = np.linalg.inv(t_mats)
+    ss = np.linalg.inv(ps * np.linalg.inv(ps))
     return ss.reshape(count, -1).min(axis=1)
 
 
-def _certify_trial(n: int, seed: int, t: int, rng_range: float) -> tuple:
-    """Exact recheck of one float hit on the dyadic rounding of its L."""
-    values = _search_lower(n, seed, [t], rng_range)[0]
-    dyadic = [
-        Fraction(int(round(v * DYADIC_DENOMINATOR)), DYADIC_DENOMINATOR) for v in values
-    ]
-    l = Matrix(_build_lower(n, dyadic, Fraction(1), Fraction(0)))
-    p = l @ l.transpose()
-    report = check_conjecture(p, tol=0.0)
-    sample = PdSample(seed=mix64(seed, t), n=n, l=l, p=p)
-    return sample, report
+_CHUNK_SIZE = 2048  # trials drawn and screened together; results do not depend on it
 
 
 def search_counterexample(
@@ -328,17 +316,14 @@ def search_counterexample(
     rng_range: float = 2.0,
     tol: float = NONNEG_TOL,
     threads: int = 1,
-    chunk_size: int = 2048,
 ) -> SearchOutcome:
     """Scan the full trial budget for IRGAs with an entry below -tol.
 
     Trials draw unit-diagonal Cholesky factors whose rows carry log-uniform
     scales (see _ROW_SCALE_EXPONENTS); ``rng_range`` sets the base entry
-    width.  Trial t draws from ``default_rng(mix64(seed, t))``, computed for
-    a whole chunk of trials at once; ``seed`` is taken modulo 2**64.  Float
-    hits are re-verified exactly on a dyadic rounding of L before being
-    reported; the reported hit is the lowest-index trial that certifies,
-    independent of chunking and thread count.
+    width; ``seed`` is taken modulo 2**64.  Each chunk of trials is drawn
+    once; float hits are re-verified exactly on the dyadic rounding of
+    their own L, and the lowest-index trial that certifies is reported.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -346,39 +331,43 @@ def search_counterexample(
         raise ValueError("trials must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    chunks = [range(start, min(start + chunk_size, trials)) for start in range(0, trials, chunk_size)]
+    if not 0 < rng_range < np.inf:
+        raise ValueError("rng_range must be finite and > 0")
 
-    def single_min(t):
+    def scan(start):
+        ts = range(start, min(start + _CHUNK_SIZE, trials))
+        lower = _search_lower(n, seed, ts, rng_range)
         try:
-            return _batch_min_irga_entries(n, seed, [t], rng_range)[0]
+            mins = _min_irga_entries(n, lower)
         except np.linalg.LinAlgError:
-            return np.inf
+            # A numerically singular trial poisons the whole batch; screen
+            # the same rows one at a time and skip the offenders.
+            mins = []
+            for row in lower:
+                try:
+                    mins.append(_min_irga_entries(n, row[None])[0])
+                except np.linalg.LinAlgError:
+                    mins.append(np.inf)
+        # Copy each hit's row: a view would keep the whole chunk alive.
+        return [(t, row.copy()) for t, row, value in zip(ts, lower, mins) if value < -tol]
 
-    def scan(ts):
-        try:
-            mins = _batch_min_irga_entries(n, seed, ts, rng_range)
-        except np.linalg.LinAlgError:
-            # A numerically singular trial poisons the whole batch; redo the
-            # batch one trial at a time and skip the offenders.
-            mins = [single_min(t) for t in ts]
-        return [t for t, value in zip(ts, mins) if value < -tol]
-
+    starts = range(0, trials, _CHUNK_SIZE)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hit_lists = list(pool.map(scan, chunks))
+            hit_lists = list(pool.map(scan, starts))
     else:
-        hit_lists = [scan(ts) for ts in chunks]
+        hit_lists = list(map(scan, starts))
 
-    hits = [t for chunk_hits in hit_lists for t in chunk_hits]
-    hits.sort()
+    hits = [hit for chunk_hits in hit_lists for hit in chunk_hits]
     sample = report = trial_index = None
     uncertified = 0
-    for t in hits:
-        candidate_sample, candidate_report = _certify_trial(n, seed, t, rng_range)
+    for t, row in hits:
+        candidate = _dyadic_sample(mix64(seed, t), n, np.rint(row * DYADIC_DENOMINATOR))
+        candidate_report = check_conjecture(candidate.p)
         if candidate_report.min_entry < 0:
-            sample, report, trial_index = candidate_sample, candidate_report, t
+            sample, report, trial_index = candidate, candidate_report, t
             break
         uncertified += 1
     return SearchOutcome(

@@ -255,6 +255,10 @@ class TestReportContract:
             (("spdd", "gauge", "--mode", "exact", DEMO), "spdd_gauge_exact_gauge4_demo.json"),
             (("spdd", "construct", "--n", "11", "--seed", "2", "--mode", "exact"),
              "spdd_construct_exact_n11_seed2.json"),
+            (("irga", "search-counterexample", "--n", "7", "--trials", "6000", "--seed", "5"),
+             "search_counterexample_n7_t6000_seed5.json"),
+            (("irga", "search-counterexample", "--n", "7", "--trials", "6000", "--seed", "5",
+              "--threads", "2"), "search_counterexample_n7_t6000_seed5.json"),
         ],
     )
     def test_exact_payloads_match_golden_files(self, args, golden):
@@ -299,6 +303,17 @@ class TestReportContract:
             (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--threads", "0"),
              None, 2),
             (("spdd", "construct", "--n", "5", "--spectra", "-1"), None, 2),
+            # The search's entry width must be finite and positive.
+            (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--range", "nan"),
+             None, 2),
+            (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--range", "-1"),
+             None, 2),
+            # Every --tol must be finite and >= 0.
+            (("irga", "check", "cert.json", "--tol", "-1"), "2/3 1/3\n1/3 2/3\n", 2),
+            (("irga", "check", "cert.json", "--tol", "nan"), "2/3 1/3\n1/3 2/3\n", 2),
+            (("irga", "check", "cert.json", "--tol", "inf"), "2/3 1/3\n1/3 2/3\n", 2),
+            (("majorize", "check", "--y", "1,0", "--x", "0.5,0.5", "--tol", "nan"), None, 2),
+            (("spdd", "unitary", "--n", "3", "--spectrum", "3,2,1", "--tol", "nan"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

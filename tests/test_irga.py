@@ -227,11 +227,14 @@ class TestSearch:
             for value in row:
                 assert (1 << 16) % value.denominator == 0
 
-    def test_first_hit_independent_of_chunking_and_threads(self):
-        base = search_counterexample(7, 6000, seed=5, chunk_size=2048)
-        other = search_counterexample(7, 6000, seed=5, chunk_size=101)
+    def test_first_hit_independent_of_chunking_and_threads(self, monkeypatch):
+        module = importlib.import_module("irgalab.irga")
+        base = search_counterexample(7, 6000, seed=5)
         two = search_counterexample(7, 6000, seed=5, threads=2)
-        threaded = search_counterexample(7, 6000, seed=5, threads=4, chunk_size=512)
+        monkeypatch.setattr(module, "_CHUNK_SIZE", 101)
+        other = search_counterexample(7, 6000, seed=5)
+        monkeypatch.setattr(module, "_CHUNK_SIZE", 512)
+        threaded = search_counterexample(7, 6000, seed=5, threads=4)
         assert base.trial_index == other.trial_index == two.trial_index == threaded.trial_index
         assert base.float_hits == other.float_hits == two.float_hits == threaded.float_hits
 
@@ -250,18 +253,20 @@ class TestSearch:
         assert outcome.seed == seed
 
     def test_singular_batch_fallback_matches_batched_scan(self, monkeypatch):
-        # Every multi-trial batch fails, so each trial runs alone; trial 0
-        # (not a hit) also fails alone and must be skipped, not raised.
+        # Every multi-trial batch fails, so each trial's row is screened
+        # alone; trial 0 (not a hit) also fails alone and must be skipped,
+        # not raised.
         expected = search_counterexample(7, 6000, seed=5)
         module = importlib.import_module("irgalab.irga")
-        batch = module._batch_min_irga_entries
+        batch = module._min_irga_entries
+        trial_zero = _search_lower(7, 5, [0], 2.0)[0]
 
-        def singular_batches(n, seed, ts, rng_range):
-            if len(ts) > 1 or ts[0] == 0:
+        def singular_batches(n, lower):
+            if len(lower) > 1 or np.array_equal(lower[0], trial_zero):
                 raise np.linalg.LinAlgError("Singular matrix")
-            return batch(n, seed, ts, rng_range)
+            return batch(n, lower)
 
-        monkeypatch.setattr(module, "_batch_min_irga_entries", singular_batches)
+        monkeypatch.setattr(module, "_min_irga_entries", singular_batches)
         assert search_counterexample(7, 6000, seed=5) == expected
 
     def test_exact_certification_refutes_float_noise(self):
