@@ -42,6 +42,7 @@ _NUMERIC_ERRORS = (
     linalg.NotPositiveDefiniteError,
     linalg.NotSymmetricError,
     linalg.DimensionMismatchError,
+    linalg.FloatAccuracyError,
     mj.NotDoublyStochasticError,
     spddmod.InvalidGaugeError,
     spddmod.GaugeModeError,

@@ -140,8 +140,10 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     """Compute S and test nonnegativity / double stochasticity / PD-ness.
 
     The input must be symmetric positive definite; violations raise rather
-    than report.
+    than report.  ``tol`` must be finite and >= 0.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     if not isinstance(p, Matrix):
         p = np.asarray(p, dtype=float)
     linalg._check_symmetric(p)
@@ -333,6 +335,8 @@ def search_counterexample(
         raise ValueError("threads must be >= 1")
     if not 0 < rng_range < np.inf:
         raise ValueError("rng_range must be finite and > 0")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
 
     def scan(start):
         ts = range(start, min(start + _CHUNK_SIZE, trials))

@@ -32,6 +32,7 @@ __all__ = [
     "NumericallySingularError",
     "NotPositiveDefiniteError",
     "NotSymmetricError",
+    "FloatAccuracyError",
     "hadamard",
     "kron",
     "inverse",
@@ -68,6 +69,11 @@ class NotPositiveDefiniteError(ValueError):
 
 class NotSymmetricError(ValueError):
     pass
+
+
+class FloatAccuracyError(ValueError):
+    """A float identity check missed its tolerance: the input is too
+    ill-conditioned for the float result to be trusted."""
 
 
 class Matrix:

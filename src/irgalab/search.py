@@ -149,24 +149,23 @@ def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
     spectral entropy strictly).
     """
     gauge.require_valid()
-    return _step(_float_array(gauge.rga_matrix()), np.asarray(spectrum, dtype=float), config)
+    rga_p = _float_array(gauge.rga_matrix())
+    move = _step(rga_p, _make_state(rga_p, np.asarray(spectrum, dtype=float)), config)
+    return None if move is None else move[2]
 
 
-def _step(rga_p: np.ndarray, spectrum: np.ndarray, config: SearchConfig) -> Optional[np.ndarray]:
-    """``step`` with RGA(P) already computed as a float array."""
-    current = _make_state(rga_p, spectrum)
+def _step(rga_p: np.ndarray, current: SearchState, config: SearchConfig) -> Optional[tuple]:
+    """The best move from ``current`` as an ``(i, j, candidate)`` entry of
+    ``neighbors``, or None; RGA(P) is already a float array."""
     sign = 1.0 if config.direction == "max_entropy" else -1.0
     best = None
     best_gain = 0.0
-    for _, _, candidate in neighbors(spectrum, config.delta):
-        candidate_state = _make_state(rga_p, candidate)
-        if not _admissible(
-            current.diagonal, candidate_state.diagonal, config.direction, config.tol
-        ):
+    for i, j, candidate in neighbors(current.spectrum, config.delta):
+        if not _admissible(current.diagonal, rga_p @ candidate, config.direction, config.tol):
             continue
-        gain = sign * (candidate_state.spectral_entropy - current.spectral_entropy)
+        gain = sign * (shannon_entropy(candidate) - current.spectral_entropy)
         if gain > best_gain + 1e-15:
-            best = candidate
+            best = (i, j, candidate)
             best_gain = gain
     return best
 
@@ -178,18 +177,17 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
     if spectrum.min() <= 0:
         raise ValueError("start spectrum must be positive")
     rga_p = _float_array(gauge.rga_matrix())
-    states = [_make_state(rga_p, spectrum)]
+    state = _make_state(rga_p, spectrum)
+    states = [state]
     moves = []
     termination = "iter_budget"
     for _ in range(config.max_iters):
-        next_spectrum = _step(rga_p, spectrum, config)
-        if next_spectrum is None:
+        move = _step(rga_p, state, config)
+        if move is None:
             termination = "local_optimum"
             break
-        difference = next_spectrum - spectrum
-        gain_index = int(np.argmax(difference))
-        loss_index = int(np.argmin(difference))
+        gain_index, loss_index, spectrum = move
         moves.append((gain_index, loss_index))
-        spectrum = next_spectrum
-        states.append(_make_state(rga_p, spectrum))
+        state = _make_state(rga_p, spectrum)
+        states.append(state)
     return SearchTrace(states=tuple(states), moves=tuple(moves), termination=termination)

@@ -142,7 +142,8 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
     """Kronecker composition: P = Pa (x) Pb carries S = Sa (x) Sb.
 
     The mixed product property makes the composed S the IRGA of the
-    composed P; in float mode that identity is asserted to 1e-9.
+    composed P; in float mode that identity is checked to 1e-9, and a
+    miss raises FloatAccuracyError.
     """
     p = linalg.kron(a.p, b.p)
     s = linalg.kron(a.s, b.s)
@@ -150,7 +151,7 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
         recomputed = irga(np.asarray(p, dtype=float))
         dev = float(np.abs(recomputed - s).max())
         if dev > _KRON_CONSISTENCY_TOL:
-            raise AssertionError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
+            raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
     report = _membership_report(s, NONNEG_TOL)
     return Gauge(
         p=p,
@@ -201,7 +202,9 @@ class SpddMatrix:
     """M = P diag(spectrum) P^-1 for a gauge P, with its observed diagonal.
 
     The spectrum is exact by construction; the defining mapping identity
-    diag(M) = RGA(P) * spectrum is asserted at construction to 1e-9.
+    diag(M) = RGA(P) * spectrum is checked at construction to 1e-9, scaled
+    by the largest diagonal entry when that exceeds 1; a miss raises
+    FloatAccuracyError.
     """
 
     gauge: Gauge
@@ -237,7 +240,7 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
     dev = float(np.abs(diagonal - predicted).max())
     scale = max(1.0, float(np.abs(diagonal).max()))
     if dev > _SPDD_CONSTRUCTION_TOL * scale:
-        raise AssertionError(f"diagonal/spectrum mapping violated by {dev:.3e}")
+        raise linalg.FloatAccuracyError(f"diagonal/spectrum mapping violated by {dev:.3e}")
     return SpddMatrix(gauge=gauge, spectrum=spectrum, m=m, diagonal=diagonal)
 
 

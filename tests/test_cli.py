@@ -14,19 +14,32 @@ from irgalab.sos import data_path
 DEMO = str(data_path("gauge4_demo.mat"))
 GOLDEN = Path(__file__).resolve().parent / "data"
 
-# The CLI subprocess imports the same irgalab as the tests, installed or not.
-PACKAGE_ROOT = str(Path(irgalab.__file__).resolve().parent.parent)
+# ``python -m`` puts its working directory first on sys.path, so a process
+# started here runs the same irgalab as the tests, installed or not.
+SOURCE_DIR = Path(irgalab.__file__).resolve().parent.parent
 
 
-def run_cli(*args, **kwargs):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+def run_cli(*args, cwd=None, input=None):
+    """Run the CLI in this process; an uncaught exception fails the test."""
+    previous = os.getcwd()
+    if cwd is not None:
+        os.chdir(cwd)
+    try:
+        result = CliRunner().invoke(main, list(args), input=input, catch_exceptions=False)
+    finally:
+        os.chdir(previous)
+    return subprocess.CompletedProcess(args, result.exit_code, result.stdout, result.stderr)
+
+
+def run_process(*args, hash_seed="0"):
+    """Run ``python -m irgalab.cli`` in a fresh interpreter with a fixed
+    string-hash seed; file arguments must be absolute paths."""
     return subprocess.run(
         [sys.executable, "-m", "irgalab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
-        **kwargs,
+        cwd=SOURCE_DIR,
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
     )
 
 
@@ -148,6 +161,11 @@ class TestPolyCommands:
         path.write_text("(a +\n")
         proc = run_cli("poly", "parse", str(path))
         assert proc.returncode == 3
+
+    def test_parse_reads_stdin(self):
+        proc = run_cli("poly", "parse", "-", input="(a+b)^2\n")
+        assert proc.returncode == 0
+        assert payload_of(proc)["canonical"] == "a^2 + 2 a b + b^2"
 
     def test_eval(self, tmp_path):
         path = tmp_path / "p.poly"
@@ -314,6 +332,13 @@ class TestReportContract:
             (("irga", "check", "cert.json", "--tol", "inf"), "2/3 1/3\n1/3 2/3\n", 2),
             (("majorize", "check", "--y", "1,0", "--x", "0.5,0.5", "--tol", "nan"), None, 2),
             (("spdd", "unitary", "--n", "3", "--spectrum", "3,2,1", "--tol", "nan"), None, 2),
+            # Ill-conditioned gauges miss the float Kronecker consistency check
+            # (a valid gauge, kappa ~ 2e5) or the diagonal/spectrum mapping
+            # check (kappa ~ 2e8): a numeric failure, not a crash.
+            (("spdd", "kron", "--pa", "cert.json", "--ea", "3,1", "--pb", "cert.json",
+              "--eb", "1,2"), "1 0.99999\n0.99999 1\n", 4),
+            (("spdd", "make", "cert.json", "--spectrum", "1,1"),
+             "1 0.99999999\n0.99999999 1\n", 4),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -381,18 +406,18 @@ class TestReportContract:
         assert report["outcome"] == outcome
 
     def test_reports_are_deterministic_modulo_wall_time(self):
-        a = run_cli("irga", "check", DEMO)
-        b = run_cli("irga", "check", DEMO)
+        a = run_process("irga", "check", DEMO, hash_seed="1")
+        b = run_process("irga", "check", DEMO, hash_seed="2")
         ra, rb = json.loads(a.stdout), json.loads(b.stdout)
         ra.pop("wall_time_ms")
         rb.pop("wall_time_ms")
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
     def test_search_reports_deterministic_across_threads(self):
-        a = run_cli("irga", "search-counterexample", "--n", "7", "--trials", "4000",
-                    "--seed", "5", "--threads", "1")
-        b = run_cli("irga", "search-counterexample", "--n", "7", "--trials", "4000",
-                    "--seed", "5", "--threads", "4")
+        a = run_process("irga", "search-counterexample", "--n", "7", "--trials", "4000",
+                        "--seed", "5", "--threads", "1", hash_seed="1")
+        b = run_process("irga", "search-counterexample", "--n", "7", "--trials", "4000",
+                        "--seed", "5", "--threads", "4", hash_seed="2")
         ra, rb = json.loads(a.stdout), json.loads(b.stdout)
         ra.pop("wall_time_ms"); rb.pop("wall_time_ms")
         ra["inputs"].pop("threads"); rb["inputs"].pop("threads")
@@ -413,3 +438,24 @@ class TestReportContract:
     def test_usage_error_unknown_command(self):
         proc = run_cli("irga", "frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args, matrix, code",
+        [
+            (("irga", "check", DEMO), None, 0),
+            (("majorize", "check", "--y", "1,0", "--x", "0.6,0.6"), None, 1),
+            (("irga", "frobnicate"), None, 2),
+            (("irga", "check", "p.mat"), "1 frog\n2 3\n", 3),
+            (("irga", "check", "p.mat"), "1 2\n2 1\n", 4),
+        ],
+        ids=["verified", "violated", "usage", "parse", "numeric"],
+    )
+    def test_each_exit_code_in_a_real_process(self, tmp_path, args, matrix, code):
+        # The other CLI tests run in-process; this runs the module entry point
+        # end to end, where a crash would exit 1 like a "violated" verdict.
+        path = tmp_path / "p.mat"
+        if matrix is not None:
+            path.write_text(matrix)
+        proc = run_process(*(str(path) if arg == "p.mat" else arg for arg in args))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr

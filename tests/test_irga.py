@@ -112,6 +112,15 @@ class TestCheckConjecture:
         with pytest.raises(NotPositiveDefiniteError):
             check_conjecture(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            check_conjecture(np.array([[2.0, 1.0], [1.0, 1.0]]), tol=tol)
+
+    def test_zero_tol_is_valid(self):
+        report = check_conjecture(np.array([[2.0, 1.0], [1.0, 1.0]]), tol=0.0)
+        assert report.nonnegative and report.pd
+
     def test_counterexample_report_is_not_nonnegative(self):
         outcome = search_counterexample(7, 6000, seed=5)
         assert outcome.found
@@ -211,6 +220,11 @@ class TestSearch:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             search_counterexample(7, 0)
+
+    @pytest.mark.parametrize("tol", [-0.05, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            search_counterexample(5, 10, seed=1, tol=tol)
 
     def test_n4_finds_nothing(self):
         outcome = search_counterexample(4, 10000, seed=7)
