@@ -12,18 +12,21 @@ on D*A, with D the LCM of the entries' denominators; any other entries
 row.  Exact inverses use one fraction-free Gauss-Jordan pass (Bareiss,
 Math. Comp. 22, 1968), which yields the adjugate and the determinant
 together, over the integers on D*A for int/Fraction matrices.  Float
-inverses use partially pivoted LU (LAPACK getrf/getrs) with an explicit
-pivot-magnitude check.
+inverses use partially pivoted LU (LAPACK dgetrf/dgetrs) with an explicit
+pivot-magnitude check, and the float positive-definiteness test and
+Cholesky factor both use LAPACK dpotrf.  These LAPACK routines come from
+scipy, which is imported on the first float inverse or Cholesky call, so
+code that stays exact never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Matrix",
@@ -418,13 +421,29 @@ def kron(a, b):
     return np.kron(_float_array(a), _float_array(b))
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first float LAPACK call."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """A read-only n x n identity; dgetrs copies its right-hand side."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def inverse(a):
     """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
     The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
-    do) and rejects pivots below ``PIVOT_RTOL * max|entry|`` with
-    NumericallySingularError; the exact path raises SingularMatrixError when
-    the determinant vanishes.
+    do; the first float call imports scipy) and rejects pivots below
+    ``PIVOT_RTOL * max|entry|`` with NumericallySingularError; the exact
+    path raises SingularMatrixError when the determinant vanishes.
     """
     if isinstance(a, Matrix):
         return a.inverse()
@@ -436,13 +455,14 @@ def inverse(a):
         raise NumericallySingularError("zero matrix")
     # An exactly singular input leaves a zero pivot (getrf info > 0), which
     # the check below rejects before getrs could divide by it.
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
+    lapack = _lapack()
+    lu, piv, _ = lapack.dgetrf(a)
     pivot = np.abs(lu.diagonal()).min()
     if pivot < PIVOT_RTOL * scale:
         raise NumericallySingularError(
             f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
-    return scipy.linalg.lapack.dgetrs(lu, piv, np.eye(a.shape[0]))[0]
+    return lapack.dgetrs(lu, piv, _identity(a.shape[0]))[0]
 
 
 def _check_symmetric(a):
@@ -450,7 +470,9 @@ def _check_symmetric(a):
 
     Exact matrices must be symmetric entry for entry; float arrays must be
     square (else DimensionMismatchError) and symmetric within
-    ``SYMMETRY_RTOL * max(max|entry|, 1)``.
+    ``SYMMETRY_RTOL * max(max|entry|, 1)``.  A float array with a NaN or
+    infinite entry is not compared (its difference could warn): the float
+    positive-definiteness test rejects it.
     """
     if isinstance(a, Matrix):
         if not a.is_symmetric():
@@ -458,23 +480,41 @@ def _check_symmetric(a):
         return
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+    scale = np.abs(a).max()
+    if not math.isfinite(scale):
+        return
+    if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
 
 
+def _cholesky_lower(a: np.ndarray):
+    """dpotrf's lower factor of a symmetric float array, or None unless it is PD.
+
+    dpotrf reads only the lower triangle and lets +inf through on the
+    diagonal, so every entry must also be finite.
+    """
+    if not np.isfinite(a).all():
+        return None
+    factor, info = _lapack().dpotrf(a, lower=1)
+    return factor if info == 0 else None
+
+
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor with positive diagonal; A must be symmetric PD."""
+    """Lower-triangular factor with positive diagonal; A must be symmetric PD.
+
+    Raises NotPositiveDefiniteError exactly when ``is_positive_definite``
+    is False.
+    """
     a = np.asarray(a, dtype=float)
     _check_symmetric(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    factor = _cholesky_lower(a)
+    if factor is None:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    return factor
 
 
 def is_positive_definite(a) -> bool:
-    """Sylvester criterion (exact scalars) or Cholesky success (floats)."""
+    """Sylvester criterion (exact scalars) or dpotrf success on finite entries (floats)."""
     if not isinstance(a, Matrix):
         a = np.asarray(a, dtype=float)
     _check_symmetric(a)
@@ -485,11 +525,7 @@ def _is_positive_definite(a) -> bool:
     """``is_positive_definite`` for a Matrix or float array known to be symmetric."""
     if isinstance(a, Matrix):
         return _leading_minors_positive(a.rows)
-    try:
-        np.linalg.cholesky(a)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    return _cholesky_lower(a) is not None
 
 
 # -- file formats ----------------------------------------------------------------

@@ -38,20 +38,19 @@ __all__ = [
     "render_polynomial",
 ]
 
-_SUPER_DIGITS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+_DIGITS = "0123456789"
+_SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+_SUPER_DIGITS = str.maketrans(_SUPERSCRIPTS, _DIGITS)
 
-# One token per match; any other single character falls through to
-# ``char``, where str.isspace/str.isalpha decide whether it is whitespace,
-# a variable, or an error.
+# One token per match of group 1: sqrt3, a number, a run of superscript
+# digits, or any other single non-whitespace character (an operator, a
+# letter, or an error).  A comment matches with group 1 empty, and
+# whitespace (\s, which is str.isspace) matches nothing, so findall skips
+# both.  A token's kind is read from its first character.
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
-    r"|(?P<sqrt3>sqrt3)"
-    r"|(?P<num>[0-9]+(?:/[0-9]*)?)"
-    r"|(?P<op>[-+^()])"
-    r"|(?P<super>[⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
-    r"|(?P<char>.)",
-    re.DOTALL,
+    r"#[^\n]*|(sqrt3|[0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S)"
 )
+_END = ""  # follows the last token; no token is empty
 
 
 @dataclass(frozen=True)
@@ -77,40 +76,26 @@ class PolyParseError(ValueError):
         self.diagnostic = diagnostic
 
 
-# Tokens are (kind, value, offset); kinds:
-#   num var sqrt3 + - ^ super ( ) end
-# Integral literals are int, so integer points stay in integer arithmetic.
-def _tokenize(text: str):
-    tokens = []
+def _lexical_error(token: str):
+    """None for a valid token, else (offset within the token, message, expected)."""
+    if token[0] in _DIGITS:
+        numerator, slash, denominator = token.partition("/")
+        if slash and not denominator:
+            return len(numerator), "malformed rational", ("digit",)
+        if slash and int(denominator) == 0:
+            return 0, "zero denominator", ()
+        return None
+    if len(token) > 1 or token in "+-^()" or token in _SUPERSCRIPTS or token.isalpha():
+        return None
+    return 0, f"unexpected character {token!r}", ()
+
+
+def _raise_first_lexical_error(text: str):
     for match in _TOKEN.finditer(text):
-        kind, token, offset = match.lastgroup, match.group(), match.start()
-        if kind == "skip":
-            continue
-        if kind == "num":
-            numerator, slash, denominator = token.partition("/")
-            value = int(numerator)
-            if slash:
-                if not denominator:
-                    slash_at = offset + len(numerator)
-                    raise PolyParseError(_diag(text, slash_at, "malformed rational", ("digit",)))
-                if int(denominator) == 0:
-                    raise PolyParseError(_diag(text, offset, "zero denominator"))
-                value = Fraction(value, int(denominator))
-                if value.denominator == 1:
-                    value = value.numerator
-            tokens.append(("num", value, offset))
-        elif kind == "super":
-            tokens.append(("super", int(token.translate(_SUPER_DIGITS)), offset))
-        elif kind == "char":
-            if token.isspace():
-                continue
-            if not token.isalpha():
-                raise PolyParseError(_diag(text, offset, f"unexpected character {token!r}"))
-            tokens.append(("var", token, offset))
-        else:
-            tokens.append((token, None, offset))
-    tokens.append(("end", None, len(text)))
-    return tokens
+        error = match.group(1) and _lexical_error(match.group(1))
+        if error:
+            delta, message, expected = error
+            raise PolyParseError(_diag(text, match.start() + delta, message, expected))
 
 
 def _diag(text: str, offset: int, message: str, expected: tuple[str, ...] = ()):
@@ -124,15 +109,37 @@ def _diag(text: str, offset: int, message: str, expected: tuple[str, ...] = ()):
 # are computed once.  Instructions:
 #   ("var", name)  ("num", value)  ("pow", slot, k)
 #   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
-# Each method returns the slot of what it parsed; the last one is the root.
+# ``expr`` and ``term`` return the slot of what they parsed; the last
+# instruction is the root.  Tokens carry no offsets: ``fail`` finds the
+# offset of token ``pos`` by lexing the text again.
 class _Parser:
-    _FACTOR_START = ("var", "num", "sqrt3", "(")
-
     def __init__(self, text: str, allowed: VariableSet | None):
         self.text = text
-        self.tokens = _tokenize(text)
+        tokens = [token for token in _TOKEN.findall(text) if token]
+        # What each distinct token means where a factor or an exponent may
+        # start.  The whole input is lexed before parsing, so the first
+        # lexical error in the text wins over any syntax error.
+        self.leaves = {"sqrt3": ("num", QuadExt3(0, 1))}
+        self.powers = {}
+        self.superscripts = {}
+        for token in set(tokens):
+            if _lexical_error(token):
+                _raise_first_lexical_error(text)
+            if token[0] in _DIGITS:
+                # Integral literals are int, so integer points stay in
+                # integer arithmetic.
+                value = Fraction(token)
+                value = value.numerator if value.denominator == 1 else value
+                self.leaves[token] = ("num", value)
+                if type(value) is int:
+                    self.powers[token] = value
+            elif token[0] in _SUPERSCRIPTS:
+                self.superscripts[token] = int(token.translate(_SUPER_DIGITS))
+            elif token.isalpha() and (allowed is None or token in allowed):
+                self.leaves[token] = ("var", token)
+        tokens.append(_END)
+        self.tokens = tokens
         self.pos = 0
-        self.allowed = allowed
         self.program = []
         self.slots = {}
 
@@ -143,82 +150,74 @@ class _Parser:
             self.program.append(instruction)
         return slot
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, message, expected=()):
-        offset = self.peek()[2]
-        raise PolyParseError(_diag(self.text, offset, message, tuple(expected)))
+        offsets = [match.start() for match in _TOKEN.finditer(self.text) if match.group(1)]
+        offsets.append(len(self.text))
+        raise PolyParseError(_diag(self.text, offsets[self.pos], message, tuple(expected)))
 
     def parse(self) -> tuple:
         self.expr()
-        if self.peek()[0] != "end":
-            self.fail(f"unexpected token after expression", ("end of input",))
+        if self.tokens[self.pos] != _END:
+            self.fail("unexpected token after expression", ("end of input",))
         return tuple(self.program)
 
-    def expr(self):
+    def expr(self) -> int:
         parts = [(1, self.term())]
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            parts.append((1 if op == "+" else -1, self.term()))
+        while True:
+            token = self.tokens[self.pos]
+            if token == "+":
+                sign = 1
+            elif token == "-":
+                sign = -1
+            else:
+                break
+            self.pos += 1
+            parts.append((sign, self.term()))
         if len(parts) == 1:
             return parts[0][1]
         return self.emit(("add", tuple(parts)))
 
-    def term(self):
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        factors = [self.factor()]
-        while self.peek()[0] in self._FACTOR_START:
-            factors.append(self.factor())
-        slot = factors[0] if len(factors) == 1 else self.emit(("mul", tuple(factors)))
-        if sign == -1:
-            return self.emit(("add", ((-1, slot),)))
+    def term(self) -> int:
+        """['-'] factor+, each factor a leaf or '(' expr ')' with an optional exponent."""
+        tokens, leaves, emit = self.tokens, self.leaves, self.emit
+        negate = tokens[self.pos] == "-"
+        if negate:
+            self.pos += 1
+        factors = []
+        while True:
+            token = tokens[self.pos]
+            leaf = leaves.get(token)
+            if leaf is not None:
+                self.pos += 1
+                slot = emit(leaf)
+            elif token == "(":
+                self.pos += 1
+                slot = self.expr()
+                if tokens[self.pos] != ")":
+                    self.fail("unbalanced parentheses", (")",))
+                self.pos += 1
+            elif token.isalpha():
+                self.fail(f"unknown identifier {token!r}")
+            elif factors:
+                break
+            else:
+                self.fail("expected a factor", ("variable", "number", "sqrt3", "("))
+            token = tokens[self.pos]
+            if token == "^":
+                self.pos += 1
+                exponent = self.powers.get(tokens[self.pos])
+                if exponent is None:
+                    self.fail("malformed exponent", ("nonnegative integer",))
+                self.pos += 1
+                slot = emit(("pow", slot, exponent))
+            elif token in self.superscripts:
+                self.pos += 1
+                slot = emit(("pow", slot, self.superscripts[token]))
+            factors.append(slot)
+        slot = factors[0] if len(factors) == 1 else emit(("mul", tuple(factors)))
+        if negate:
+            return emit(("add", ((-1, slot),)))
         return slot
-
-    def factor(self):
-        base = self.base()
-        kind, value, _ = self.peek()
-        if kind == "^":
-            self.advance()
-            kind, value, _ = self.peek()
-            if kind != "num" or type(value) is not int:
-                self.fail("malformed exponent", ("nonnegative integer",))
-            self.advance()
-            return self.emit(("pow", base, value))
-        if kind == "super":
-            self.advance()
-            return self.emit(("pow", base, value))
-        return base
-
-    def base(self):
-        kind, value, offset = self.peek()
-        if kind == "num":
-            self.advance()
-            return self.emit(("num", value))
-        if kind == "sqrt3":
-            self.advance()
-            return self.emit(("num", QuadExt3(0, 1)))
-        if kind == "var":
-            if self.allowed is not None and value not in self.allowed:
-                self.fail(f"unknown identifier {value!r}")
-            self.advance()
-            return self.emit(("var", value))
-        if kind == "(":
-            self.advance()
-            slot = self.expr()
-            if self.peek()[0] != ")":
-                self.fail("unbalanced parentheses", (")",))
-            self.advance()
-            return slot
-        self.fail("expected a factor", ("variable", "number", "sqrt3", "("))
 
 
 def _run(program, point: Mapping[str, object]):

@@ -459,3 +459,34 @@ class TestReportContract:
         proc = run_process(*(str(path) if arg == "p.mat" else arg for arg in args))
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+
+
+# Imports the CLI in a fresh interpreter, then runs each command line of
+# argv[1] in that process and records whether scipy had been imported.
+_SCIPY_PROBE = """
+import json, sys
+import irgalab.cli
+from click.testing import CliRunner
+seen = ["scipy" in sys.modules]
+for args in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(irgalab.cli.main, args, catch_exceptions=False)
+    seen.append([result.exit_code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_loaded_only_by_float_linear_algebra():
+    commands = [
+        ["sos", "verify", "--cert", "builtin:n4", "--target", "builtin:pn4"],
+        ["sos", "identity-test", "--reference", "builtin:s4-entry12", "--n", "4", "--trials", "2"],
+        ["irga", "check", "--mode", "exact", DEMO],
+        ["irga", "check", DEMO],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        cwd=SOURCE_DIR,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]

@@ -1,5 +1,6 @@
 import importlib
 import types
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from irgalab.linalg import (
     load_matrix,
 )
 from irgalab.sos import data_path
+from irgalab.spdd import make_gauge
 
 
 def frac_matrix(rows):
@@ -126,6 +128,27 @@ class TestCheckConjecture:
         assert outcome.found
         assert not outcome.report.nonnegative
         assert not outcome.report.doubly_stochastic
+
+
+class TestNonFiniteInput:
+    # NaN passes the symmetry check (NaN > tol is False) and, in the upper
+    # triangle, a Cholesky that reads only the lower one; +inf on the
+    # diagonal passes Cholesky too.  Neither may yield a "pd" report.
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, np.nan], [0.0, 1.0]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["nan-diagonal", "nan-upper-only", "inf-diagonal"],
+    )
+    @pytest.mark.parametrize("check", [check_conjecture, make_gauge], ids=["check", "gauge"])
+    def test_raises_not_positive_definite(self, check, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                check(p)
 
 
 class TestFloatPathPinned:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +303,75 @@ class TestCholesky:
             p = a @ a.T + n * np.eye(n)
             l = cholesky(p)
             assert np.abs(l @ l.T - p).max() <= 1e-9 * np.abs(p).max()
+
+
+NON_FINITE = {
+    "nan-diagonal": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "nan-upper-only": np.array([[1.0, np.nan], [0.0, 1.0]]),
+    "inf-diagonal": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+}
+
+
+def numpy_cholesky_succeeds(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestOneCholesky:
+    """``cholesky`` and the float ``is_positive_definite`` share one dpotrf."""
+
+    NOT_PD = [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # singular
+        np.zeros((3, 3)),
+        np.array([[0.0, 0.0], [0.0, 1.0]]),
+        np.array([[-1.0]]),
+    ]
+
+    def test_raises_exactly_when_not_positive_definite(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(300):
+            # Gram matrices of rank k <= n (singular when k < n), shifted
+            # by a multiple of I that is zero a third of the time.
+            n = int(rng.integers(1, 7))
+            a = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+            shift = float(rng.choice([0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]))
+            p = a @ a.T + shift * np.eye(n)
+            pd = is_positive_definite(p)
+            try:
+                cholesky(p)
+            except NotPositiveDefiniteError:
+                assert not pd
+            else:
+                assert pd
+            verdicts.add(pd)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("band", [2.0, 10.0, 30.0, 300.0])
+    def test_verdicts_agree_with_numpy_cholesky(self, n, band):
+        for seed in range(40):
+            p = random_pd(n, seed, rng_range=band).p
+            assert is_positive_definite(p) == numpy_cholesky_succeeds(p)
+
+    @pytest.mark.parametrize("a", NOT_PD)
+    def test_not_pd_and_singular_cases(self, a):
+        assert not numpy_cholesky_succeeds(a)
+        assert not is_positive_definite(a)
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(a)
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_is_not_positive_definite(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_positive_definite(NON_FINITE[name])
+            with pytest.raises(NotPositiveDefiniteError):
+                cholesky(NON_FINITE[name])
 
 
 class TestPositiveDefinite:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from irgalab.exact import Polynomial, QuadExt3, VariableSet
 from irgalab.polytext import (
+    ParseDiagnostic,
     PolyParseError,
     parse_expression,
     parse_polynomial,
@@ -268,3 +270,156 @@ def test_compiled_evaluation_matches_direct_arithmetic(case):
     expression = parse_expression(text)
     assert expression.evaluate(POINT) == value
     assert expression.to_polynomial().evaluate(POINT) == value
+
+
+# A reference lexer and parser: offset-carrying tokens from one finditer
+# pass and a plain recursive descent.  The package's parser must give the
+# same program, or fail with the same diagnostic, on any input.
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<sqrt3>sqrt3)"
+    r"|(?P<num>[0-9]+(?:/[0-9]*)?)"
+    r"|(?P<op>[-+^()])"
+    r"|(?P<super>[⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+    r"|(?P<char>.)",
+    re.DOTALL,
+)
+
+
+def _reference_diag(text, offset, message, expected=()):
+    line = text.count("\n", 0, offset) + 1
+    column = offset - (text.rfind("\n", 0, offset) + 1) + 1
+    return ParseDiagnostic(offset, line, column, message, tuple(expected))
+
+
+def reference_tokenize(text):
+    """(kind, value, offset) tokens, ending with ("end", None, len(text))."""
+    tokens = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        kind, token, offset = match.lastgroup, match.group(), match.start()
+        if kind == "skip" or (kind == "char" and token.isspace()):
+            continue
+        if kind == "num":
+            numerator, slash, denominator = token.partition("/")
+            value = int(numerator)
+            if slash:
+                if not denominator:
+                    raise PolyParseError(_reference_diag(
+                        text, offset + len(numerator), "malformed rational", ("digit",)))
+                if int(denominator) == 0:
+                    raise PolyParseError(_reference_diag(text, offset, "zero denominator"))
+                value = Fraction(value, int(denominator))
+                if value.denominator == 1:
+                    value = value.numerator
+            tokens.append(("num", value, offset))
+        elif kind == "super":
+            tokens.append(("super", int(token.translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789"))), offset))
+        elif kind == "char":
+            if not token.isalpha():
+                raise PolyParseError(_reference_diag(text, offset, f"unexpected character {token!r}"))
+            tokens.append(("var", token, offset))
+        else:
+            tokens.append((token, None, offset))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def reference_parse(text, allowed=None):
+    tokens = reference_tokenize(text)
+    program, slots, pos = [], {}, 0
+
+    def fail(message, expected=()):
+        raise PolyParseError(_reference_diag(text, tokens[pos][2], message, expected))
+
+    def emit(instruction):
+        if instruction not in slots:
+            slots[instruction] = len(program)
+            program.append(instruction)
+        return slots[instruction]
+
+    def expr():
+        nonlocal pos
+        parts = [(1, term())]
+        while tokens[pos][0] in ("+", "-"):
+            sign = 1 if tokens[pos][0] == "+" else -1
+            pos += 1
+            parts.append((sign, term()))
+        return parts[0][1] if len(parts) == 1 else emit(("add", tuple(parts)))
+
+    def term():
+        nonlocal pos
+        sign = 1
+        if tokens[pos][0] == "-":
+            pos += 1
+            sign = -1
+        factors = [factor()]
+        while tokens[pos][0] in ("var", "num", "sqrt3", "("):
+            factors.append(factor())
+        slot = factors[0] if len(factors) == 1 else emit(("mul", tuple(factors)))
+        return emit(("add", ((-1, slot),))) if sign == -1 else slot
+
+    def factor():
+        nonlocal pos
+        slot = base()
+        kind, value, _ = tokens[pos]
+        if kind == "^":
+            pos += 1
+            kind, value, _ = tokens[pos]
+            if kind != "num" or type(value) is not int:
+                fail("malformed exponent", ("nonnegative integer",))
+            pos += 1
+            return emit(("pow", slot, value))
+        if kind == "super":
+            pos += 1
+            return emit(("pow", slot, value))
+        return slot
+
+    def base():
+        nonlocal pos
+        kind, value, _ = tokens[pos]
+        if kind == "num":
+            pos += 1
+            return emit(("num", value))
+        if kind == "sqrt3":
+            pos += 1
+            return emit(("num", QuadExt3(0, 1)))
+        if kind == "var":
+            if allowed is not None and value not in allowed:
+                fail(f"unknown identifier {value!r}")
+            pos += 1
+            return emit(("var", value))
+        if kind == "(":
+            pos += 1
+            slot = expr()
+            if tokens[pos][0] != ")":
+                fail("unbalanced parentheses", (")",))
+            pos += 1
+            return slot
+        fail("expected a factor", ("variable", "number", "sqrt3", "("))
+
+    expr()
+    if tokens[pos][0] != "end":
+        fail("unexpected token after expression", ("end of input",))
+    return tuple(program)
+
+
+_PIECES = [
+    "a", "b", "z", "s", "q", "sqrt3", "sqrt", "0", "12", "4/2", "1/3", "3/0", "1/", "007",
+    "+", "-", "^", "(", ")", "²", "³¹", " ", "  ", "\n", "\t", "# note\n", "#", "\u00a0",
+    "$", "?", "\u00e9", "\u00bd", "\uff11",
+]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=14), st.sampled_from([None, "ab", "abz"]))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_reference_on_random_token_strings(pieces, names):
+    text = "".join(pieces)
+    allowed = None if names is None else VariableSet(names)
+    try:
+        expected = reference_parse(text, allowed)
+    except PolyParseError as err:
+        with pytest.raises(PolyParseError) as got:
+            parse_expression(text, allowed)
+        assert got.value.diagnostic == err.diagnostic
+    else:
+        assert parse_expression(text, allowed).program == expected
