@@ -297,15 +297,56 @@ def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
     return _uniform(u[:, n - 1 :], -half, half) * scales[:, rows]
 
 
+def _spd_inverse(a: list) -> list:
+    """Inverse of every symmetric positive-definite matrix in a stack.
+
+    A stack is a lower triangle of trial vectors: ``a[i][j]`` (j <= i) holds
+    entry (i, j) of every trial, and the result has the same layout.
+    Cholesky a = C C^T, then Y = C^-1 by forward substitution, then
+    a^-1 = Y^T Y.  Each entry is one fixed sequence of elementwise operations
+    accumulated left to right, so a trial's result is bit-identical whatever
+    else the stack holds.  A failed pivot i (the square root of a value that
+    is not positive) leaves NaN or inf in entry (i, i) of the result.
+    """
+    n = len(a)
+    c = []
+    for i in range(n):
+        row = []
+        c.append(row)
+        for j in range(i + 1):
+            acc = a[i][j]
+            for k in range(j):
+                acc = acc - row[k] * c[j][k]
+            row.append(np.sqrt(acc) if i == j else acc / c[j][j])
+    y = []
+    for i in range(n):
+        row = [-linalg._dot(c[i][j:i], [y[k][j] for k in range(j, i)]) / c[i][i] for j in range(i)]
+        y.append(row + [1.0 / c[i][i]])
+    return [
+        [linalg._dot([r[i] for r in y[i:]], [r[j] for r in y[i:]]) for j in range(i + 1)]
+        for i in range(n)
+    ]
+
+
 def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
-    """Minimum float IRGA entry for each row of strict-lower entries."""
-    count = len(lower)
-    ls = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    tril = np.tril_indices(n, -1)
-    ls[:, tril[0], tril[1]] = lower
-    ps = ls @ np.transpose(ls, (0, 2, 1))
-    ss = np.linalg.inv(ps * np.linalg.inv(ps))
-    return ss.reshape(count, -1).min(axis=1)
+    """Minimum float IRGA entry for each row of strict-lower entries.
+
+    The whole chunk is screened at once, as stacks of trial vectors (see
+    ``_spd_inverse``): P = L L^T, then S = (P o P^-1)^-1, with both inverses
+    taken by ``_spd_inverse``.  S is symmetric, so its lower triangle holds
+    its minimum.  A trial that is not numerically PD, or whose S is not
+    finite, screens as inf.
+    """
+    entries = iter(lower.T)
+    one = np.ones(len(lower))
+    ls = [[next(entries) for _ in range(i)] + [one] for i in range(n)]
+    with np.errstate(all="ignore"):
+        ps = [[linalg._dot(ls[i][: j + 1], ls[j]) for j in range(i + 1)] for i in range(n)]
+        ts = [[p * q for p, q in zip(*rows)] for rows in zip(ps, _spd_inverse(ps))]
+        ss = np.array([entry for row in _spd_inverse(ts) for entry in row])
+        mins = ss.min(axis=0)
+    mins[~np.isfinite(ss).all(axis=0)] = np.inf
+    return mins
 
 
 _CHUNK_SIZE = 2048  # trials drawn and screened together; results do not depend on it
@@ -341,19 +382,9 @@ def search_counterexample(
     def scan(start):
         ts = range(start, min(start + _CHUNK_SIZE, trials))
         lower = _search_lower(n, seed, ts, rng_range)
-        try:
-            mins = _min_irga_entries(n, lower)
-        except np.linalg.LinAlgError:
-            # A numerically singular trial poisons the whole batch; screen
-            # the same rows one at a time and skip the offenders.
-            mins = []
-            for row in lower:
-                try:
-                    mins.append(_min_irga_entries(n, row[None])[0])
-                except np.linalg.LinAlgError:
-                    mins.append(np.inf)
-        # Copy each hit's row: a view would keep the whole chunk alive.
-        return [(t, row.copy()) for t, row, value in zip(ts, lower, mins) if value < -tol]
+        found = np.flatnonzero(_min_irga_entries(n, lower) < -tol)
+        # Copy the hits' rows: a view would keep the whole chunk alive.
+        return list(zip((start + found).tolist(), lower[found]))
 
     starts = range(0, trials, _CHUNK_SIZE)
     if threads > 1:

@@ -442,8 +442,9 @@ def inverse(a):
 
     The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
     do; the first float call imports scipy) and rejects pivots below
-    ``PIVOT_RTOL * max|entry|`` with NumericallySingularError; the exact
-    path raises SingularMatrixError when the determinant vanishes.
+    ``PIVOT_RTOL * max|entry|``, or a NaN or infinite entry, with
+    NumericallySingularError; the exact path raises SingularMatrixError when
+    the determinant vanishes.
     """
     if isinstance(a, Matrix):
         return a.inverse()
@@ -451,6 +452,8 @@ def inverse(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("inverse of a non-square matrix")
     scale = np.abs(a).max()
+    if not math.isfinite(scale):
+        raise NumericallySingularError("matrix has a NaN or infinite entry")
     if scale == 0:
         raise NumericallySingularError("zero matrix")
     # An exactly singular input leaves a zero pivot (getrf info > 0), which

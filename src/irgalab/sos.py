@@ -312,7 +312,8 @@ def identity_test(
     draws integer coordinates in [-coordinate_range, coordinate_range] from
     the stream seeded by mix64(seed, t), keeping reports deterministic and
     order-independent.  Disagreement is a result, not an error; arguments
-    outside ``validate_identity_arguments`` raise ValueError.
+    outside ``validate_identity_arguments``, or a reference with a variable
+    that ``cholesky_variables(n)`` lacks, raise ValueError.
 
     The difference of reference and oracle has total degree at most
     d = max(degree bound of the reference, 2n(n-1)): entries of L^-1 have
@@ -321,8 +322,17 @@ def identity_test(
     probability at most (d / (2 coordinate_range + 1)) ** trials.
     """
     validate_identity_arguments(n, i, j, trials, coordinate_range)
-    oracle = exact_entry_oracle(n, i, j)
     variables = cholesky_variables(n)
+    if isinstance(reference, ParsedExpression):
+        names = reference.variable_names()
+    else:
+        names = reference.variables.names
+    if not set(names) <= set(variables.names):
+        raise ValueError(
+            f"reference variables {''.join(sorted(names))} are not all among "
+            f"the size-{n} variables {''.join(variables.names)}"
+        )
+    oracle = exact_entry_oracle(n, i, j)
     points = []
     agreements = 0
     first_disagreement = None

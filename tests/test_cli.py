@@ -339,6 +339,9 @@ class TestReportContract:
               "--eb", "1,2"), "1 0.99999\n0.99999 1\n", 4),
             (("spdd", "make", "cert.json", "--spectrum", "1,1"),
              "1 0.99999999\n0.99999999 1\n", 4),
+            # The default reference is the size-6 entry; its variables do
+            # not fit --n 4, a usage error rather than a numeric failure.
+            (("sos", "identity-test", "--n", "4", "--trials", "2"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

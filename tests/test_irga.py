@@ -8,6 +8,7 @@ import pytest
 
 from irgalab import _pcg64
 from irgalab.irga import (
+    _min_irga_entries,
     _mix64_array,
     _search_lower,
     _uniform,
@@ -22,6 +23,7 @@ from irgalab.linalg import (
     Matrix,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    NumericallySingularError,
     is_positive_definite,
     load_matrix,
 )
@@ -149,6 +151,21 @@ class TestNonFiniteInput:
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefiniteError):
                 check(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal"],
+    )
+    def test_irga_raises_numerically_singular(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericallySingularError):
+                irga(p)
 
 
 class TestFloatPathPinned:
@@ -289,24 +306,64 @@ class TestSearch:
         assert (outcome.trial_index, outcome.float_hits) == expected
         assert outcome.seed == seed
 
-    def test_singular_batch_fallback_matches_batched_scan(self, monkeypatch):
-        # Every multi-trial batch fails, so each trial's row is screened
-        # alone; trial 0 (not a hit) also fails alone and must be skipped,
-        # not raised.
-        expected = search_counterexample(7, 6000, seed=5)
-        module = importlib.import_module("irgalab.irga")
-        batch = module._min_irga_entries
-        trial_zero = _search_lower(7, 5, [0], 2.0)[0]
-
-        def singular_batches(n, lower):
-            if len(lower) > 1 or np.array_equal(lower[0], trial_zero):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return batch(n, lower)
-
-        monkeypatch.setattr(module, "_min_irga_entries", singular_batches)
-        assert search_counterexample(7, 6000, seed=5) == expected
+    def test_pinned_headline_search(self):
+        # irga search-counterexample --n 7 --trials 100000 --seed 0
+        outcome = search_counterexample(7, 100000, seed=0)
+        assert (outcome.trial_index, outcome.float_hits, outcome.uncertified_hits) == (5707, 10, 0)
 
     def test_exact_certification_refutes_float_noise(self):
         # Every reported hit is exact; uncertified float hits are counted.
         outcome = search_counterexample(7, 6000, seed=5)
         assert outcome.uncertified_hits == 0
+
+
+def reference_min_irga_entries(n, lower):
+    """The LU screen the search used before: two np.linalg.inv calls per chunk."""
+    count = len(lower)
+    ls = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    tril = np.tril_indices(n, -1)
+    ls[:, tril[0], tril[1]] = lower
+    ps = ls @ np.transpose(ls, (0, 2, 1))
+    ss = np.linalg.inv(ps * np.linalg.inv(ps))
+    return ss.reshape(count, -1).min(axis=1)
+
+
+class TestFloatScreen:
+    @pytest.mark.parametrize("rng_range", [2.0, 300.0])
+    @pytest.mark.parametrize("n", [2, 5, 7, 9, 12])
+    def test_bit_identical_whatever_the_chunking(self, n, rng_range):
+        lower = _search_lower(n, 0, range(300), rng_range)
+        whole = _min_irga_entries(n, lower)
+        alone = np.concatenate([_min_irga_entries(n, lower[t : t + 1]) for t in range(300)])
+        starts = range(0, 300, 97)
+        slices = np.concatenate([_min_irga_entries(n, lower[s : s + 97]) for s in starts])
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole, slices)
+
+    def test_trial_that_is_not_numerically_pd_screens_as_inf(self):
+        lower = _search_lower(7, 5, range(300), 2.0)
+        lower[123] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mins = _min_irga_entries(7, lower)
+        assert mins[123] == np.inf
+        alone = np.concatenate([_min_irga_entries(7, lower[t : t + 1]) for t in range(300)])
+        assert np.array_equal(mins, alone)
+        assert np.isfinite(np.delete(mins, 123)).all()
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 9, 12])
+    def test_minimum_agrees_with_the_lu_screen(self, n):
+        # Cholesky and pivoted LU round differently; at rng_range 2 the
+        # trials are well conditioned, so the minima agree to about 1e7 ulp.
+        lower = _search_lower(n, 0, range(300), 2.0)
+        expected = reference_min_irga_entries(n, lower)
+        np.testing.assert_allclose(_min_irga_entries(n, lower), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rng_range", [2.0, 10.0])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_hits_match_the_lu_screen(self, n, rng_range, seed):
+        lower = _search_lower(n, seed, range(20000), rng_range)
+        hits = np.flatnonzero(_min_irga_entries(n, lower) < -1e-10)
+        expected = np.flatnonzero(reference_min_irga_entries(n, lower) < -1e-10)
+        assert np.array_equal(hits, expected)

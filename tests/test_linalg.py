@@ -101,6 +101,16 @@ class TestInverse:
         with pytest.raises(NumericallySingularError):
             inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [(0, 0), (0, 1)])
+    def test_float_non_finite_raises(self, bad, position):
+        a = np.eye(2)
+        a[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericallySingularError, match="NaN or infinite"):
+                inverse(a)
+
     def test_float_inverse(self):
         a = np.array([[2.0, 1.0], [1.0, 1.0]])
         assert np.abs(inverse(a) @ a - np.eye(2)).max() < 1e-12

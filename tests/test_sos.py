@@ -304,3 +304,11 @@ class TestIdentityTestBounds:
         with pytest.raises(ValueError):
             identity_test(builtin_polynomial("pn3"), n, i, j, trials=trials,
                           coordinate_range=coordinate_range)
+
+    @pytest.mark.parametrize(
+        "reference", [builtin_expression("s6-entry12"), builtin_polynomial("pn3")],
+        ids=["expression", "polynomial"],
+    )
+    def test_reference_with_variables_beyond_size_n_raises_value_error(self, reference):
+        with pytest.raises(ValueError, match="size-2 variables a$"):
+            identity_test(reference, 2, 1, 2, trials=1)
