@@ -229,13 +229,10 @@ def irga_check(matrix, mode, tol):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "rng_range", type=float, default=2.0, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
-@click.option("--threads", type=int, default=1, show_default=True)
 @_reports
-def irga_search(n, trials, seed, rng_range, tol, threads):
+def irga_search(n, trials, seed, rng_range, tol):
     """Randomized search for a sample whose IRGA has a negative entry."""
-    outcome_obj = search_counterexample(
-        n, trials, seed=seed, rng_range=rng_range, tol=tol, threads=threads
-    )
+    outcome_obj = search_counterexample(n, trials, seed=seed, rng_range=rng_range, tol=tol)
     payload = {
         "trials": outcome_obj.trials,
         "float_hits": outcome_obj.float_hits,

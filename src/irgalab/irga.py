@@ -13,8 +13,8 @@ strict lower triangle is drawn.
 Stream contract: trial t of a search draws from ``default_rng(mix64(seed, t))``
 (n-1 row-scale exponents, then the strict lower triangle), computed for a
 whole chunk of trials at once (see ``_pcg64``).  Results are therefore
-independent of chunking and thread scheduling, and bit-identical to drawing
-each trial from its own generator.
+independent of chunking, and bit-identical to drawing each trial from its
+own generator.
 """
 
 from __future__ import annotations
@@ -49,26 +49,19 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(seed: int, t: int) -> int:
-    """Fixed 64-bit mixing function deriving per-trial stream seeds."""
-    z = (seed + (t + 1) * _GOLDEN) & _MASK64
+def mix64(seed: int, t):
+    """Fixed 64-bit mixing function deriving per-trial stream seeds.
+
+    ``t`` is a Python int or a uint64 array of trial indices; the same
+    expression serves both, since uint64 arithmetic wraps where the masks
+    reduce a Python int modulo 2**64.
+    """
+    z = ((t + 1) * _GOLDEN + (seed & _MASK64)) & _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
-    return z
-
-
-def _mix64_array(seed: int, ts) -> np.ndarray:
-    """``mix64(seed, t)`` for every t in ``ts``, as a uint64 array."""
-    u64 = np.uint64
-    z = (np.asarray(ts, dtype=u64) + u64(1)) * u64(_GOLDEN) + u64(seed & _MASK64)
-    z ^= z >> u64(30)
-    z *= u64(0xBF58476D1CE4E5B9)
-    z ^= z >> u64(27)
-    z *= u64(0x94D049BB133111EB)
-    z ^= z >> u64(31)
     return z
 
 
@@ -210,6 +203,32 @@ def _build_lower(n: int, values, one, zero):
     return rows
 
 
+def _t_from_lower(l) -> list:
+    """Rows of T = R o adj(R) for R = L L^T, from the rows of a unit-diagonal
+    lower-triangular L.
+
+    det(R) = 1, so adj(R) = R^-1 = X^T X with X = L^-1, and the forward
+    substitution X_ij = -(L_ij + sum over j < k < i of L_ik X_kj) needs no
+    division: one code path serves int, Fraction and Polynomial entries and
+    stacks of float trial vectors.  T is symmetric, so only its lower
+    triangle is computed; the upper triangle mirrors it.
+    """
+    n = len(l)
+    x = [list(row) for row in l]
+    for i in range(n):
+        for j in range(i):
+            x[i][j] = -sum((l[i][k] * x[k][j] for k in range(j + 1, i)), l[i][j])
+    # Row i of L up to the diagonal; column j of X from the bottom up to the
+    # diagonal.  zip() stops at the shorter one: k = min(i, j), k = max(i, j).
+    rows = [row[: i + 1] for i, row in enumerate(l)]
+    cols = [[x[k][j] for k in range(n - 1, j - 1, -1)] for j in range(n)]
+    t = [
+        [linalg._dot(rows[i], rows[j]) * linalg._dot(cols[i], cols[j]) for j in range(i + 1)]
+        for i in range(n)
+    ]
+    return [[t[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+
+
 def _dyadic_sample(seed: int, n: int, nums) -> PdSample:
     """Exact sample whose L has strict-lower entries nums[k] / 2^16 (row-major)."""
     values = [Fraction(int(v), DYADIC_DENOMINATOR) for v in nums]
@@ -284,13 +303,15 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
-    """Strict-lower entries (row-major) of each trial in ``ts``, one row per trial.
+    """Strict-lower entries (row-major) of each trial in the range ``ts``, one
+    row per trial.
 
     Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
     row-scale exponents, then the m entries uniform in +-rng_range/2.
     """
     m = n * (n - 1) // 2
-    u = _pcg64.random(_mix64_array(seed, ts), n - 1 + m)
+    trial_ids = np.arange(ts.start, ts.stop, ts.step, dtype=np.uint64)
+    u = _pcg64.random(mix64(seed, trial_ids), n - 1 + m)
     scales = 10.0 ** _uniform(u[:, : n - 1], *_ROW_SCALE_EXPONENTS)
     rows = np.repeat(np.arange(n - 1), np.arange(1, n))
     half = rng_range / 2.0
@@ -332,17 +353,13 @@ def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
     """Minimum float IRGA entry for each row of strict-lower entries.
 
     The whole chunk is screened at once, as stacks of trial vectors (see
-    ``_spd_inverse``): P = L L^T, then S = (P o P^-1)^-1, with both inverses
-    taken by ``_spd_inverse``.  S is symmetric, so its lower triangle holds
-    its minimum.  A trial that is not numerically PD, or whose S is not
-    finite, screens as inf.
+    ``_spd_inverse``): T = P o P^-1 comes from L without factorization
+    (``_t_from_lower``), then S = T^-1 by ``_spd_inverse``.  S is symmetric,
+    so its lower triangle holds its minimum.  A trial whose T is not
+    numerically PD, or whose S is not finite, screens as inf.
     """
-    entries = iter(lower.T)
-    one = np.ones(len(lower))
-    ls = [[next(entries) for _ in range(i)] + [one] for i in range(n)]
     with np.errstate(all="ignore"):
-        ps = [[linalg._dot(ls[i][: j + 1], ls[j]) for j in range(i + 1)] for i in range(n)]
-        ts = [[p * q for p, q in zip(*rows)] for rows in zip(ps, _spd_inverse(ps))]
+        ts = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
         ss = np.array([entry for row in _spd_inverse(ts) for entry in row])
         mins = ss.min(axis=0)
     mins[~np.isfinite(ss).all(axis=0)] = np.inf
@@ -358,7 +375,6 @@ def search_counterexample(
     seed: int = 0,
     rng_range: float = 2.0,
     tol: float = NONNEG_TOL,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Scan the full trial budget for IRGAs with an entry below -tol.
 
@@ -372,30 +388,18 @@ def search_counterexample(
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not 0 < rng_range < np.inf:
         raise ValueError("rng_range must be finite and > 0")
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
 
-    def scan(start):
-        ts = range(start, min(start + _CHUNK_SIZE, trials))
-        lower = _search_lower(n, seed, ts, rng_range)
+    hits = []
+    for start in range(0, trials, _CHUNK_SIZE):
+        lower = _search_lower(n, seed, range(start, min(start + _CHUNK_SIZE, trials)), rng_range)
         found = np.flatnonzero(_min_irga_entries(n, lower) < -tol)
         # Copy the hits' rows: a view would keep the whole chunk alive.
-        return list(zip((start + found).tolist(), lower[found]))
+        hits.extend(zip((start + found).tolist(), lower[found]))
 
-    starts = range(0, trials, _CHUNK_SIZE)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hit_lists = list(pool.map(scan, starts))
-    else:
-        hit_lists = list(map(scan, starts))
-
-    hits = [hit for chunk_hits in hit_lists for hit in chunk_hits]
     sample = report = trial_index = None
     uncertified = 0
     for t, row in hits:

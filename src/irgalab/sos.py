@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from operator import mul
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .exact import Polynomial, VariableSet
-from .irga import _build_lower, mix64
+from .irga import _build_lower, _t_from_lower, mix64
 from .linalg import Matrix, adjugate_entry
 from .polytext import ParsedExpression, parse_expression, parse_polynomial
 
@@ -96,30 +95,9 @@ def symbolic_gram(n: int) -> Matrix:
     return lower @ lower.transpose()
 
 
-def _t_from_lower(lower: Matrix) -> Matrix:
-    """T = R o adj(R) for R = L L^T with unit-diagonal lower-triangular L.
-
-    det(R) = 1, so adj(R) = R^-1 = X^T X with X = L^-1, and the forward
-    substitution X_ij = -(L_ij + sum over j < k < i of L_ik X_kj) needs no
-    division: one code path serves int, Fraction and Polynomial entries.
-    """
-    n, l = lower.n_rows, lower.rows
-    x = [list(row) for row in l]
-    for i in range(n):
-        for j in range(i):
-            x[i][j] = -sum((l[i][k] * x[k][j] for k in range(j + 1, i)), l[i][j])
-    # Row i of L up to the diagonal; column j of X from the bottom up to the
-    # diagonal.  map() stops at the shorter one: k = min(i, j), k = max(i, j).
-    rows = [row[: i + 1] for i, row in enumerate(l)]
-    cols = [[x[k][j] for k in range(n - 1, j - 1, -1)] for j in range(n)]
-    r = [[sum(map(mul, rows[i], rows[j])) for j in range(n)] for i in range(n)]
-    adj = [[sum(map(mul, cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    return Matrix(r).hadamard(Matrix(adj))
-
-
 @lru_cache(maxsize=None)
 def _hadamard_gram_adjugate(n: int) -> Matrix:
-    return _t_from_lower(_symbolic_lower(n))
+    return Matrix(_t_from_lower(_symbolic_lower(n).rows))
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +225,7 @@ def exact_entry_oracle(n: int, i: int, j: int) -> Callable[[Mapping[str, Fractio
     def oracle(point: Mapping[str, Fraction]) -> Fraction:
         values = [point[name] for name in variables.names]
         values = [v if isinstance(v, int) else Fraction(v) for v in values]
-        return adjugate_entry(_t_from_lower(Matrix(_build_lower(n, values, 1, 0))), i, j)
+        return adjugate_entry(Matrix(_t_from_lower(_build_lower(n, values, 1, 0))), i, j)
 
     return oracle
 

@@ -275,8 +275,6 @@ class TestReportContract:
              "spdd_construct_exact_n11_seed2.json"),
             (("irga", "search-counterexample", "--n", "7", "--trials", "6000", "--seed", "5"),
              "search_counterexample_n7_t6000_seed5.json"),
-            (("irga", "search-counterexample", "--n", "7", "--trials", "6000", "--seed", "5",
-              "--threads", "2"), "search_counterexample_n7_t6000_seed5.json"),
         ],
     )
     def test_exact_payloads_match_golden_files(self, args, golden):
@@ -318,6 +316,7 @@ class TestReportContract:
             # x is majorized only within --tol, so no chain reaches it.
             (("majorize", "construct", "--y", "1,0", "--x", "1.0005,-0.0005", "--tol", "1e-3"),
              None, 1),
+            # The removed --threads option is a usage error, whatever its value.
             (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--threads", "0"),
              None, 2),
             (("spdd", "construct", "--n", "5", "--spectra", "-1"), None, 2),
@@ -342,6 +341,8 @@ class TestReportContract:
             # The default reference is the size-6 entry; its variables do
             # not fit --n 4, a usage error rather than a numeric failure.
             (("sos", "identity-test", "--n", "4", "--trials", "2"), None, 2),
+            (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--threads", "2"),
+             None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -357,7 +358,7 @@ class TestReportContract:
             (("irga", "check", "p.mat", "--mode", "exact"),
              {"matrix": "p.mat", "mode": "exact", "tol": 1e-10}, "pass", 0),
             (("irga", "search-counterexample", "--n", "4", "--trials", "50", "--seed", "3"),
-             {"n": 4, "range": 2.0, "seed": 3, "threads": 1, "tol": 1e-10, "trials": 50},
+             {"n": 4, "range": 2.0, "seed": 3, "tol": 1e-10, "trials": 50},
              "not_found", 1),
             (("sos", "derive", "--n", "3"), {"entry": [None, None], "n": 3}, "pass", 0),
             (("sos", "verify", "--cert", "builtin:n3", "--target", "builtin:pn3"),
@@ -416,14 +417,12 @@ class TestReportContract:
         rb.pop("wall_time_ms")
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
-    def test_search_reports_deterministic_across_threads(self):
-        a = run_process("irga", "search-counterexample", "--n", "7", "--trials", "4000",
-                        "--seed", "5", "--threads", "1", hash_seed="1")
-        b = run_process("irga", "search-counterexample", "--n", "7", "--trials", "4000",
-                        "--seed", "5", "--threads", "4", hash_seed="2")
+    def test_search_reports_deterministic_across_processes(self):
+        args = ("irga", "search-counterexample", "--n", "7", "--trials", "4000", "--seed", "5")
+        a = run_process(*args, hash_seed="1")
+        b = run_process(*args, hash_seed="2")
         ra, rb = json.loads(a.stdout), json.loads(b.stdout)
         ra.pop("wall_time_ms"); rb.pop("wall_time_ms")
-        ra["inputs"].pop("threads"); rb["inputs"].pop("threads")
         assert ra == rb
 
     def test_out_writes_file_and_json_flag_quiets_stderr(self, tmp_path):

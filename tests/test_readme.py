@@ -41,6 +41,17 @@ def test_every_command_has_an_example():
     assert commands <= documented
 
 
+def test_every_documented_flag_is_an_option():
+    # A removed option must not stay documented; pip's flag is not ours.
+    options = {"--help", "--no-build-isolation"}
+    stack = [main]
+    while stack:
+        command = stack.pop()
+        options.update(opt for param in command.params for opt in param.opts)
+        stack.extend(getattr(command, "commands", {}).values())
+    assert set(re.findall(r"--[A-Za-z][\w-]*", README)) <= options
+
+
 def test_library_example_runs():
     exec(compile(_block("## Library example", "python"), "README.md", "exec"), {})
 
