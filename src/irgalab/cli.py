@@ -515,9 +515,9 @@ def spdd_make(matrix, spectrum, gauge_mode):
     e = _vector_arg(spectrum)
     spdd = spddmod.make_spdd(gauge, e)
     payload = {
-        "m": [[float(v) for v in row] for row in spdd.m],
-        "diagonal": [float(v) for v in spdd.diagonal],
-        "spectrum": [float(v) for v in spdd.spectrum],
+        "m": linalg.to_json(spdd.m),
+        "diagonal": linalg.to_json(spdd.diagonal),
+        "spectrum": linalg.to_json(spdd.spectrum),
         "spectral_entropy": spdd.spectral_entropy(),
         "diagonal_entropy": spdd.diagonal_entropy(),
         "gauge_valid": gauge.valid,
@@ -572,8 +572,8 @@ def spdd_kron(pa, ea, pb, eb, tol):
         "mapping_ok": mapping.ok,
         "mapping_max_deviation": mapping.max_deviation,
         "majorization": verdict.to_json_dict(),
-        "spectrum": [float(v) for v in composed.spectrum],
-        "diagonal": [float(v) for v in composed.diagonal],
+        "spectrum": linalg.to_json(composed.spectrum),
+        "diagonal": linalg.to_json(composed.diagonal),
     }
     ok = mapping.ok and verdict.holds
     return "pass" if ok else "fail", payload, f"{composed.n}x{composed.n} composition ok: {ok}"

@@ -40,6 +40,20 @@ class IncompleteAssignmentError(ValueError):
 _SQRT3_FLOAT = 3.0 ** 0.5
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply, starting from ``one``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class QuadExt3:
     """An element r + s*sqrt(3) of the field Q(sqrt 3), with exact parts."""
 
@@ -129,17 +143,7 @@ class QuadExt3:
         return other * self.inverse()
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = QuadExt3(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, QuadExt3(1))
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -370,17 +374,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, Polynomial.constant(self.variables, 1))
 
     # -- queries ------------------------------------------------------------
 

@@ -251,9 +251,7 @@ def random_pd(n: int, seed: int, rng_range: float = 2.0, mode: str = "float") ->
         return _dyadic_sample(seed, n, rng.integers(-top, top + 1, size=m))
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
-    values = rng.uniform(-rng_range, rng_range, size=m)
-    l = np.eye(n)
-    l[np.tril_indices(n, -1)] = values
+    l = np.array(_build_lower(n, rng.uniform(-rng_range, rng_range, size=m), 1.0, 0.0))
     return PdSample(seed=seed, n=n, l=l, p=l @ l.T)
 
 

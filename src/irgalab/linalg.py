@@ -6,17 +6,20 @@ Two carriers coexist and most public functions dispatch on type:
 * ``Matrix``, an immutable row-tuple container holding exact scalars
   (int, Fraction, QuadExt3, or Polynomial) for certification work.
 
-Determinants of int/Fraction matrices run fraction-free Bareiss elimination
-on D*A, with D the LCM of the entries' denominators; any other entries
+One fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968)
+serves two jobs: its last pivot gives the determinant of an int/Fraction
+matrix, run on D*A with D the LCM of the entries' denominators, and its
+pivots are the leading principal minors that the exact positive-definiteness
+test (Sylvester's criterion) reads.  Determinants with any other entries
 (Polynomial, QuadExt3, or a mix) use cofactor expansion along the first
-row.  Exact inverses use one fraction-free Gauss-Jordan pass (Bareiss,
-Math. Comp. 22, 1968), which yields the adjugate and the determinant
-together, over the integers on D*A for int/Fraction matrices.  Float
-inverses use partially pivoted LU (LAPACK dgetrf/dgetrs) with an explicit
-pivot-magnitude check, and the float positive-definiteness test and
-Cholesky factor both use LAPACK dpotrf.  These LAPACK routines come from
-scipy, which is imported on the first float inverse or Cholesky call, so
-code that stays exact never loads scipy.
+row.  Exact inverses use one fraction-free Gauss-Jordan pass, which
+yields the adjugate and the determinant together, over the integers on D*A
+for int/Fraction matrices.  Float inverses use partially pivoted LU
+(LAPACK dgetrf/dgetrs) with an explicit pivot-magnitude check, and the
+float positive-definiteness test and Cholesky factor both use LAPACK
+dpotrf.  These LAPACK routines come from scipy, which is imported on the
+first float inverse or Cholesky call, so code that stays exact never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -209,14 +212,19 @@ class Matrix:
     # -- determinant / inverse -------------------------------------------------------
 
     def det(self):
-        """Exact determinant; for int/Fraction A, det(D*A) / D^n, an int when D = 1."""
+        """Exact determinant; for int/Fraction A, det(D*A) / D^n, an int when D = 1.
+
+        det(D*A) is the last pivot of the forward Bareiss pass that the exact
+        PD test also reads, negated after an odd number of row swaps.
+        """
         if not self.is_square:
             raise DimensionMismatchError("determinant of a non-square matrix")
         scaled = _integer_scaled(self.rows)
         if scaled is None:
             return _det_laplace(self.rows)
         rows, scale = scaled
-        d = _det_bareiss(rows)
+        pivots, swaps = _bareiss_pivots(rows)
+        d = -pivots[-1] if swaps % 2 else pivots[-1]
         return d if scale == 1 else Fraction(d, scale**self.n_rows)
 
     def inverse(self) -> "Matrix":
@@ -247,36 +255,40 @@ def _dot(row, col):
     return total
 
 
-def _det_bareiss(rows) -> object:
-    """Fraction-free Bareiss elimination with row pivoting.
+def _bareiss_pivots(rows) -> tuple:
+    """(pivots, swaps) of one fraction-free forward elimination (Bareiss).
 
-    Exact over integers and rationals: every division is exact (divides by
-    the previous pivot, a known minor).
+    Step k swaps in the first lower row with a nonzero entry in column k
+    only when the pivot is zero, then updates every lower row by
+    a_ij <- (pivot*a_ij - a_ik*a_kj) / previous pivot, a division that is
+    always exact.  Pivot k is then the (k+1)-th leading minor of the
+    row-swapped matrix, so the last pivot is +-det(A), and without swaps
+    the pivots are A's leading principal minors.  When no row can supply
+    a nonzero pivot the pass stops with a final pivot of 0: A is singular.
     """
     a = [list(row) for row in rows]
     n = len(a)
-    sign = 1
+    pivots = []
+    swaps = 0
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
-            for swap in range(k + 1, n):
-                if a[swap][k] != 0:
-                    a[k], a[swap] = a[swap], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                pivots.append(0)
+                break
+            a[k], a[swap] = a[swap], a[k]
+            swaps += 1
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            row_k = a[k]
             lead = row_i[k]
             for j in range(k + 1, n):
-                value = pivot * row_i[j] - lead * row_k[j]
-                row_i[j] = _exact_div(value, prev)
-            row_i[k] = 0
+                row_i[j] = _exact_div(pivot * row_i[j] - lead * row_k[j], prev)
+        pivots.append(pivot)
         prev = pivot
-    return sign * a[n - 1][n - 1] if n > 1 else a[0][0]
+    return pivots, swaps
 
 
 def _exact_div(value, divisor):
@@ -335,32 +347,6 @@ def _adjugate_det(rows) -> tuple:
         prev = pivot
     adj = [row[n:] if sign == 1 else [-v for v in row[n:]] for row in a]
     return adj, sign * prev
-
-
-def _leading_minors_positive(rows) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive.
-
-    Bareiss elimination without row swaps leaves the (k+1)-th leading minor
-    as the k-th pivot, so one pass reads all of them and stops at the first
-    that is not positive.  int/Fraction matrices run over the integers on
-    D*A, whose leading minors are those of A times powers of D > 0.
-    """
-    scaled = _integer_scaled(rows)
-    a = [list(row) for row in rows] if scaled is None else scaled[0]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        row_k = a[k]
-        pivot = row_k[k]
-        if not pivot > 0:
-            return False
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(pivot * row_i[j] - lead * row_k[j], prev)
-        prev = pivot
-    return True
 
 
 def _det_laplace(rows):
@@ -527,7 +513,11 @@ def is_positive_definite(a) -> bool:
 def _is_positive_definite(a) -> bool:
     """``is_positive_definite`` for a Matrix or float array known to be symmetric."""
     if isinstance(a, Matrix):
-        return _leading_minors_positive(a.rows)
+        # Sylvester's criterion on the pivots; D*A's leading minors are A's
+        # times powers of D > 0.
+        scaled = _integer_scaled(a.rows)
+        pivots, swaps = _bareiss_pivots(a.rows if scaled is None else scaled[0])
+        return not swaps and all(p > 0 for p in pivots)
     return _cholesky_lower(a) is not None
 
 

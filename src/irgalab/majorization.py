@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .linalg import DimensionMismatchError
+from .linalg import DimensionMismatchError, to_json
 
 __all__ = [
     "MajorizationVerdict",
@@ -52,8 +52,8 @@ class MajorizationVerdict:
     def to_json_dict(self) -> dict:
         return {
             "holds": self.holds,
-            "prefix_deficits": [float(d) for d in self.prefix_deficits],
-            "sum_gap": float(self.sum_gap),
+            "prefix_deficits": to_json(self.prefix_deficits),
+            "sum_gap": to_json(self.sum_gap),
             "tol": self.tol,
         }
 
@@ -235,7 +235,7 @@ class BirkhoffDecomposition:
 
     def to_json_dict(self) -> dict:
         return {
-            "weights": [float(w) for w in self.weights],
+            "weights": to_json(self.weights),
             "permutations": [list(map(int, p)) for p in self.permutations],
         }
 

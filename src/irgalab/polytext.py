@@ -306,35 +306,21 @@ def parse_polynomial(text: str, variables: VariableSet | None = None) -> Polynom
     return expression.to_polynomial(variables)
 
 
-def _render_rational(value: Fraction) -> str:
-    return str(value)
-
-
-def _render_quadext(value: QuadExt3) -> str:
-    # Produces a single grammar factor: "5", "2/3 sqrt3", or "(1 - 2 sqrt3)".
-    if value.root == 0:
-        return _render_rational(value.rat)
-    if value.rat == 0:
-        mag = abs(value.root)
-        body = "sqrt3" if mag == 1 else f"{mag} sqrt3"
-        return body if value.root > 0 else f"- {body}"
-    root_mag = abs(value.root)
-    root_text = "sqrt3" if root_mag == 1 else f"{root_mag} sqrt3"
-    sign = "+" if value.root > 0 else "-"
-    return f"({value.rat} {sign} {root_text})"
-
-
 def _coeff_sign_and_text(coeff) -> tuple[int, str]:
-    """Split a coefficient into a +-1 sign and a grammar rendering of |coeff|."""
-    if isinstance(coeff, QuadExt3):
-        leading = coeff.rat if coeff.rat != 0 else coeff.root
-        if leading < 0:
-            return -1, _render_quadext(-coeff)
-        return 1, _render_quadext(coeff)
-    coeff = Fraction(coeff)
-    if coeff < 0:
-        return -1, _render_rational(-coeff)
-    return 1, _render_rational(coeff)
+    """Split a coefficient into a +-1 sign and a grammar factor for |coeff|:
+    "5", "2/3 sqrt3", or "(1 - 2 sqrt3)"."""
+    quadratic = isinstance(coeff, QuadExt3)
+    leading = (coeff.rat or coeff.root) if quadratic else coeff
+    sign = -1 if leading < 0 else 1
+    text = str(-coeff if sign < 0 else coeff)
+    if quadratic and coeff.rat and coeff.root:
+        text = f"({text})"
+    return sign, text
+
+
+def _render_monomial(names, mono) -> str:
+    """The factors of ``mono`` over ``names``, as in "a^2 b"; "" for the constant."""
+    return " ".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, mono) if e)
 
 
 def render_polynomial(polynomial: Polynomial) -> str:
@@ -345,18 +331,13 @@ def render_polynomial(polynomial: Polynomial) -> str:
     pieces = []
     for index, (mono, coeff) in enumerate(polynomial.sorted_terms()):
         sign, coeff_text = _coeff_sign_and_text(coeff)
-        factors = []
-        for name, exponent in zip(names, mono):
-            if exponent == 1:
-                factors.append(name)
-            elif exponent > 1:
-                factors.append(f"{name}^{exponent}")
+        factors = _render_monomial(names, mono)
         if not factors:
             body = coeff_text
         elif coeff_text == "1":
-            body = " ".join(factors)
+            body = factors
         else:
-            body = coeff_text + " " + " ".join(factors)
+            body = coeff_text + " " + factors
         if index == 0:
             pieces.append(body if sign == 1 else f"- {body}")
         else:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _float_array
+from .linalg import _float_array, to_json
 from .majorization import majorizes, shannon_entropy
 from .spdd import Gauge
 
@@ -48,8 +48,10 @@ class SearchConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("step size must be finite and > 0")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and >= 0")
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
         if self.max_iters < 0:
@@ -72,8 +74,8 @@ class SearchState:
 
     def to_json_dict(self) -> dict:
         return {
-            "spectrum": [float(v) for v in self.spectrum],
-            "diagonal": [float(v) for v in self.diagonal],
+            "spectrum": to_json(self.spectrum),
+            "diagonal": to_json(self.diagonal),
             "spectral_entropy": self.spectral_entropy,
             "diagonal_entropy": self.diagonal_entropy,
         }

@@ -31,7 +31,7 @@ import numpy as np
 from .exact import Polynomial, VariableSet
 from .irga import _build_lower, _t_from_lower, mix64
 from .linalg import Matrix, adjugate_entry
-from .polytext import ParsedExpression, parse_expression, parse_polynomial
+from .polytext import ParsedExpression, _render_monomial, parse_expression, parse_polynomial
 
 __all__ = [
     "cholesky_variables",
@@ -197,10 +197,7 @@ class SoSCertificate:
         rendered = {}
         names = self.variables.names
         for mono, (got, want) in sorted(diff.items()):
-            key = " ".join(
-                f"{name}^{e}" if e > 1 else name for name, e in zip(names, mono) if e
-            ) or "1"
-            rendered[key] = (str(got), str(want))
+            rendered[_render_monomial(names, mono) or "1"] = (str(got), str(want))
         return CertificateCheck(
             ok=not diff,
             rational=expansion.is_rational(),

@@ -343,6 +343,9 @@ class TestReportContract:
             (("sos", "identity-test", "--n", "4", "--trials", "2"), None, 2),
             (("irga", "search-counterexample", "--n", "5", "--trials", "10", "--threads", "2"),
              None, 2),
+            # The lattice step must be finite and positive.
+            (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "nan"), None, 2),
+            (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "inf"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

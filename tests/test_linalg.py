@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irgalab.exact import Polynomial, QuadExt3, VariableSet
@@ -220,6 +220,19 @@ def leibniz_det(rows):
     return total
 
 
+# Symmetric, det 1; Bareiss swaps rows 0 and 1, then rows 2 and 3.
+SWAP_TWICE = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
+def upper_half(sym):
+    """The A with A + A^T == sym: sym's strict upper triangle and half its diagonal."""
+    n = len(sym)
+    return Matrix(
+        [[Fraction(sym[i][j]) / (2 if i == j else 1) if i <= j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    )
+
+
 POLY_VARIABLES = VariableSet("ab")
 small_polynomials = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3
@@ -240,6 +253,15 @@ class TestDeterminant:
             )
         )
     )
+    # Zero pivots force row swaps: one, one after a step, two; a zero column
+    # ends the pass singular; 1x1 matrices have no elimination step.
+    @example([[0, 1], [1, 0]])
+    @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    @example(SWAP_TWICE)
+    @example([[1, 0, 2], [3, 0, 4], [5, 0, 6]])
+    @example([[0]])
+    @example([[-3]])
+    @example([[5]])
     @settings(max_examples=80, deadline=None)
     def test_exact_det_equals_leibniz_sum(self, rows):
         det = Matrix(rows).det()
@@ -399,6 +421,13 @@ class TestPositiveDefinite:
         assert not is_positive_definite(Matrix([[2, 1, 0], [1, 1, 1], [0, 1, 1]]))  # det 0
 
     @given(rational_matrices(), st.booleans())
+    @example(upper_half([[0, 1], [1, 0]]), False)
+    @example(upper_half([[1, 1, 0], [1, 1, 1], [0, 1, 1]]), False)
+    @example(upper_half(SWAP_TWICE), False)
+    @example(upper_half([[1, 0, 1], [0, 0, 0], [1, 0, 2]]), False)
+    @example(upper_half([[0]]), False)
+    @example(upper_half([[-3]]), False)
+    @example(upper_half([[5]]), False)
     @settings(max_examples=80, deadline=None)
     def test_exact_agrees_with_leading_minors(self, a, gram):
         # A^T A is PD or has a zero minor; A + A^T is mostly indefinite.

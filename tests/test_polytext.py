@@ -154,6 +154,22 @@ class TestRendering:
         p = parse_polynomial("-a^2 + b", VariableSet("ab"))
         assert render_polynomial(p) == "- a^2 + b"
 
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(2, 0): QuadExt3(0, Fraction(2, 3)), (1, 1): QuadExt3(0, 1)},
+             "2/3 sqrt3 a^2 + sqrt3 a b"),
+            ({(1, 0): QuadExt3(1, -2), (0, 0): QuadExt3(-1, -1)},
+             "(1 - 2 sqrt3) a - (1 + sqrt3)"),
+            ({(0, 2): QuadExt3(0, -1), (0, 1): QuadExt3(-1, 2), (0, 0): QuadExt3(0, -3)},
+             "- sqrt3 b^2 - (1 - 2 sqrt3) b - 3 sqrt3"),
+            ({(1, 0): QuadExt3(Fraction(-1, 2)), (0, 0): QuadExt3(5, 1)},
+             "- 1/2 a + (5 + sqrt3)"),
+        ],
+    )
+    def test_quadext_coefficient_text(self, terms, text):
+        assert render_polynomial(Polynomial(VariableSet("ab"), terms)) == text
+
     def test_quadext_coefficients_round_trip(self):
         source = "(4 - 2 sqrt3) a^2 + 2 sqrt3 b - sqrt3 + 1/2"
         p = parse_polynomial(source, VariableSet("ab"))

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 from irgalab.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 # The files the command examples name, with contents the commands accept.
 PLACEHOLDERS = {
@@ -50,6 +51,12 @@ def test_every_documented_flag_is_an_option():
         options.update(opt for param in command.params for opt in param.opts)
         stack.extend(getattr(command, "commands", {}).values())
     assert set(re.findall(r"--[A-Za-z][\w-]*", README)) <= options
+
+
+def test_every_module_is_in_the_layout():
+    listed = set(re.findall(r"^  (\w+\.py) ", _block("## Layout", ""), re.M))
+    modules = {path.name for path in (ROOT / "src" / "irgalab").glob("*.py")}
+    assert listed == modules - {"__init__.py"}
 
 
 def test_library_example_runs():

@@ -58,6 +58,11 @@ class TestStep:
             SearchConfig(delta=1.0, direction="sideways")
         with pytest.raises(ValueError):
             SearchConfig(delta=1.0, max_iters=-1)
+        # A NaN or infinite step makes no move and would report a local optimum.
+        for delta, tol in [(float("nan"), 1e-9), (float("inf"), 1e-9),
+                           (1.0, float("nan")), (1.0, float("inf")), (1.0, -1e-9)]:
+            with pytest.raises(ValueError):
+                SearchConfig(delta=delta, tol=tol)
 
 
 class TestRun:

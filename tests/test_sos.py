@@ -186,6 +186,19 @@ class TestCertificates:
         assert not check.ok
         assert check.difference == {"1": ("0", "1")}
 
+    def test_difference_keys_and_coefficients(self):
+        variables = VariableSet("ab")
+        body = parse_polynomial("sqrt3 a b + 1", variables)
+        check = SoSCertificate(variables, [(Fraction(1), body)]).verify(
+            parse_polynomial("3 a^2 b^2 + b^2 + 3", variables)
+        )
+        assert check.to_json_dict() == {
+            "ok": False,
+            "expansion_rational": False,
+            "difference": {"1": ["1", "3"], "b^2": ["0", "1"], "a b": ["2 sqrt3", "0"]},
+        }
+        assert list(check.difference) == ["1", "b^2", "a b"]
+
     def test_negative_multiplier_rejected_at_load(self):
         variables = VariableSet("a")
         with pytest.raises(InvalidCertificateError):
