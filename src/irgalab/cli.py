@@ -136,10 +136,10 @@ def _load_matrix_arg(path, mode: str):
         matrix = linalg.load_matrix(path, exact=(mode == "exact"))
     except (ValueError, OSError) as exc:
         raise _ReportFailure(EXIT_PARSE, f"cannot read matrix {path}: {exc}") from exc
-    rows = matrix.rows if isinstance(matrix, linalg.Matrix) else matrix
-    if len(rows) != len(rows[0]):
+    n_rows, n_cols = matrix.shape
+    if n_rows != n_cols:
         raise _ReportFailure(
-            EXIT_USAGE, f"{path}: expected a square matrix, got {len(rows)}x{len(rows[0])}"
+            EXIT_USAGE, f"{path}: expected a square matrix, got {n_rows}x{n_cols}"
         )
     return matrix
 
@@ -592,13 +592,10 @@ def spdd_construct(n, seed, mode, spectra):
     gauge = spddmod.assemble_gpdd(plan, seed, mode=mode)
     rng = np.random.default_rng(seed)
     sweep = []
-    all_hold = True
     for _ in range(spectra):
-        e = rng.uniform(0.1, 10.0, n)
-        matrix = spddmod.make_spdd(gauge, e)
-        verdict = spddmod.verify_majorization_theorem(matrix)
-        sweep.append(verdict.holds)
-        all_hold = all_hold and verdict.holds
+        matrix = spddmod.make_spdd(gauge, rng.uniform(0.1, 10.0, n))
+        sweep.append(spddmod.verify_majorization_theorem(matrix).holds)
+    all_hold = all(sweep)
     payload = {
         "plan": list(plan.sizes),
         "valid": gauge.valid,

@@ -80,10 +80,7 @@ def irga(p):
     theorem) and therefore invertible; the inverse's singularity check covers
     indefinite symmetric inputs anyway.
     """
-    if not isinstance(p, Matrix):
-        p = np.asarray(p, dtype=float)
-    linalg._check_symmetric(p)
-    return _irga(p)
+    return _irga(linalg._check_symmetric(p))
 
 
 def _irga(p):
@@ -107,9 +104,18 @@ class IrgaReport:
     max_row_sum_dev: object
     max_col_sum_dev: object
     min_entry: object
-    pd: bool
     nonnegative: bool
     doubly_stochastic: bool
+
+    @property
+    def pd(self) -> bool:
+        """True by theorem, with no test of S: ``check_conjecture`` rejects a
+        P that is not PD, and for PD P the Schur product theorem makes
+        T = P o P^-1, and so S = T^-1, PD.  Kronecker and block-diagonal
+        compositions of PD matrices are PD (Horn & Johnson, *Topics in
+        Matrix Analysis*, ch. 5).  In float mode this is only as certain as
+        the float PD test of P."""
+        return True
 
     @property
     def mode(self) -> str:
@@ -130,16 +136,14 @@ class IrgaReport:
 
 
 def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
-    """Compute S and test nonnegativity / double stochasticity / PD-ness.
+    """Compute S and test nonnegativity and double stochasticity.
 
     The input must be symmetric positive definite; violations raise rather
     than report.  ``tol`` must be finite and >= 0.
     """
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
-    if not isinstance(p, Matrix):
-        p = np.asarray(p, dtype=float)
-    linalg._check_symmetric(p)
+    p = linalg._check_symmetric(p)
     if not linalg._is_positive_definite(p):
         raise NotPositiveDefiniteError("input must be positive definite")
     report = _membership_report(_irga(p), tol)
@@ -152,9 +156,8 @@ def _membership_report(s, tol: float) -> IrgaReport:
     """Doubly-stochastic membership report for an already-computed S.
 
     Exact S (a Matrix) is tested without tolerance; float S tolerates
-    ``tol`` on the minimum entry and on the row/column sums.  S is
-    symmetric, so PD-ness uses the unchecked test (on 0.5*(S+S^T) for
-    float S, which is symmetric bit for bit).
+    ``tol`` on the minimum entry and on the row/column sums.  S is not
+    tested for PD-ness: it inherits it from P (see ``IrgaReport.pd``).
     """
     if isinstance(s, Matrix):
         one = Fraction(1)
@@ -163,20 +166,17 @@ def _membership_report(s, tol: float) -> IrgaReport:
         min_entry = s.min_entry()
         nonnegative = min_entry >= 0
         doubly = nonnegative and row_dev == 0 and col_dev == 0
-        pd = linalg._is_positive_definite(s)
     else:
         row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
         col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
         min_entry = float(s.min())
         nonnegative = min_entry >= -tol
         doubly = nonnegative and max(row_dev, col_dev) <= tol
-        pd = linalg._is_positive_definite(0.5 * (s + s.T))
     return IrgaReport(
         s=s,
         max_row_sum_dev=row_dev,
         max_col_sum_dev=col_dev,
         min_entry=min_entry,
-        pd=pd,
         nonnegative=nonnegative,
         doubly_stochastic=doubly,
     )

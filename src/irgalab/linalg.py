@@ -110,6 +110,10 @@ class Matrix:
         return len(self.rows[0])
 
     @property
+    def shape(self) -> tuple:
+        return (self.n_rows, self.n_cols)
+
+    @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
@@ -180,13 +184,6 @@ class Matrix:
                 for row_a in self.rows
                 for row_b in other.rows
             ]
-        )
-
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n_rows)
-            for j in range(i + 1, self.n_cols)
         )
 
     # -- reductions ----------------------------------------------------------------
@@ -455,7 +452,8 @@ def inverse(a):
 
 
 def _check_symmetric(a):
-    """Raise NotSymmetricError unless ``a`` is symmetric.
+    """``a`` as a Matrix or float array; raise NotSymmetricError unless it
+    is symmetric.
 
     Exact matrices must be symmetric entry for entry; float arrays must be
     square (else DimensionMismatchError) and symmetric within
@@ -464,16 +462,16 @@ def _check_symmetric(a):
     positive-definiteness test rejects it.
     """
     if isinstance(a, Matrix):
-        if not a.is_symmetric():
+        if a.rows != tuple(zip(*a.rows)):
             raise NotSymmetricError("matrix is not symmetric")
-        return
+        return a
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max()
-    if not math.isfinite(scale):
-        return
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    if math.isfinite(scale) and np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
+    return a
 
 
 def _cholesky_lower(a: np.ndarray):
@@ -494,9 +492,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefiniteError exactly when ``is_positive_definite``
     is False.
     """
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a)
-    factor = _cholesky_lower(a)
+    factor = _cholesky_lower(_check_symmetric(np.asarray(a, dtype=float)))
     if factor is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return factor
@@ -504,10 +500,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def is_positive_definite(a) -> bool:
     """Sylvester criterion (exact scalars) or dpotrf success on finite entries (floats)."""
-    if not isinstance(a, Matrix):
-        a = np.asarray(a, dtype=float)
-    _check_symmetric(a)
-    return _is_positive_definite(a)
+    return _is_positive_definite(_check_symmetric(a))
 
 
 def _is_positive_definite(a) -> bool:

@@ -11,6 +11,8 @@ Birkhoff decomposition of a doubly stochastic matrix into permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .linalg import DimensionMismatchError, to_json
@@ -328,3 +330,11 @@ def shannon_entropy(v) -> float:
     z = v / total
     nonzero = z[z > 0]
     return float(-(nonzero * np.log(nonzero)).sum())
+
+
+def _entropy_or_none(v) -> Optional[float]:
+    """``shannon_entropy(v)``, or None where it is undefined."""
+    try:
+        return shannon_entropy(v)
+    except ValueError:
+        return None

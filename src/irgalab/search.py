@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _float_array, to_json
-from .majorization import majorizes, shannon_entropy
+from .majorization import _entropy_or_none, majorizes, shannon_entropy
 from .spdd import Gauge
 
 __all__ = [
@@ -62,9 +62,9 @@ class SearchConfig:
 class SearchState:
     """One lattice point: spectrum, induced diagonal, and entropies.
 
-    The diagonal entropy is present only when the diagonal is nonnegative
-    (entropy is undefined otherwise); the spectrum is always positive so its
-    entropy always exists.
+    The diagonal entropy is None where it is undefined (see
+    ``majorization._entropy_or_none``); the spectrum is always positive so
+    its entropy always exists.
     """
 
     spectrum: np.ndarray
@@ -100,12 +100,11 @@ class SearchTrace:
 
 def _make_state(rga_p: np.ndarray, spectrum: np.ndarray) -> SearchState:
     diagonal = rga_p @ spectrum
-    diag_entropy = shannon_entropy(diagonal) if diagonal.min() >= 0 else None
     return SearchState(
         spectrum=spectrum,
         diagonal=diagonal,
         spectral_entropy=shannon_entropy(spectrum),
-        diagonal_entropy=diag_entropy,
+        diagonal_entropy=_entropy_or_none(diagonal),
     )
 
 

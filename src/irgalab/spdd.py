@@ -11,7 +11,8 @@ satisfies the reverse ordering; see unitary_class_check.)
 
 Both properties survive Kronecker products (the mixed product property maps
 everything factorwise) and block-diagonal assembly, which is how sizes
-beyond the atomic range are built.
+beyond the atomic range are built.  So does PD-ness of S, so a composed
+report never factorizes S (see ``IrgaReport.pd``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .irga import (
     NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, irga, mix64, random_pd, rga
 )
 from .linalg import Matrix
-from .majorization import MajorizationVerdict, majorizes, shannon_entropy
+from .majorization import MajorizationVerdict, _entropy_or_none, majorizes
 
 __all__ = [
     "Gauge",
@@ -83,8 +84,6 @@ class Gauge:
 
     @property
     def n(self) -> int:
-        if isinstance(self.p, Matrix):
-            return self.p.n_rows
         return self.p.shape[0]
 
     @property
@@ -113,7 +112,7 @@ class Gauge:
 
 
 def make_gauge(p, mode: str = "conjectured") -> Gauge:
-    """Atomic gauge from a symmetric PD matrix.
+    """Atomic gauge from a symmetric PD Matrix, or float array-like input.
 
     ``mode`` bounds the size: "proven" allows up to 4, "conjectured" up to
     6.  A conjectured-size gauge whose S fails the doubly-stochastic check
@@ -122,7 +121,9 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
     bound = _MODE_BOUNDS.get(mode)
     if bound is None:
         raise ValueError(f"unknown gauge mode {mode!r}; use 'proven' or 'conjectured'")
-    n = p.n_rows if isinstance(p, Matrix) else np.asarray(p).shape[0]
+    if not isinstance(p, Matrix):
+        p = np.asarray(p, dtype=float)
+    n = p.shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")
     report = check_conjecture(p)
@@ -216,13 +217,11 @@ class SpddMatrix:
     def n(self) -> int:
         return len(self.spectrum)
 
-    def spectral_entropy(self) -> float:
-        return shannon_entropy(self.spectrum)
+    def spectral_entropy(self) -> Optional[float]:
+        return _entropy_or_none(self.spectrum)
 
     def diagonal_entropy(self) -> Optional[float]:
-        if self.diagonal.min() < 0:
-            return None
-        return shannon_entropy(self.diagonal)
+        return _entropy_or_none(self.diagonal)
 
 
 def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:

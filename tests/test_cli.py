@@ -228,6 +228,15 @@ class TestSpddCommands:
         proc = run_cli("spdd", "verify", str(path), "--spectrum", "3,1")
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("spectrum", ["-1,2,3,4", "0,0,0,0"])
+    def test_make_reports_an_undefined_entropy_as_null(self, spectrum):
+        # The diagonal's entropy is undefined too: it has a negative entry
+        # (first case) or is zero (second).
+        proc = run_cli("spdd", "make", DEMO, f"--spectrum={spectrum}")
+        assert proc.returncode == 0
+        payload = payload_of(proc)
+        assert payload["spectral_entropy"] is None and payload["diagonal_entropy"] is None
+
     def test_kron(self, tmp_path):
         pa = tmp_path / "a.mat"
         pa.write_text("2 1\n1 1\n")
@@ -395,6 +404,9 @@ class TestReportContract:
             (("search", "run", "p.mat", "--e0", "3,1", "--delta", "1", "--max-iters", "5"),
              {"delta": 1.0, "direction": "max_entropy", "e0": "3,1", "gauge_mode": "conjectured",
               "matrix": "p.mat", "max_iters": 5, "tol": 1e-09}, "pass", 0),
+            # A spectrum whose entropy is undefined still builds M.
+            (("spdd", "make", "p.mat", "--spectrum=-1,2"),
+             {"gauge_mode": "conjectured", "matrix": "p.mat", "spectrum": "-1,2"}, "pass", 0),
         ],
     )
     def test_every_command_records_its_envelope(self, tmp_path, monkeypatch, args, inputs,

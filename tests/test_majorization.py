@@ -4,6 +4,7 @@ import pytest
 from irgalab.irga import check_conjecture, random_pd
 from irgalab.majorization import (
     NotDoublyStochasticError,
+    _entropy_or_none,
     birkhoff,
     majorizes,
     shannon_entropy,
@@ -205,6 +206,18 @@ class TestEntropy:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             shannon_entropy([0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "v, expected",
+        [
+            ([0.5, 0.25, 0.25], 1.5 * np.log(2)),
+            ([1.0, -1e-13], 0.0),  # noise within 1e-12 is clipped
+            ([0.5, -0.5], None),
+            ([0.0, 0.0], None),
+        ],
+    )
+    def test_entropy_or_none_is_none_exactly_where_undefined(self, v, expected):
+        assert _entropy_or_none(v) == pytest.approx(expected)
 
     def test_entropy_implication(self):
         # x = S y with S doubly stochastic implies x <- y and H(x) >= H(y).

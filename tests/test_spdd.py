@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from irgalab import linalg
 from irgalab.irga import check_conjecture, random_pd
 from irgalab.linalg import Matrix, load_matrix
 from irgalab.sos import data_path
@@ -58,6 +59,17 @@ class TestMakeGauge:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_gauge(np.eye(2), mode="hopeful")
+
+    def test_nested_list_input_equals_array_input(self):
+        rows = [[2, 1], [1, 1]]
+        from_list, from_array = make_gauge(rows), make_gauge(np.array(rows, dtype=float))
+        assert from_list.n == 2 and not from_list.is_exact
+        np.testing.assert_array_equal(from_list.p, from_array.p)
+        np.testing.assert_array_equal(from_list.s, from_array.s)
+        assert from_list.report.to_json_dict() == from_array.report.to_json_dict()
+        made = [make_spdd(gauge, [3.0, 1.0]) for gauge in (from_list, from_array)]
+        np.testing.assert_array_equal(made[0].m, made[1].m)
+        np.testing.assert_array_equal(made[0].diagonal, made[1].diagonal)
 
 
 class TestMakeSpdd:
@@ -239,6 +251,22 @@ class TestBlockGaugeStructure:
         )
         for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
             assert gauge.report.to_json_dict() == check_conjecture(gauge.p).to_json_dict()
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_only_p_is_tested_for_positive_definiteness(self, monkeypatch, mode):
+        # S inherits PD-ness from P (IrgaReport.pd): check_conjecture tests P
+        # once, and neither composition tests the composed S.
+        calls = []
+        test = linalg._is_positive_definite
+        monkeypatch.setattr(linalg, "_is_positive_definite", lambda a: calls.append(a) or test(a))
+        ps = [random_pd(n, 91 + n, mode=mode).p for n in (3, 2)]
+        report = check_conjecture(ps[0])
+        assert len(calls) == 1 and calls[0] is ps[0] and report.pd
+        a, b = (make_gauge(p, mode="proven") for p in ps)
+        assert len(calls) == 3
+        for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
+            assert gauge.report.pd and gauge.report.to_json_dict()["pd"] is True
+        assert len(calls) == 3
 
     def test_mixed_carriers_compose_as_float(self):
         # An exact child composes with a float one as its float conversion.
