@@ -154,6 +154,16 @@ def _vector_arg(value: str) -> np.ndarray:
         raise _ReportFailure(EXIT_PARSE, f"cannot read vector {value!r}: {exc}") from exc
 
 
+def _same_length(vector, name: str, n: int, other: str):
+    """``vector`` (the option ``name``), which must have ``n`` entries like ``other``."""
+    if len(vector) != n:
+        raise _ReportFailure(
+            EXIT_USAGE,
+            f"length mismatch: {name} has {len(vector)} entries, expected {n} to match {other}",
+        )
+    return vector
+
+
 def _resolve_spec(spec: str, what: str, builtin, load):
     """``builtin(name)`` for a "builtin:name" spec, else ``load(path)``.
 
@@ -414,7 +424,7 @@ def majorize_group():
 def majorize_check(y_spec, x_spec, tol):
     """Decide whether y majorizes x."""
     y = _vector_arg(y_spec)
-    x = _vector_arg(x_spec)
+    x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
     verdict = mj.majorizes(y, x, tol=tol)
     outcome = "pass" if verdict.holds else "fail"
     return outcome, {"verdict": verdict.to_json_dict()}, f"majorizes: {verdict.holds}"
@@ -428,7 +438,7 @@ def majorize_check(y_spec, x_spec, tol):
 def majorize_construct(y_spec, x_spec, tol):
     """Build an explicit T-transform chain mapping y onto x."""
     y = _vector_arg(y_spec)
-    x = _vector_arg(x_spec)
+    x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
     try:
         chain = mj.transfer_chain(y, x, tol=tol)
     except ValueError as exc:
@@ -512,7 +522,7 @@ def spdd_gauge(matrix, gauge_mode, mode):
 def spdd_make(matrix, spectrum, gauge_mode):
     """Build M = P diag(e) P^-1 and report diagonal and entropies."""
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
-    e = _vector_arg(spectrum)
+    e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
     spdd = spddmod.make_spdd(gauge, e)
     payload = {
         "m": linalg.to_json(spdd.m),
@@ -534,7 +544,7 @@ def spdd_make(matrix, spectrum, gauge_mode):
 def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
-    e = _vector_arg(spectrum)
+    e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
     spdd = spddmod.make_spdd(gauge, e)
     mapping = spddmod.verify_mapping(spdd, tol=tol)
     verdict = spddmod.verify_majorization_theorem(spdd, tol=tol)
@@ -562,8 +572,8 @@ def spdd_kron(pa, ea, pb, eb, tol):
     """Kronecker-compose two SPDD matrices and verify the retained property."""
     ga = _gauge_from_path(pa, "conjectured", "float")
     gb = _gauge_from_path(pb, "conjectured", "float")
-    ma = spddmod.make_spdd(ga, _vector_arg(ea))
-    mb = spddmod.make_spdd(gb, _vector_arg(eb))
+    ma = spddmod.make_spdd(ga, _same_length(_vector_arg(ea), "--ea", ga.n, "--pa"))
+    mb = spddmod.make_spdd(gb, _same_length(_vector_arg(eb), "--eb", gb.n, "--pb"))
     composed = spddmod.kron_spdd(ma, mb)
     mapping = spddmod.verify_mapping(composed, tol=tol)
     verdict = spddmod.verify_majorization_theorem(composed, tol=tol)
@@ -619,7 +629,7 @@ def spdd_construct(n, seed, mode, spectra):
 @_reports
 def spdd_unitary(n, seed, spectrum, tol):
     """Contrast check: orthogonal diagonalization reverses the ordering."""
-    e = _vector_arg(spectrum)
+    e = _same_length(_vector_arg(spectrum), "--spectrum", n, "--n")
     verdict = spddmod.unitary_class_check(n, seed, e, tol=tol)
     outcome = "pass" if verdict.holds else "fail"
     return (
@@ -650,7 +660,7 @@ def search_group():
 def search_run(matrix, e0, delta, direction, max_iters, gauge_mode, tol):
     """Run the lattice search from a start spectrum under a gauge."""
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
-    start = _vector_arg(e0)
+    start = _same_length(_vector_arg(e0), "--e0", gauge.n, "the matrix")
     config = searchmod.SearchConfig(
         delta=delta, direction=direction, max_iters=max_iters, tol=tol
     )

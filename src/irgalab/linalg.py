@@ -17,7 +17,8 @@ yields the adjugate and the determinant together, over the integers on D*A
 for int/Fraction matrices.  Float inverses use partially pivoted LU
 (LAPACK dgetrf/dgetrs) with an explicit pivot-magnitude check, and the
 float positive-definiteness test and Cholesky factor both use LAPACK
-dpotrf.  These LAPACK routines come from scipy, which is imported on the
+dpotrf.  These LAPACK routines come from scipy's ``_flapack`` extension,
+which is loaded by itself, without the ``scipy.linalg`` package, on the
 first float inverse or Cholesky call, so code that stays exact never loads
 scipy.
 """
@@ -25,7 +26,10 @@ scipy.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -406,10 +410,24 @@ def kron(a, b):
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first float LAPACK call."""
-    import scipy.linalg.lapack
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded on the first
+    float LAPACK call.
 
-    return scipy.linalg.lapack
+    Only that extension is loaded, not the ``scipy.linalg`` package: finding
+    the package's directory imports just the top-level ``scipy``.  The module
+    is registered under its own name, so a later ``import scipy.linalg``
+    reuses it and its routines are the very objects ``scipy.linalg.lapack``
+    exports.  Raises ImportError when scipy is not installed.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    location = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, location)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 @functools.lru_cache(maxsize=16)
@@ -424,7 +442,8 @@ def inverse(a):
     """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
     The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
-    do; the first float call imports scipy) and rejects pivots below
+    do; the first float call loads scipy's ``_flapack`` extension, not the
+    ``scipy.linalg`` package) and rejects pivots below
     ``PIVOT_RTOL * max|entry|``, or a NaN or infinite entry, with
     NumericallySingularError; the exact path raises SingularMatrixError when
     the determinant vanishes.
@@ -540,10 +559,13 @@ def _entry(token: str, exact: bool):
 
 
 def parse_matrix_text(text: str, exact: bool = False):
+    """A Matrix (exact) or float array; ValueError for an empty file, a bad
+    entry or ragged rows, in either mode."""
     rows = [[_entry(tok, exact) for tok in line.split()] for line in _strip_lines(text)]
     if not rows:
         raise ValueError("empty matrix file")
-    return Matrix(rows) if exact else np.array(rows, dtype=float)
+    matrix = Matrix(rows)
+    return matrix if exact else np.array(matrix.rows, dtype=float)
 
 
 def parse_vector_text(text: str, exact: bool = False):

@@ -248,20 +248,17 @@ class ParsedExpression:
 
     ``program`` lists the instructions in the order the parser emitted them;
     a subexpression that occurs several times in the text is computed once.
+    The program is immutable, so its variable names and degree bound are
+    computed once, at construction.
     """
 
-    __slots__ = ("program",)
+    __slots__ = ("program", "_names", "_degree")
 
     def __init__(self, program: tuple):
         self.program = program
-
-    def variable_names(self) -> frozenset:
-        return frozenset(ins[1] for ins in self.program if ins[0] == "var")
-
-    def degree_bound(self) -> int:
-        """An upper bound on the total degree; cancellation can make it loose."""
+        self._names = frozenset(ins[1] for ins in program if ins[0] == "var")
         degrees = []
-        for instruction in self.program:
+        for instruction in program:
             kind = instruction[0]
             if kind == "mul":
                 degree = sum(degrees[slot] for slot in instruction[1])
@@ -272,10 +269,17 @@ class ParsedExpression:
             else:
                 degree = 1 if kind == "var" else 0
             degrees.append(degree)
-        return degrees[-1]
+        self._degree = degrees[-1]
+
+    def variable_names(self) -> frozenset:
+        return self._names
+
+    def degree_bound(self) -> int:
+        """An upper bound on the total degree; cancellation can make it loose."""
+        return self._degree
 
     def evaluate(self, point: Mapping[str, object]):
-        missing = sorted(self.variable_names() - set(point))
+        missing = sorted(self._names.difference(point))
         if missing:
             raise IncompleteAssignmentError(f"no value for variable(s) {missing}")
         return _run(self.program, point)

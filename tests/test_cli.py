@@ -364,6 +364,39 @@ class TestReportContract:
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_ragged_rows_are_a_parse_error_in_both_modes(self, tmp_path, mode):
+        path = tmp_path / "ragged.mat"
+        path.write_text("1 2\n3\n")
+        proc = run_cli("irga", "check", str(path), "--mode", mode)
+        assert proc.returncode == 3
+        assert proc.stderr == f"cannot read matrix {path}: ragged rows\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("majorize", "check", "--y", "2,1,0", "--x", "1,2"),
+             "--x has 2 entries, expected 3 to match --y"),
+            (("majorize", "construct", "--y", "2,1,0", "--x", "1,2"),
+             "--x has 2 entries, expected 3 to match --y"),
+            (("spdd", "make", DEMO, "--spectrum", "1,2"),
+             "--spectrum has 2 entries, expected 4 to match the matrix"),
+            (("spdd", "verify", DEMO, "--spectrum", "1,2"),
+             "--spectrum has 2 entries, expected 4 to match the matrix"),
+            (("spdd", "kron", "--pa", DEMO, "--ea", "1,2,3,4", "--pb", DEMO, "--eb", "1,2"),
+             "--eb has 2 entries, expected 4 to match --pb"),
+            (("spdd", "unitary", "--n", "3", "--spectrum", "1,2"),
+             "--spectrum has 2 entries, expected 3 to match --n"),
+            (("search", "run", DEMO, "--e0", "1,2", "--delta", "0.1"),
+             "--e0 has 2 entries, expected 4 to match the matrix"),
+        ],
+    )
+    def test_vector_length_mismatch_is_a_usage_error(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"length mismatch: {message}\n"
+
     @pytest.mark.parametrize(
         "args, inputs, outcome, code",
         [
@@ -479,15 +512,18 @@ class TestReportContract:
 
 
 # Imports the CLI in a fresh interpreter, then runs each command line of
-# argv[1] in that process and records whether scipy had been imported.
+# argv[1] in that process and records whether scipy, and whether the
+# scipy.linalg package, had been imported.
 _SCIPY_PROBE = """
 import json, sys
 import irgalab.cli
 from click.testing import CliRunner
-seen = ["scipy" in sys.modules]
+def loaded():
+    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules]
+seen = [loaded()]
 for args in json.loads(sys.argv[1]):
     result = CliRunner().invoke(irgalab.cli.main, args, catch_exceptions=False)
-    seen.append([result.exit_code, "scipy" in sys.modules])
+    seen.append([result.exit_code, *loaded()])
 print(json.dumps(seen))
 """
 
@@ -506,4 +542,7 @@ def test_scipy_is_loaded_only_by_float_linear_algebra():
         cwd=SOURCE_DIR,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]
+    # The float check loads only scipy's LAPACK extension, never scipy.linalg.
+    assert json.loads(proc.stdout) == [
+        [False, False], [0, False, False], [0, False, False], [0, False, False], [0, True, False],
+    ]

@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import irgalab
 from irgalab.exact import Polynomial, QuadExt3, VariableSet
 from irgalab.irga import random_pd
 from irgalab.linalg import (
@@ -208,6 +212,46 @@ class TestFloatInverse:
                 for a in (p, t):
                     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
                     assert np.array_equal(inverse(a), expected)
+
+
+# Run in a fresh interpreter, since this module imports scipy.linalg: the
+# float inverses are taken before anything imports scipy.linalg, which is
+# imported only afterwards to compare them and the loaded LAPACK routines.
+_FRESH_INVERSE_PROBE = """
+import sys
+import numpy as np
+from irgalab import linalg
+from irgalab.irga import random_pd
+assert "scipy.linalg" not in sys.modules
+inverses = []
+for n in range(2, 8):
+    for seed in range(25):
+        for band in (2.0, 10.0):
+            p = random_pd(n, seed, rng_range=band).p
+            p_inv = linalg.inverse(p)
+            t = p * p_inv
+            inverses += [(p, p_inv), (t, linalg.inverse(t))]
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+for a, got in inverses:
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(len(a)))
+    assert np.array_equal(got, expected)
+lapack = linalg._lapack()
+assert all(getattr(scipy.linalg.lapack, name) is getattr(lapack, name)
+           for name in ("dgetrf", "dgetrs", "dpotrf"))
+print(len(inverses))
+"""
+
+
+def test_first_float_inverses_load_only_the_lapack_extension():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_INVERSE_PROBE],
+        capture_output=True,
+        text=True,
+        cwd=Path(irgalab.__file__).resolve().parent.parent,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "600\n"
 
 
 def leibniz_det(rows):

@@ -234,6 +234,22 @@ class TestCompiledEvaluation:
         with pytest.raises(IncompleteAssignmentError):
             parse_expression("a b + c").evaluate({"a": 1, "b": 2})
 
+    def test_invariants_are_computed_once_and_match_a_fresh_computation(self):
+        from irgalab.exact import IncompleteAssignmentError
+        from irgalab.sos import builtin_expression
+
+        small = parse_expression("(a + 2 b)^3 c - a d + 5")
+        assert small.variable_names() == frozenset("abcd")
+        assert small.degree_bound() == small.to_polynomial().total_degree() == 4
+        expression = builtin_expression("s6-entry12")
+        names = expression.variable_names()
+        assert names is expression.variable_names()
+        assert names == frozenset(ins[1] for ins in expression.program if ins[0] == "var")
+        assert expression.degree_bound() == 31
+        point = dict.fromkeys(sorted(names - {"g"}), 1)
+        with pytest.raises(IncompleteAssignmentError, match=r"\['g'\]"):
+            expression.evaluate(point)
+
     def test_integer_points_stay_integer(self):
         value = parse_expression("(a + 2 b)^3 - 4/2 a").evaluate({"a": 3, "b": -1})
         assert type(value) is int and value == -5
