@@ -17,12 +17,13 @@ import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import click
 import numpy as np
 
 from . import linalg, majorization as mj, search as searchmod, sos as sosmod, spdd as spddmod
-from .exact import IncompatibleVariablesError, IncompleteAssignmentError, VariableSet
+from .exact import VariableSet
 from .irga import check_conjecture, search_counterexample
 from .polytext import (
     PolyParseError,
@@ -47,8 +48,6 @@ _NUMERIC_ERRORS = (
     spddmod.InvalidGaugeError,
     spddmod.GaugeModeError,
     sosmod.SymbolicCapabilityError,
-    IncompatibleVariablesError,
-    IncompleteAssignmentError,
 )
 
 
@@ -58,61 +57,16 @@ class _ReportFailure(Exception):
         self.code = code
 
 
-def _emit(command: str, inputs: dict, outcome: str, payload: dict, started: float, out_path):
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "outcome": outcome,
-        "payload": payload,
-        "wall_time_ms": int((time.monotonic() - started) * 1000),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        click.echo(text)
-    return report
-
-
 def _summary(message: str, quiet: bool):
     if not quiet:
         click.echo(message, err=True)
 
 
-def _outcome_code(outcome: str) -> int:
-    return EXIT_VERIFIED if outcome in ("pass", "found") else EXIT_VIOLATED
-
-
-def _run_command(ctx, command, inputs, body):
-    """Shared wrapper: timing, report emission, exit-code mapping."""
-    started = time.monotonic()
-    quiet = ctx.obj.get("json_only", False)
-    out_path = ctx.obj.get("out")
-    try:
-        outcome, payload, summary = body()
-    except (PolyParseError, sosmod.InvalidCertificateError) as exc:
-        _summary(f"parse error: {exc}", quiet)
-        sys.exit(EXIT_PARSE)
-    except _ReportFailure as exc:
-        _summary(str(exc), quiet)
-        sys.exit(exc.code)
-    except _NUMERIC_ERRORS as exc:
-        _summary(f"numeric failure: {exc}", quiet)
-        sys.exit(EXIT_NUMERIC)
-    except (ValueError, IndexError) as exc:
-        # Argument checks in the library raise these; the typed numeric
-        # errors above are ValueError subclasses and keep their own code.
-        _summary(str(exc), quiet)
-        sys.exit(EXIT_USAGE)
-    _emit(command, inputs, outcome, payload, started, out_path)
-    _summary(summary, quiet)
-    sys.exit(_outcome_code(outcome))
-
-
 def _reports(fn):
     """Make ``fn(**params) -> (outcome, payload, summary)`` a report command.
 
+    The wrapper times the call, writes the report to stdout or ``--out``
+    and exits with the outcome's code, or with the code of the error raised.
     The report's ``command`` is "<group> <command>" and its ``inputs`` hold
     every parameter: an option under its long name with "-" turned into
     "_" (``--gauge-mode`` -> ``gauge_mode``), an argument under its own name.
@@ -120,13 +74,43 @@ def _reports(fn):
 
     @functools.wraps(fn)
     def command(**params):
+        started = time.monotonic()
         ctx = click.get_current_context()
-        inputs = {
-            max(param.opts, key=len).lstrip("-").replace("-", "_"): params[param.name]
-            for param in ctx.command.params
+        quiet = ctx.obj.get("json_only", False)
+        try:
+            outcome, payload, summary = fn(**params)
+        except (PolyParseError, sosmod.InvalidCertificateError) as exc:
+            _summary(f"parse error: {exc}", quiet)
+            sys.exit(EXIT_PARSE)
+        except _ReportFailure as exc:
+            _summary(str(exc), quiet)
+            sys.exit(exc.code)
+        except _NUMERIC_ERRORS as exc:
+            _summary(f"numeric failure: {exc}", quiet)
+            sys.exit(EXIT_NUMERIC)
+        except (ValueError, IndexError) as exc:
+            # Argument checks in the library raise these; the typed numeric
+            # errors above are ValueError subclasses and keep their own code.
+            _summary(str(exc), quiet)
+            sys.exit(EXIT_USAGE)
+        report = {
+            "command": f"{ctx.parent.info_name} {ctx.info_name}",
+            "inputs": {
+                max(param.opts, key=len).lstrip("-").replace("-", "_"): params[param.name]
+                for param in ctx.command.params
+            },
+            "outcome": outcome,
+            "payload": payload,
+            "wall_time_ms": int((time.monotonic() - started) * 1000),
         }
-        name = f"{ctx.parent.info_name} {ctx.info_name}"
-        _run_command(ctx, name, inputs, lambda: fn(**params))
+        text = json.dumps(report, indent=2, sort_keys=True)
+        out_path = ctx.obj.get("out")
+        if out_path:
+            Path(out_path).write_text(text + "\n", encoding="utf-8")
+        else:
+            click.echo(text)
+        _summary(summary, quiet)
+        sys.exit(EXIT_VERIFIED if outcome in ("pass", "found") else EXIT_VIOLATED)
 
     return command
 
@@ -188,11 +172,6 @@ def _tolerance(ctx, param, value: float) -> float:
     if not 0 <= value < float("inf"):
         raise click.BadParameter(f"{value} is not a finite number >= 0")
     return value
-
-
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 @click.group()
@@ -319,7 +298,9 @@ def sos_verify(cert, target):
             target,
             "polynomial",
             lambda name: sosmod.builtin_polynomial(name, certificate.variables),
-            lambda path: parse_polynomial(_read_text(path), certificate.variables),
+            lambda path: parse_polynomial(
+                Path(path).read_text(encoding="utf-8"), certificate.variables
+            ),
         )
     check = certificate.verify(goal)
     payload = {"check": check.to_json_dict(), "terms": len(certificate)}
@@ -344,7 +325,7 @@ def sos_identity(reference, n, i_index, j_index, trials, seed, coord_range):
         reference,
         "polynomial",
         sosmod.builtin_expression,
-        lambda path: parse_expression(_read_text(path)),
+        lambda path: parse_expression(Path(path).read_text(encoding="utf-8")),
     )
     report = sosmod.identity_test(
         expression, n, i_index, j_index,
@@ -375,7 +356,7 @@ def poly_group():
 @_reports
 def poly_parse(source, variables):
     """Parse a polynomial file and print its canonical rendering."""
-    text = sys.stdin.read() if source == "-" else _read_text(source)
+    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     varset = VariableSet(variables) if variables else None
     polynomial = parse_polynomial(text, varset)
     payload = {
@@ -394,7 +375,7 @@ def poly_parse(source, variables):
 @_reports
 def poly_eval(source, assignment):
     """Evaluate a polynomial file exactly at a rational point."""
-    text = _read_text(source)
+    text = Path(source).read_text(encoding="utf-8")
     point = {}
     try:
         for pair in assignment.split(","):
@@ -496,6 +477,16 @@ def _gauge_from_path(path, gauge_mode, mode):
     return spddmod.make_gauge(p, mode=gauge_mode)
 
 
+def _spdd_verdict(matrix, tol: float) -> dict:
+    """Payload of the mapping identities and diagonal-majorizes-spectrum checks."""
+    mapping = spddmod.verify_mapping(matrix, tol=tol)
+    return {
+        "mapping_ok": mapping.ok,
+        "mapping_max_deviation": mapping.max_deviation,
+        "majorization": spddmod.verify_majorization_theorem(matrix, tol=tol).to_json_dict(),
+    }
+
+
 @spdd_group.command("gauge")
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--gauge-mode", type=click.Choice(["proven", "conjectured"]), default="conjectured",
@@ -545,19 +536,12 @@ def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
-    spdd = spddmod.make_spdd(gauge, e)
-    mapping = spddmod.verify_mapping(spdd, tol=tol)
-    verdict = spddmod.verify_majorization_theorem(spdd, tol=tol)
-    payload = {
-        "mapping_ok": mapping.ok,
-        "mapping_max_deviation": mapping.max_deviation,
-        "majorization": verdict.to_json_dict(),
-    }
-    ok = mapping.ok and verdict.holds
+    payload = _spdd_verdict(spddmod.make_spdd(gauge, e), tol)
+    mapping_ok, holds = payload["mapping_ok"], payload["majorization"]["holds"]
     return (
-        "pass" if ok else "fail",
+        "pass" if mapping_ok and holds else "fail",
         payload,
-        f"mapping ok: {mapping.ok}; diagonal majorizes spectrum: {verdict.holds}",
+        f"mapping ok: {mapping_ok}; diagonal majorizes spectrum: {holds}",
     )
 
 
@@ -575,17 +559,13 @@ def spdd_kron(pa, ea, pb, eb, tol):
     ma = spddmod.make_spdd(ga, _same_length(_vector_arg(ea), "--ea", ga.n, "--pa"))
     mb = spddmod.make_spdd(gb, _same_length(_vector_arg(eb), "--eb", gb.n, "--pb"))
     composed = spddmod.kron_spdd(ma, mb)
-    mapping = spddmod.verify_mapping(composed, tol=tol)
-    verdict = spddmod.verify_majorization_theorem(composed, tol=tol)
     payload = {
         "n": composed.n,
-        "mapping_ok": mapping.ok,
-        "mapping_max_deviation": mapping.max_deviation,
-        "majorization": verdict.to_json_dict(),
+        **_spdd_verdict(composed, tol),
         "spectrum": linalg.to_json(composed.spectrum),
         "diagonal": linalg.to_json(composed.diagonal),
     }
-    ok = mapping.ok and verdict.holds
+    ok = payload["mapping_ok"] and payload["majorization"]["holds"]
     return "pass" if ok else "fail", payload, f"{composed.n}x{composed.n} composition ok: {ok}"
 
 

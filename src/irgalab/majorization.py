@@ -118,7 +118,7 @@ class TransferChain:
         return iter(self.transforms)
 
     def apply(self, v) -> np.ndarray:
-        out = np.asarray(v, dtype=float)
+        out = np.array(v, dtype=float)
         for transform in self.transforms:
             out = transform.apply(out)
         return out
@@ -146,9 +146,8 @@ def _sorted_chain(w: np.ndarray, t: np.ndarray) -> list:
     is shifted in one transform to the first later position k whose current
     value is at most t[p]; such a k always exists because the tail of w sums
     to strictly less than (n-p) * t[p] whenever delta > 0.  At most one
-    transform per position, so at most n-1 in total.
+    transform per position, so at most n-1 in total, indexed by position in w.
     """
-    w = w.copy()
     out = []
     n = len(w)
     tiny = 1e-13 * max(1.0, float(np.abs(w).max()), float(np.abs(t).max()))
@@ -161,11 +160,9 @@ def _sorted_chain(w: np.ndarray, t: np.ndarray) -> list:
             # Float dust can hide the guaranteed target by a hair; the
             # smallest tail entry is then within dust of eligible.
             k = p + 1 + int(np.argmin(w[p + 1 :]))
-        lam = min(1.0, max(0.0, 1.0 - delta / (w[p] - w[k])))
-        out.append((lam, p, k))
-        wp, wk = w[p], w[k]
-        w[p] = lam * wp + (1.0 - lam) * wk
-        w[k] = (1.0 - lam) * wp + lam * wk
+        transform = TTransform(min(1.0, max(0.0, 1.0 - delta / (w[p] - w[k]))), p, k)
+        out.append(transform)
+        w = transform.apply(w)
     return out
 
 
@@ -187,15 +184,13 @@ def transfer_chain(y, x, tol: float = 1e-9) -> TransferChain:
 
     y_order = np.argsort(-y, kind="stable")
     steps = _sorted_chain(y[y_order], np.sort(x)[::-1])
-    transforms = [TTransform(lam, int(y_order[p]), int(y_order[k])) for lam, p, k in steps]
+    transforms = [TTransform(t.lam, int(y_order[t.j]), int(y_order[t.k])) for t in steps]
 
     # Rearrangement fix-up: the chain above produces the sorted target
     # values laid out in y's sort order; swap entries (lambda = 0
     # transforms) wherever that differs from x itself.
     eps = 1e-9 * max(1.0, float(np.abs(x).max()))
-    current = y.astype(float)
-    for transform in transforms:
-        current = transform.apply(current)
+    current = TransferChain(tuple(transforms)).apply(y)
     for i in range(n):
         if abs(current[i] - x[i]) <= eps:
             continue
@@ -329,7 +324,8 @@ def shannon_entropy(v) -> float:
         raise ValueError("entropy of an all-zero vector")
     z = v / total
     nonzero = z[z > 0]
-    return float(-(nonzero * np.log(nonzero)).sum())
+    # 0.0 - sum, not -sum: a point mass has entropy 0.0, not -0.0.
+    return float(0.0 - (nonzero * np.log(nonzero)).sum())
 
 
 def _entropy_or_none(v) -> Optional[float]:

@@ -17,12 +17,12 @@ constructs its own points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .linalg import _float_array, to_json
+from .linalg import DimensionMismatchError, _float_array, to_json
 from .majorization import _entropy_or_none, majorizes, shannon_entropy
 from .spdd import Gauge
 
@@ -149,45 +149,40 @@ def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
     Returns None at a local optimum (no admissible neighbor improves the
     spectral entropy strictly).
     """
-    gauge.require_valid()
-    rga_p = _float_array(gauge.rga_matrix())
-    move = _step(rga_p, _make_state(rga_p, np.asarray(spectrum, dtype=float)), config)
-    return None if move is None else move[2]
-
-
-def _step(rga_p: np.ndarray, current: SearchState, config: SearchConfig) -> Optional[tuple]:
-    """The best move from ``current`` as an ``(i, j, candidate)`` entry of
-    ``neighbors``, or None; RGA(P) is already a float array."""
-    sign = 1.0 if config.direction == "max_entropy" else -1.0
-    best = None
-    best_gain = 0.0
-    for i, j, candidate in neighbors(current.spectrum, config.delta):
-        if not _admissible(current.diagonal, rga_p @ candidate, config.direction, config.tol):
-            continue
-        gain = sign * (shannon_entropy(candidate) - current.spectral_entropy)
-        if gain > best_gain + 1e-15:
-            best = (i, j, candidate)
-            best_gain = gain
-    return best
+    trace = run(gauge, spectrum, replace(config, max_iters=1))
+    return trace.states[1].spectrum if trace.moves else None
 
 
 def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
-    """Iterate ``step`` until a local optimum or the iteration budget."""
+    """Take the best move until a local optimum or the iteration budget."""
     gauge.require_valid()
     spectrum = np.asarray(start_spectrum, dtype=float)
+    if spectrum.ndim != 1 or len(spectrum) != gauge.n:
+        raise DimensionMismatchError(
+            f"start spectrum length {spectrum.shape} vs gauge size {gauge.n}"
+        )
     if spectrum.min() <= 0:
         raise ValueError("start spectrum must be positive")
     rga_p = _float_array(gauge.rga_matrix())
+    sign = 1.0 if config.direction == "max_entropy" else -1.0
     state = _make_state(rga_p, spectrum)
     states = [state]
     moves = []
     termination = "iter_budget"
     for _ in range(config.max_iters):
-        move = _step(rga_p, state, config)
-        if move is None:
+        best = None
+        best_gain = 0.0
+        for i, j, candidate in neighbors(state.spectrum, config.delta):
+            if not _admissible(state.diagonal, rga_p @ candidate, config.direction, config.tol):
+                continue
+            gain = sign * (shannon_entropy(candidate) - state.spectral_entropy)
+            if gain > best_gain + 1e-15:
+                best = (i, j, candidate)
+                best_gain = gain
+        if best is None:
             termination = "local_optimum"
             break
-        gain_index, loss_index, spectrum = move
+        gain_index, loss_index, spectrum = best
         moves.append((gain_index, loss_index))
         state = _make_state(rga_p, spectrum)
         states.append(state)

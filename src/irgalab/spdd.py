@@ -153,37 +153,35 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
         dev = float(np.abs(recomputed - s).max())
         if dev > _KRON_CONSISTENCY_TOL:
             raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
-    report = _membership_report(s, NONNEG_TOL)
-    return Gauge(
-        p=p,
-        s=s,
-        report=report,
-        provenance=("kron",),
-        valid=a.valid and b.valid and report.doubly_stochastic,
-        children=(a, b),
-    )
+    return _composed("kron", (a, b), p, s)
 
 
 def block_gauge(children: Sequence[Gauge]) -> Gauge:
     """Block-diagonal composition; S is block-diagonal of the children's S."""
     if not children:
         raise ValueError("block gauge needs at least one child")
-    exact = all(child.is_exact for child in children)
-    p = _block_diag([child.p for child in children], exact)
-    s = _block_diag([child.s for child in children], exact)
+    p = _block_diag([child.p for child in children])
+    s = _block_diag([child.s for child in children])
+    return _composed("block", tuple(children), p, s)
+
+
+def _composed(kind: str, children: tuple, p, s) -> Gauge:
+    """The gauge composed from ``children``: valid exactly when every child
+    is and the composed S passes the membership test."""
     report = _membership_report(s, NONNEG_TOL)
     return Gauge(
         p=p,
         s=s,
         report=report,
-        provenance=("block",),
+        provenance=(kind,),
         valid=all(child.valid for child in children) and report.doubly_stochastic,
-        children=tuple(children),
+        children=children,
     )
 
 
-def _block_diag(blocks, exact: bool):
-    """Block-diagonal Matrix of exact blocks, else a float array of any blocks."""
+def _block_diag(blocks):
+    """Block-diagonal Matrix when every block is exact, else a float array."""
+    exact = all(isinstance(b, Matrix) for b in blocks)
     blocks = [b.rows if exact else linalg._float_array(b) for b in blocks]
     total = sum(len(b) for b in blocks)
     out = [[Fraction(0)] * total for _ in range(total)] if exact else np.zeros((total, total))

@@ -355,6 +355,9 @@ class TestReportContract:
             # The lattice step must be finite and positive.
             (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "nan"), None, 2),
             (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "inf"), None, 2),
+            # Mismatched variables and a missing assignment are usage errors.
+            (("poly", "eval", "cert.json", "--at", "a=1"), "a^2 + b\n", 2),
+            (("sos", "verify", "--cert", "builtin:n3", "--target", "derived:4:1:2"), None, 2),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -480,6 +483,28 @@ class TestReportContract:
         assert proc.stdout == "" and proc.stderr == ""
         report = json.loads(out.read_text())
         assert report["outcome"] == "pass"
+
+    @pytest.mark.parametrize(
+        "args, matrix, code",
+        [
+            (("majorize", "check", "--y", "1,0", "--x", "0.6,0.6"), None, 1),
+            (("spdd", "construct", "--n", "1"), None, 2),
+            (("irga", "check", "p.mat"), "1 frog\n2 3\n", 3),
+            (("irga", "check", "p.mat"), "1 2\n2 1\n", 4),
+        ],
+        ids=["violated", "usage", "parse", "numeric"],
+    )
+    def test_out_holds_a_report_only_for_a_verdict(self, tmp_path, args, matrix, code):
+        if matrix is not None:
+            (tmp_path / "p.mat").write_text(matrix)
+        out = tmp_path / "report.json"
+        proc = run_cli("--out", str(out), *args, cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        if code == 1:
+            assert json.loads(out.read_text())["outcome"] == "fail"
+        else:
+            assert not out.exists()
 
     def test_human_summary_on_stderr(self):
         proc = run_cli("irga", "check", DEMO)

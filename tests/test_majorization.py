@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from irgalab.irga import check_conjecture, random_pd
 from irgalab.majorization import (
     NotDoublyStochasticError,
+    TransferChain,
     _entropy_or_none,
     birkhoff,
     majorizes,
@@ -141,6 +144,19 @@ class TestTransferChain:
             for t in transfer_chain(y, x):
                 assert 0.0 <= t.lam <= 1.0
 
+    def test_empty_chain_copies_its_input(self):
+        y = np.array([2.0, 1.0])
+        out = TransferChain(()).apply(y)
+        assert out is not y
+        np.testing.assert_array_equal(out, y)
+
+    def test_swap_fix_up_leaves_the_source_unchanged(self):
+        # The sorted chain is empty and one swap reorders y onto x.
+        y = np.array([1.0, 2.0])
+        chain = transfer_chain(y, [2.0, 1.0])
+        assert [(t.lam, t.j, t.k) for t in chain] == [(0.0, 0, 1)]
+        np.testing.assert_array_equal(y, [1.0, 2.0])
+
 
 class TestBirkhoff:
     def test_two_by_two_unique_decomposition(self):
@@ -230,3 +246,7 @@ class TestEntropy:
             x = random_doubly_stochastic(rng, n) @ y
             assert majorizes(y, x).holds
             assert shannon_entropy(x) >= shannon_entropy(y) - 1e-9
+
+    def test_point_mass_entropy_is_positive_zero(self):
+        for v in ([3.0], [0.0, 5.0]):
+            assert math.copysign(1.0, shannon_entropy(v)) == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irgalab.irga import random_pd
+from irgalab.linalg import DimensionMismatchError
 from irgalab.majorization import majorizes
 from irgalab.search import SearchConfig, neighbors, run, step
 from irgalab.spdd import make_gauge
@@ -134,3 +135,10 @@ class TestRun:
     def test_rejects_nonpositive_start(self):
         with pytest.raises(ValueError):
             run(worked_gauge(), [1.0, 0.0], SearchConfig(delta=0.5))
+
+    def test_rejects_a_start_of_the_wrong_length(self):
+        gauge = make_gauge(np.eye(4))
+        config = SearchConfig(delta=0.5)
+        for call in (run, step):
+            with pytest.raises(DimensionMismatchError, match=r"\(2,\) vs gauge size 4"):
+                call(gauge, np.array([1.0, 2.0]), config)
