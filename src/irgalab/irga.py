@@ -80,14 +80,15 @@ def irga(p):
     theorem) and therefore invertible; the inverse's singularity check covers
     indefinite symmetric inputs anyway.
     """
-    return _irga(linalg._check_symmetric(p))
+    return _irga(*linalg._check_symmetric(p))
 
 
-def _irga(p):
-    """``irga`` of a Matrix or float array already known to be symmetric."""
+def _irga(p, scale):
+    """``irga`` of a Matrix or float array already known to be symmetric,
+    with the scale ``linalg._check_symmetric`` returned for it."""
     if isinstance(p, Matrix):
         return p.hadamard(p.inverse()).inverse()
-    return linalg.inverse(p * linalg.inverse(p))
+    return linalg.inverse(p * linalg._lu_inverse(p, scale))
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,10 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     """
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
-    p = linalg._check_symmetric(p)
+    p, scale = linalg._check_symmetric(p)
     if not linalg._is_positive_definite(p):
         raise NotPositiveDefiniteError("input must be positive definite")
-    report = _membership_report(_irga(p), tol)
+    report = _membership_report(_irga(p, scale), tol)
     if isinstance(p, Matrix) and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):
         raise AssertionError("exact IRGA row/column sums must be identically 1")
     return report
@@ -167,8 +168,8 @@ def _membership_report(s, tol: float) -> IrgaReport:
         nonnegative = min_entry >= 0
         doubly = nonnegative and row_dev == 0 and col_dev == 0
     else:
-        row_dev = float(np.abs(s.sum(axis=1) - 1.0).max())
-        col_dev = float(np.abs(s.sum(axis=0) - 1.0).max())
+        row_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=1).tolist()])
+        col_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=0).tolist()])
         min_entry = float(s.min())
         nonnegative = min_entry >= -tol
         doubly = nonnegative and max(row_dev, col_dev) <= tol

@@ -383,6 +383,17 @@ def adjugate_entry(m: Matrix, i: int, j: int):
 # -- dispatching wrappers -----------------------------------------------------
 
 
+def _max_abs(values: list) -> float:
+    """``float(np.abs(values).max())`` for a nonempty list of floats.
+
+    The builtin max keeps a NaN only when it comes first, where numpy's max
+    is NaN whenever an entry is; so is the sum of the magnitudes, and it
+    decides.  On short vectors this costs less than numpy's three calls.
+    """
+    magnitudes = list(map(abs, values))
+    return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
+
+
 def _float_array(a) -> np.ndarray:
     """A float array of either carrier, so exact and float operands mix."""
     if isinstance(a, Matrix):
@@ -453,7 +464,11 @@ def inverse(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("inverse of a non-square matrix")
-    scale = np.abs(a).max()
+    return _lu_inverse(a, np.abs(a).max())
+
+
+def _lu_inverse(a: np.ndarray, scale) -> np.ndarray:
+    """The float ``inverse`` of a square array whose largest |entry| is ``scale``."""
     if not math.isfinite(scale):
         raise NumericallySingularError("matrix has a NaN or infinite entry")
     if scale == 0:
@@ -462,35 +477,41 @@ def inverse(a):
     # the check below rejects before getrs could divide by it.
     lapack = _lapack()
     lu, piv, _ = lapack.dgetrf(a)
-    pivot = np.abs(lu.diagonal()).min()
-    if pivot < PIVOT_RTOL * scale:
+    pivot = min(map(abs, lu.diagonal().tolist()))
+    # A NaN pivot (overflow in the elimination) lets the solve run, as the
+    # NaN minimum of numpy's min would; Python's min may skip it.
+    if pivot < PIVOT_RTOL * scale and not np.isnan(lu.diagonal()).any():
         raise NumericallySingularError(
             f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
     return lapack.dgetrs(lu, piv, _identity(a.shape[0]))[0]
 
 
-def _check_symmetric(a):
-    """``a`` as a Matrix or float array; raise NotSymmetricError unless it
-    is symmetric.
+def _check_symmetric(a) -> tuple:
+    """(``a`` as a Matrix or float array, scale); raise NotSymmetricError
+    unless it is symmetric.
 
-    Exact matrices must be symmetric entry for entry; float arrays must be
-    square (else DimensionMismatchError) and symmetric within
-    ``SYMMETRY_RTOL * max(max|entry|, 1)``.  A float array with a NaN or
-    infinite entry is not compared (its difference could warn): the float
+    Exact matrices must be symmetric entry for entry, and their scale is
+    None.  Float arrays must be square (else DimensionMismatchError) and
+    symmetric within ``SYMMETRY_RTOL * max(scale, 1)``, where scale is the
+    largest |entry|: finite exactly when every entry is, and the float
+    inverse's pivot bound.  A float array with a NaN or infinite entry is
+    not compared (its difference could warn): the float
     positive-definiteness test rejects it.
     """
     if isinstance(a, Matrix):
         if a.rows != tuple(zip(*a.rows)):
             raise NotSymmetricError("matrix is not symmetric")
-        return a
+        return a, None
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max()
-    if math.isfinite(scale) and np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    # a - a.T is antisymmetric to the bit, so its largest entry is its
+    # largest |entry|.
+    if math.isfinite(scale) and (a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-    return a
+    return a, scale
 
 
 def _cholesky_lower(a: np.ndarray):
@@ -511,7 +532,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefiniteError exactly when ``is_positive_definite``
     is False.
     """
-    factor = _cholesky_lower(_check_symmetric(np.asarray(a, dtype=float)))
+    factor = _cholesky_lower(_check_symmetric(np.asarray(a, dtype=float))[0])
     if factor is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return factor
@@ -519,7 +540,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def is_positive_definite(a) -> bool:
     """Sylvester criterion (exact scalars) or dpotrf success on finite entries (floats)."""
-    return _is_positive_definite(_check_symmetric(a))
+    return _is_positive_definite(_check_symmetric(a)[0])
 
 
 def _is_positive_definite(a) -> bool:

@@ -10,12 +10,14 @@ Birkhoff decomposition of a doubly stochastic matrix into permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, to_json
+from .linalg import DimensionMismatchError, _max_abs, to_json
 
 __all__ = [
     "MajorizationVerdict",
@@ -66,17 +68,40 @@ def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
         raise DimensionMismatchError(f"vector shapes {y.shape} vs {x.shape}")
-    y_desc = np.sort(y)[::-1]
-    x_desc = np.sort(x)[::-1]
-    deficits = np.cumsum(y_desc) - np.cumsum(x_desc)
+    if not len(y):
+        raise DimensionMismatchError(f"empty vectors, shape {y.shape}")
+    deficits = _prefix_deficits(y, x)
     sum_gap = float(x.sum() - y.sum())
-    holds = bool(deficits.min() >= -tol and abs(sum_gap) <= tol)
     return MajorizationVerdict(
-        holds=holds,
-        prefix_deficits=tuple(float(d) for d in deficits),
+        holds=_holds(deficits, sum_gap, tol),
+        prefix_deficits=tuple(deficits),
         sum_gap=sum_gap,
         tol=tol,
     )
+
+
+def _majorizes(y: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """``majorizes(y, x, tol).holds`` for nonempty float vectors of one
+    shape, without building the verdict."""
+    return _holds(_prefix_deficits(y, x), float(x.sum() - y.sum()), tol)
+
+
+def _prefix_deficits(y: np.ndarray, x: np.ndarray) -> list:
+    """(sum of k+1 largest of y) - (sum of k+1 largest of x) for each k.
+
+    The prefix sums run left to right from the largest entry, the order of
+    ``np.cumsum`` on the descending sort, so each deficit is the same double.
+    """
+    y_desc = np.sort(y).tolist()
+    x_desc = np.sort(x).tolist()
+    y_desc.reverse()
+    x_desc.reverse()
+    return [a - b for a, b in zip(accumulate(y_desc), accumulate(x_desc))]
+
+
+def _holds(deficits: list, sum_gap: float, tol: float) -> bool:
+    # all(), not min(): a NaN deficit fails the verdict wherever it stands.
+    return all(d >= -tol for d in deficits) and abs(sum_gap) <= tol
 
 
 @dataclass(frozen=True)
@@ -238,26 +263,40 @@ class BirkhoffDecomposition:
 
 
 def _find_matching(support: list) -> list | None:
-    """Perfect matching rows->cols; ``support[r]`` lists row r's columns in order."""
+    """Perfect matching rows->cols; ``support[r]`` lists row r's columns in order.
+
+    Rows are matched in order, each by a depth-first augmenting path
+    (Kuhn's algorithm) that tries its columns in list order.
+    """
     n = len(support)
     match_col = [-1] * n  # column -> row
-
-    def augment(row, seen):
-        for col in support[row]:
-            if not seen[col]:
-                seen[col] = True
-                if match_col[col] < 0 or augment(match_col[col], seen):
-                    match_col[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not augment(row, [False] * n):
+    for row, cols in enumerate(support):
+        # The path's first step: a free first column ends it at once.
+        if cols and match_col[cols[0]] < 0:
+            match_col[cols[0]] = row
+        elif not _augment(support, match_col, row, [False] * n):
             return None
     perm = [0] * n
     for col, row in enumerate(match_col):
         perm[row] = col
     return perm
+
+
+def _augment(support: list, match_col: list, row: int, seen: list) -> bool:
+    """Extend ``match_col`` along an augmenting path from ``row``.
+
+    A module-level function, not a closure inside ``_find_matching``: a
+    closure that calls itself is a reference cycle, left for the garbage
+    collector after every matching.
+    """
+    for col in support[row]:
+        if not seen[col]:
+            seen[col] = True
+            owner = match_col[col]
+            if owner < 0 or _augment(support, match_col, owner, seen):
+                match_col[col] = row
+                return True
+    return False
 
 
 def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
@@ -267,24 +306,29 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
     its minimum entry, and stops once the residual is below tol everywhere.
     At most (n-1)^2 + 1 permutations are extracted.
     """
-    s = np.array(s, dtype=float)
+    s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("input must be square")
+    if not s.size:
+        raise DimensionMismatchError(f"empty matrix, shape {s.shape}")
     n = s.shape[0]
-    if not np.isfinite(s).all():
+    # A NaN or infinite entry makes its row sum non-finite, so the entries
+    # are scanned for one only then.
+    row_dev = _max_abs([v - 1.0 for v in s.sum(axis=1).tolist()])
+    col_dev = _max_abs([v - 1.0 for v in s.sum(axis=0).tolist()])
+    if not math.isfinite(row_dev) and not np.isfinite(s).all():
         raise NotDoublyStochasticError("non-finite entry")
-    if s.min() < -tol:
-        raise NotDoublyStochasticError(f"negative entry {s.min():.3e}")
-    if (
-        np.abs(s.sum(axis=1) - 1.0).max() > tol
-        or np.abs(s.sum(axis=0) - 1.0).max() > tol
-    ):
+    low = s.min()
+    if low < -tol:
+        raise NotDoublyStochasticError(f"negative entry {low:.3e}")
+    if row_dev > tol or col_dev > tol:
         raise NotDoublyStochasticError("row/column sums differ from 1 beyond tol")
     # Python floats, as the loop reads and updates single entries (the same
     # IEEE doubles as numpy's).  ``support[r]`` lists, in column order, the
     # columns c with residual[r][c] > tol; only the entries on the extracted
-    # permutation change, so it is updated there alone.
-    residual = s.clip(min=0.0).tolist()
+    # permutation change, so it is updated there alone.  Entries outside
+    # the support are never read, so negative ones need no clipping.
+    residual = s.tolist()
     support = [[c for c, v in enumerate(row) if v > tol] for row in residual]
     weights = []
     perms = []
@@ -299,13 +343,13 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
             raise NotDoublyStochasticError(
                 "no perfect matching in the positive support"
             )
-        weight = min(residual[r][c] for r, c in enumerate(perm))
+        weight = min([row[c] for row, c in zip(residual, perm)])
         weights.append(weight)
         perms.append(tuple(perm))
-        for r, c in enumerate(perm):
-            residual[r][c] -= weight
-            if not residual[r][c] > tol:
-                support[r].remove(c)
+        for row, cols, c in zip(residual, support, perm):
+            row[c] -= weight
+            if not row[c] > tol:
+                cols.remove(c)
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms))
 
 

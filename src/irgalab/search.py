@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DimensionMismatchError, _float_array, to_json
-from .majorization import _entropy_or_none, majorizes, shannon_entropy
+from .majorization import _entropy_or_none, _majorizes, shannon_entropy
 from .spdd import Gauge
 
 __all__ = [
@@ -133,14 +133,14 @@ def neighbors(spectrum, delta: float) -> list:
 
 
 def _admissible(current_diag, candidate_diag, direction: str, tol: float) -> bool:
-    # Permutation-equal diagonals are excluded: no strict progress.
-    if np.allclose(
-        np.sort(current_diag), np.sort(candidate_diag), rtol=0.0, atol=max(tol, 1e-12)
-    ):
+    # Permutation-equal diagonals are excluded: no strict progress.  On
+    # sorted vectors this is np.allclose(..., rtol=0) for finite entries,
+    # and an infinite entry fails the prefix test either way.
+    if np.abs(np.sort(current_diag) - np.sort(candidate_diag)).max() <= max(tol, 1e-12):
         return False
     if direction == "max_entropy":
-        return bool(majorizes(current_diag, candidate_diag, tol=tol))
-    return bool(majorizes(candidate_diag, current_diag, tol=tol))
+        return _majorizes(current_diag, candidate_diag, tol)
+    return _majorizes(candidate_diag, current_diag, tol)
 
 
 def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:

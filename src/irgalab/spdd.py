@@ -232,10 +232,11 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
     p = linalg._float_array(gauge.p)
     p_inv = linalg.inverse(p)
     m = (p * spectrum) @ p_inv
-    diagonal = np.diag(m).copy()
+    diagonal = m.diagonal().copy()
     predicted = (p * p_inv.T) @ spectrum  # RGA(P) = P o P^-T
-    dev = float(np.abs(diagonal - predicted).max())
-    scale = max(1.0, float(np.abs(diagonal).max()))
+    observed = diagonal.tolist()
+    dev = linalg._max_abs([a - b for a, b in zip(observed, predicted.tolist())])
+    scale = max(1.0, linalg._max_abs(observed))
     if dev > _SPDD_CONSTRUCTION_TOL * scale:
         raise linalg.FloatAccuracyError(f"diagonal/spectrum mapping violated by {dev:.3e}")
     return SpddMatrix(gauge=gauge, spectrum=spectrum, m=m, diagonal=diagonal)

@@ -1,4 +1,5 @@
 import importlib
+import math
 import types
 import warnings
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from irgalab import _pcg64
+from irgalab import _pcg64, linalg
 from irgalab.irga import (
+    NONNEG_TOL,
     _build_lower,
+    _membership_report,
     _min_irga_entries,
     _search_lower,
     _t_from_lower,
@@ -183,6 +186,37 @@ class TestFloatPathPinned:
             assert first.to_json_dict() == second.to_json_dict()
             not_doubly += not first.doubly_stochastic
         assert not_doubly == 19
+
+
+class TestFloatReportFields:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("rng_range", [2.0, 10.0])
+    def test_fields_are_their_numpy_definitions(self, n, rng_range):
+        # The deviations are reduced on Python floats; each field is still
+        # the double its numpy expression gives.
+        for seed in range(60):
+            p = random_pd(n, seed, rng_range=rng_range).p
+            report = check_conjecture(p)
+            s = report.s
+            assert np.array_equal(s, linalg.inverse(p * linalg.inverse(p)))
+            assert report.max_row_sum_dev == float(np.abs(s.sum(axis=1) - 1.0).max())
+            assert report.max_col_sum_dev == float(np.abs(s.sum(axis=0) - 1.0).max())
+            assert report.min_entry == float(s.min())
+            assert report.nonnegative == (report.min_entry >= -NONNEG_TOL)
+            assert report.doubly_stochastic == (
+                report.nonnegative
+                and max(report.max_row_sum_dev, report.max_col_sum_dev) <= NONNEG_TOL
+            )
+
+    def test_nan_deviation_anywhere_is_nan(self):
+        # A composed S built from a NaN child: numpy's max keeps the NaN
+        # wherever the NaN row or column stands.
+        for k in range(3):
+            s = np.full((3, 3), 1.0 / 3.0)
+            s[k, 2 - k] = np.nan
+            report = _membership_report(s, NONNEG_TOL)
+            assert math.isnan(report.max_row_sum_dev) and math.isnan(report.max_col_sum_dev)
+            assert math.isnan(report.min_entry) and not report.doubly_stochastic
 
 
 class TestRandomPd:

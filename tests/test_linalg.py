@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import irgalab
+from irgalab import linalg
 from irgalab.exact import Polynomial, QuadExt3, VariableSet
 from irgalab.irga import random_pd
 from irgalab.linalg import (
@@ -21,6 +22,7 @@ from irgalab.linalg import (
     DimensionMismatchError,
     Matrix,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     NumericallySingularError,
     SingularMatrixError,
     adjugate_entry,
@@ -212,6 +214,53 @@ class TestFloatInverse:
                 for a in (p, t):
                     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
                     assert np.array_equal(inverse(a), expected)
+
+
+    def test_nan_pivot_lets_the_solve_run(self):
+        # Elimination on these finite entries overflows to a NaN pivot.
+        # numpy's min of the pivots is then NaN, never below the bound, so
+        # the solve runs, although a finite pivot (1.0) is below it.
+        big = 1e308
+        a = np.array([[1.0, big, -big], [1.0, -big, big], [1.0, big, big]])
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        pivots = np.abs(lu.diagonal())
+        assert np.isnan(pivots).any() and np.nanmin(pivots) < 1e-12 * big
+        expected = scipy.linalg.lu_solve((lu, piv), np.eye(3), check_finite=False)
+        assert np.array_equal(inverse(a), expected, equal_nan=True)
+
+    def test_symmetric_check_bound_is_the_largest_difference(self):
+        # Rejected exactly when max|a - a^T| exceeds SYMMETRY_RTOL * max(scale, 1).
+        rng = np.random.default_rng(41)
+        for n in range(2, 9):
+            for _ in range(20):
+                a = rng.uniform(-10.0, 10.0, (n, n))
+                a = a + a.T
+                i, j = rng.choice(n, 2, replace=False)
+                a[i, j] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-10 * np.abs(a).max()
+                expected = np.abs(a - a.T).max() > 1e-10 * max(np.abs(a).max(), 1.0)
+                try:
+                    linalg._check_symmetric(a)
+                    rejected = False
+                except NotSymmetricError:
+                    rejected = True
+                assert rejected == expected
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0], [-3.0, 2.0], [1e-300, -0.0, 0.0], [np.inf, 1.0], [1.0, -np.inf, np.inf]],
+    )
+    def test_equals_numpy(self, values):
+        assert linalg._max_abs(values) == float(np.abs(values).max())
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_anywhere_is_nan(self, position):
+        # The builtin max keeps a NaN only in first place; numpy's anywhere.
+        values = [2.0, -5.0, np.inf, 1.0]
+        values[position] = np.nan
+        assert math.isnan(float(np.abs(values).max()))
+        assert math.isnan(linalg._max_abs(values))
 
 
 # Run in a fresh interpreter, since this module imports scipy.linalg: the

@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from irgalab.irga import check_conjecture, random_pd
+from irgalab.linalg import DimensionMismatchError
 from irgalab.majorization import (
     NotDoublyStochasticError,
     TransferChain,
@@ -13,6 +15,7 @@ from irgalab.majorization import (
     shannon_entropy,
     transfer_chain,
 )
+from irgalab.spdd import make_gauge, make_spdd
 
 
 def reference_birkhoff(s, tol=1e-9):
@@ -85,6 +88,41 @@ class TestMajorizes:
 
         with pytest.raises(DimensionMismatchError):
             majorizes([1.0, 2.0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("rng_range", [2.0, 10.0])
+    def test_deficits_are_the_numpy_prefix_sums(self, n, rng_range):
+        # The prefix sums run on Python floats; each deficit is still the
+        # double of numpy's cumsum on the descending sorts.
+        rng = np.random.default_rng(n + int(rng_range))
+        for seed in range(40):
+            gauge = make_gauge(random_pd(n, seed, rng_range=rng_range).p)
+            spectrum = rng.uniform(1e-6, 10.0, n)
+            diagonal = make_spdd(gauge, spectrum).diagonal
+            for y, x in ((diagonal, spectrum), (spectrum, diagonal)):
+                deficits = np.cumsum(np.sort(y)[::-1]) - np.cumsum(np.sort(x)[::-1])
+                verdict = majorizes(y, x)
+                assert verdict.prefix_deficits == tuple(float(d) for d in deficits)
+                assert verdict.sum_gap == float(x.sum() - y.sum())
+                assert verdict.holds == bool(
+                    deficits.min() >= -verdict.tol and abs(verdict.sum_gap) <= verdict.tol
+                )
+
+
+class TestEmptyInput:
+    # Empty vectors and matrices are a dimension error naming the shape,
+    # not numpy's zero-size reduction error.
+    def test_majorizes(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(0,\)"):
+            majorizes([], [])
+
+    def test_transfer_chain(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(0,\)"):
+            transfer_chain([], [])
+
+    def test_birkhoff(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(0, 0\)"):
+            birkhoff(np.zeros((0, 0)))
 
 
 class TestTransferChain:
@@ -193,6 +231,47 @@ class TestBirkhoff:
     def test_rejects_negative_entries(self):
         with pytest.raises(NotDoublyStochasticError):
             birkhoff(np.array([[1.1, -0.1], [-0.1, 1.1]]))
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The matching's augmenting path is a module-level function, so a
+        # decomposition frees everything it made by reference counting.
+        gauge = make_gauge(random_pd(6, 2).p)
+        assert gauge.valid
+        gc.collect()
+        gc.disable()
+        try:
+            decomposition = birkhoff(gauge.s)
+            assert len(decomposition) > 6
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_sum_check_is_numpy_sums_against_tol(self):
+        # Rejected for its sums exactly when numpy's row or column sums of
+        # the input miss 1 by more than tol, at sizes where numpy sums rows
+        # pairwise too.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(2, 11))
+            s = random_doubly_stochastic(rng, n) + rng.uniform(0.0, 1e-9, (n, n))
+            tol = float(rng.uniform(1e-10, 4e-9))
+            expected = max(
+                np.abs(s.sum(axis=1) - 1.0).max(), np.abs(s.sum(axis=0) - 1.0).max()
+            ) > tol
+            try:
+                birkhoff(s, tol=tol)
+                rejected = False
+            except NotDoublyStochasticError as exc:
+                rejected = "sums" in str(exc)
+            assert rejected == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (2, 2)])
+    def test_non_finite_entry_anywhere(self, bad, where):
+        s = np.full((3, 3), 1.0 / 3.0)
+        s[where] = bad
+        with pytest.raises(NotDoublyStochasticError, match="non-finite"):
+            birkhoff(s)
 
     def test_random_reconstruction_and_budget(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irgalab.irga import random_pd
 from irgalab.linalg import DimensionMismatchError
 from irgalab.majorization import majorizes
-from irgalab.search import SearchConfig, neighbors, run, step
+from irgalab.search import SearchConfig, _admissible, neighbors, run, step
 from irgalab.spdd import make_gauge
 
 
@@ -142,3 +144,63 @@ class TestRun:
         for call in (run, step):
             with pytest.raises(DimensionMismatchError, match=r"\(2,\) vs gauge size 4"):
                 call(gauge, np.array([1.0, 2.0]), config)
+
+
+def reference_admissible(current, candidate, direction, tol):
+    """The admissibility test as np.allclose and a full verdict define it."""
+    if np.allclose(np.sort(current), np.sort(candidate), rtol=0.0, atol=max(tol, 1e-12)):
+        return False
+    if direction == "max_entropy":
+        return majorizes(current, candidate, tol=tol).holds
+    return majorizes(candidate, current, tol=tol).holds
+
+
+_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 2.0**-20, 1e-3, 0.25])
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """(current, candidate, tol): unrelated, one T-transform apart,
+    permuted, or apart by exactly the closeness bound max(tol, 1e-12) in
+    one entry."""
+    tol = draw(_TOLS)
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["unrelated", "averaged", "permuted", "atol_apart"]))
+    if kind in ("unrelated", "permuted"):
+        entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        # Integer entries keep the moves below exact.
+        entries = st.integers(-1000, 1000).map(float)
+    current = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    candidate = current.copy()
+    if kind == "unrelated":
+        candidate = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    elif kind == "permuted":
+        candidate = current[draw(st.permutations(range(n)))]
+    elif kind == "averaged" and n > 1:
+        # A T-transform of current, majorized by it, with equal sums.
+        j, k = draw(st.permutations(range(n)))[:2]
+        lam = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        candidate[j] = lam * current[j] + (1.0 - lam) * current[k]
+        candidate[k] = (1.0 - lam) * current[j] + lam * current[k]
+    elif kind == "atol_apart":
+        # A zero moved by the bound: the sorted vectors still pair up entry
+        # by entry, and the gap is the bound exactly.
+        k = draw(st.integers(0, n - 1))
+        current[k] = 0.0
+        candidate = current.copy()
+        candidate[k] = draw(st.sampled_from([1.0, -1.0])) * max(tol, 1e-12)
+    return current, candidate, tol
+
+
+class TestAdmissible:
+    @given(diagonal_pairs(), st.sampled_from(["max_entropy", "min_entropy"]))
+    @example((np.array([2.0, 1.0]), np.array([1.5, 1.5]), 1e-9), "max_entropy")
+    @example((np.array([2.0, 1.0]), np.array([1.0, 2.0]), 1e-9), "min_entropy")
+    @example((np.array([2.0, 0.0]), np.array([2.0, 1e-9]), 1e-9), "max_entropy")
+    @settings(max_examples=300, deadline=None)
+    def test_equals_allclose_and_verdict(self, pair, direction):
+        current, candidate, tol = pair
+        assert _admissible(current, candidate, direction, tol) == reference_admissible(
+            current, candidate, direction, tol
+        )
