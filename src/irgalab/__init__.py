@@ -8,7 +8,7 @@ diagonal-majorizes-spectrum property, and a majorization-guided lattice
 search.
 """
 
-from .exact import Polynomial, QuadExt3, SQRT3, VariableSet
+from .exact import Polynomial, VariableSet
 from .irga import (
     IrgaReport,
     PdSample,

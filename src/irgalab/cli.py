@@ -6,7 +6,8 @@ a short human summary to stderr.  Reports are byte-identical across reruns
 with the same arguments and seeds, except for the wall_time_ms field.
 
 Exit codes: 0 verified/found, 1 violated/not found, 2 usage error,
-3 parse error, 4 numeric failure (singular / not PD / not symmetric).
+3 parse error, 4 numeric failure (singular / not PD / not symmetric, or a
+NaN or infinite value in the report, which is written as strict JSON).
 """
 
 from __future__ import annotations
@@ -103,7 +104,12 @@ def _reports(fn):
             "payload": payload,
             "wall_time_ms": int((time.monotonic() - started) * 1000),
         }
-        text = json.dumps(report, indent=2, sort_keys=True)
+        try:
+            # Strict JSON: a NaN or infinite value is a numeric failure.
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            _summary(f"numeric failure: {exc}", quiet)
+            sys.exit(EXIT_NUMERIC)
         out_path = ctx.obj.get("out")
         if out_path:
             Path(out_path).write_text(text + "\n", encoding="utf-8")

@@ -1,27 +1,18 @@
-"""Exact scalar arithmetic: rationals, the quadratic extension Q(sqrt 3),
-and sparse multivariate polynomials over either field.
+"""Exact scalar arithmetic: sparse multivariate polynomials over the rationals.
 
-Rationals are plain ``fractions.Fraction``.  ``QuadExt3`` models numbers of
-the form r + s*sqrt(3) with rational r, s; this is the only irrationality
-needed anywhere in the package (certificate coefficients of the form
-sqrt(2 +- sqrt(3)) are stored after the rewrite sqrt(2 -+ sqrt(3)) =
-(sqrt(3) -+ 1)/sqrt(2), with the 1/sqrt(2) factors folded into the rational
-square multipliers).
-
-Polynomials are sparse maps from exponent tuples to nonzero coefficients
-(int, Fraction, or QuadExt3), canonically ordered graded-lexicographically
-over a fixed ``VariableSet``.  All values are immutable; operations are pure.
+Rationals are plain ``int`` and ``fractions.Fraction``; every exact scalar
+in the package is one of those or a ``Polynomial``.  Polynomials are sparse
+maps from exponent tuples to nonzero int or Fraction coefficients,
+canonically ordered graded-lexicographically over a fixed ``VariableSet``.
+All values are immutable; operations are pure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
-    "QuadExt3",
-    "SQRT3",
     "VariableSet",
     "Polynomial",
     "IncompatibleVariablesError",
@@ -35,149 +26,6 @@ class IncompatibleVariablesError(ValueError):
 
 class IncompleteAssignmentError(ValueError):
     """Raised when an evaluation point does not cover every variable."""
-
-
-_SQRT3_FLOAT = 3.0 ** 0.5
-
-
-def _power(base, exponent: int, one):
-    """base ** exponent by square-and-multiply, starting from ``one``."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
-
-
-class QuadExt3:
-    """An element r + s*sqrt(3) of the field Q(sqrt 3), with exact parts."""
-
-    __slots__ = ("rat", "root")
-
-    def __init__(self, rat=0, root=0):
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "root", Fraction(root))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt3 is immutable")
-
-    # -- coercion -----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, QuadExt3):
-            return value
-        if isinstance(value, Rational):
-            return QuadExt3(value, 0)
-        return None
-
-    # -- predicates ---------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.root == 0
-
-    def __bool__(self) -> bool:
-        return self.rat != 0 or self.root != 0
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt3(self.rat + other.rat, self.root + other.root)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt3(self.rat - other.rat, self.root - other.root)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return QuadExt3(-self.rat, -self.root)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        # (a + b sqrt3)(c + d sqrt3) = (ac + 3bd) + (ad + bc) sqrt3
-        return QuadExt3(
-            self.rat * other.rat + 3 * self.root * other.root,
-            self.rat * other.root + self.root * other.rat,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt3":
-        # Nonzero elements always invert: rat^2 = 3*root^2 would make sqrt(3)
-        # rational, so the norm below vanishes only at zero.
-        norm = self.rat * self.rat - 3 * self.root * self.root
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt 3)")
-        return QuadExt3(self.rat / norm, -self.root / norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        return _power(self, exponent, QuadExt3(1))
-
-    # -- comparisons / hashing ----------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt3):
-            return self.rat == other.rat and self.root == other.root
-        if isinstance(other, Rational):
-            return self.root == 0 and self.rat == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.root == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.root))
-
-    # -- conversions --------------------------------------------------------
-
-    def __float__(self) -> float:
-        return float(self.rat) + float(self.root) * _SQRT3_FLOAT
-
-    def __repr__(self) -> str:
-        return f"QuadExt3({self.rat!r}, {self.root!r})"
-
-    def __str__(self) -> str:
-        if self.root == 0:
-            return str(self.rat)
-        root = "sqrt3" if abs(self.root) == 1 else f"{abs(self.root)} sqrt3"
-        if self.rat == 0:
-            return root if self.root > 0 else f"-{root}"
-        sign = "+" if self.root > 0 else "-"
-        return f"{self.rat} {sign} {root}"
-
-
-SQRT3 = QuadExt3(0, 1)
 
 
 class VariableSet:
@@ -289,12 +137,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        """True when no coefficient carries a sqrt(3) component."""
-        return all(
-            not isinstance(c, QuadExt3) or c.is_rational for c in self.terms.values()
-        )
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -315,7 +157,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._compat(other)
             return other
-        if isinstance(other, (Rational, QuadExt3)) and not isinstance(other, float):
+        if isinstance(other, Rational):
             return Polynomial.constant(self.variables, other)
         return None
 
@@ -374,13 +216,24 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return _power(self, exponent, Polynomial.constant(self.variables, 1))
+        """Square-and-multiply power for a nonnegative integer exponent."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        base = self
+        result = Polynomial.constant(self.variables, 1)
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     # -- queries ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (Rational, QuadExt3)):
+            if isinstance(other, Rational):
                 return self == Polynomial.constant(self.variables, other)
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms

@@ -4,17 +4,18 @@ Two carriers coexist and most public functions dispatch on type:
 
 * ``numpy.ndarray`` (float64) for throughput work; and
 * ``Matrix``, an immutable row-tuple container holding exact scalars
-  (int, Fraction, QuadExt3, or Polynomial) for certification work.
+  (int, Fraction, or Polynomial) for certification work.
 
-One fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968)
-serves two jobs: its last pivot gives the determinant of an int/Fraction
-matrix, run on D*A with D the LCM of the entries' denominators, and its
-pivots are the leading principal minors that the exact positive-definiteness
-test (Sylvester's criterion) reads.  Determinants with any other entries
-(Polynomial, QuadExt3, or a mix) use cofactor expansion along the first
-row.  Exact inverses use one fraction-free Gauss-Jordan pass, which
-yields the adjugate and the determinant together, over the integers on D*A
-for int/Fraction matrices.  Float inverses use partially pivoted LU
+Every exact elimination runs over the integers, on D*A with D the LCM of
+the entries' denominators.  One fraction-free forward elimination (Bareiss,
+Math. Comp. 22, 1968) serves two jobs: its last pivot gives the determinant
+of an int/Fraction matrix, and its pivots are the leading principal minors
+that the exact positive-definiteness test (Sylvester's criterion) reads.
+Determinants of Polynomial matrices use cofactor expansion along the first
+row.  Exact inverses use one fraction-free Gauss-Jordan pass, which yields
+the adjugate and the determinant together.  The exact inverse and
+positive-definiteness test take int/Fraction entries only and raise
+TypeError for any other.  Float inverses use partially pivoted LU
 (LAPACK dgetrf/dgetrs) with an explicit pivot-magnitude check, and the
 float positive-definiteness test and Cholesky factor both use LAPACK
 dpotrf.  These LAPACK routines come from scipy's ``_flapack`` extension,
@@ -231,18 +232,15 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Exact inverse as adjugate over determinant (one Gauss-Jordan pass).
 
-        int and Fraction matrices give Fraction entries, each normalised
-        once from A^-1 = D * adj(D*A) / det(D*A) over the integer matrix D*A.
+        Entries must be int or Fraction (else TypeError).  The result has
+        Fraction entries, each normalised once from
+        A^-1 = D * adj(D*A) / det(D*A) over the integer matrix D*A.
         """
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
-        scaled = _integer_scaled(self.rows)
-        if scaled is not None:
-            rows, scale = scaled
-            adj, d = _adjugate_det(rows)
-            return Matrix([[Fraction(scale * v, d) for v in row] for row in adj])
-        adj, d = _adjugate_det(self.rows)
-        return Matrix([[v / d for v in row] for row in adj])
+        rows, scale = _rational_scaled(self.rows, "inverse")
+        adj, d = _adjugate_det(rows)
+        return Matrix([[Fraction(scale * v, d) for v in row] for row in adj])
 
     def to_float_array(self) -> np.ndarray:
         return np.array([[float(a) for a in row] for row in self.rows], dtype=float)
@@ -292,15 +290,13 @@ def _bareiss_pivots(rows) -> tuple:
     return pivots, swaps
 
 
-def _exact_div(value, divisor):
+def _exact_div(value: int, divisor: int) -> int:
     if divisor == 1:
         return value
-    if isinstance(value, int) and isinstance(divisor, int):
-        q, r = divmod(value, divisor)
-        if r:
-            raise ArithmeticError("inexact division in Bareiss elimination")
-        return q
-    return value / divisor
+    q, r = divmod(value, divisor)
+    if r:
+        raise ArithmeticError("inexact division in Bareiss elimination")
+    return q
 
 
 def _integer_scaled(rows):
@@ -314,6 +310,14 @@ def _integer_scaled(rows):
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
+def _rational_scaled(rows, operation: str):
+    """``_integer_scaled(rows)``; TypeError unless every entry is an int or a Fraction."""
+    scaled = _integer_scaled(rows)
+    if scaled is None:
+        raise TypeError(f"exact {operation} needs int or Fraction entries")
+    return scaled
+
+
 def _adjugate_det(rows) -> tuple:
     """(adj(A), det(A)) of a square exact matrix A, adjugate as a list of rows.
 
@@ -321,10 +325,9 @@ def _adjugate_det(rows) -> tuple:
     nonzero pivot if needed and updates every other row by
     row_i <- (pivot*row_i - a_ik*row_k) / previous pivot, a division that is
     always exact.  The pass ends at [d*I | d*A'^-1] for the row-swapped A'
-    with d = det(A'), i.e. at +-(det(A), adj(A)).  On integer rows (what
-    Matrix.inverse passes for int/Fraction matrices, scaled to D*A) the
-    whole pass stays in int; other exact entries divide with _exact_div.
-    Raises SingularMatrixError when A is singular.
+    with d = det(A'), i.e. at +-(det(A), adj(A)).  The rows are integers
+    (Matrix.inverse passes D*A), so the whole pass stays in int.  Raises
+    SingularMatrixError when A is singular.
     """
     a = [list(row) for row in rows]
     n = len(a)
@@ -548,8 +551,8 @@ def _is_positive_definite(a) -> bool:
     if isinstance(a, Matrix):
         # Sylvester's criterion on the pivots; D*A's leading minors are A's
         # times powers of D > 0.
-        scaled = _integer_scaled(a.rows)
-        pivots, swaps = _bareiss_pivots(a.rows if scaled is None else scaled[0])
+        rows, _ = _rational_scaled(a.rows, "positive-definiteness test")
+        pivots, swaps = _bareiss_pivots(rows)
         return not swaps and all(p > 0 for p in pivots)
     return _cholesky_lower(a) is not None
 

@@ -363,7 +363,12 @@ def shannon_entropy(v) -> float:
     if v.min() < -1e-12:
         raise ValueError(f"negative entry {v.min():.3e} outside entropy domain")
     v = v.clip(min=0.0)
-    total = v.sum()
+    with np.errstate(over="ignore"):
+        total = v.sum()
+    if not np.isfinite(total):
+        # The sum of finite entries overflowed: scale by the largest first.
+        v = v / v.max()
+        total = v.sum()
     if total <= 0:
         raise ValueError("entropy of an all-zero vector")
     z = v / total

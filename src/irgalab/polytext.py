@@ -5,14 +5,14 @@ Grammar (EBNF)::
     expr     := term (('+' | '-') term)*
     term     := ['-'] factor+            # juxtaposition multiplies
     factor   := base ['^' uint | superscript-digits]
-    base     := letter | rational | 'sqrt3' | '(' expr ')'
+    base     := letter | rational | '(' expr ')'
     rational := int ['/' uint]
 
 Input is UTF-8; ``#`` starts a comment running to end of line; whitespace
 between tokens is insignificant.  Variables are single letters, so ``ab``
-and ``a b`` both denote a*b; the one multi-letter token, ``sqrt3``, is a
-reserved word.  Unicode superscript digits are accepted and mean the same
-as ``^k``.
+and ``a b`` both denote a*b; there are no multi-letter tokens.  Coefficients
+are rational.  Unicode superscript digits are accepted and mean the same as
+``^k``.
 
 ``parse_polynomial`` expands the input into a canonical ``Polynomial``.
 ``parse_expression`` parses straight into a program of shared
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import IncompleteAssignmentError, Polynomial, QuadExt3, VariableSet
+from .exact import IncompleteAssignmentError, Polynomial, VariableSet
 
 __all__ = [
     "ParseDiagnostic",
@@ -42,14 +42,12 @@ _DIGITS = "0123456789"
 _SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
 _SUPER_DIGITS = str.maketrans(_SUPERSCRIPTS, _DIGITS)
 
-# One token per match of group 1: sqrt3, a number, a run of superscript
-# digits, or any other single non-whitespace character (an operator, a
-# letter, or an error).  A comment matches with group 1 empty, and
-# whitespace (\s, which is str.isspace) matches nothing, so findall skips
-# both.  A token's kind is read from its first character.
-_TOKEN = re.compile(
-    r"#[^\n]*|(sqrt3|[0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S)"
-)
+# One token per match of group 1: a number, a run of superscript digits,
+# or any other single non-whitespace character (an operator, a letter, or
+# an error).  A comment matches with group 1 empty, and whitespace (\s,
+# which is str.isspace) matches nothing, so findall skips both.  A token's
+# kind is read from its first character.
+_TOKEN = re.compile(r"#[^\n]*|([0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S)")
 _END = ""  # follows the last token; no token is empty
 
 
@@ -85,7 +83,7 @@ def _lexical_error(token: str):
         if slash and int(denominator) == 0:
             return 0, "zero denominator", ()
         return None
-    if len(token) > 1 or token in "+-^()" or token in _SUPERSCRIPTS or token.isalpha():
+    if token[0] in _SUPERSCRIPTS or token in "+-^()" or token.isalpha():
         return None
     return 0, f"unexpected character {token!r}", ()
 
@@ -119,7 +117,7 @@ class _Parser:
         # What each distinct token means where a factor or an exponent may
         # start.  The whole input is lexed before parsing, so the first
         # lexical error in the text wins over any syntax error.
-        self.leaves = {"sqrt3": ("num", QuadExt3(0, 1))}
+        self.leaves = {}
         self.powers = {}
         self.superscripts = {}
         for token in set(tokens):
@@ -201,7 +199,7 @@ class _Parser:
             elif factors:
                 break
             else:
-                self.fail("expected a factor", ("variable", "number", "sqrt3", "("))
+                self.fail("expected a factor", ("variable", "number", "("))
             token = tokens[self.pos]
             if token == "^":
                 self.pos += 1
@@ -311,15 +309,9 @@ def parse_polynomial(text: str, variables: VariableSet | None = None) -> Polynom
 
 
 def _coeff_sign_and_text(coeff) -> tuple[int, str]:
-    """Split a coefficient into a +-1 sign and a grammar factor for |coeff|:
-    "5", "2/3 sqrt3", or "(1 - 2 sqrt3)"."""
-    quadratic = isinstance(coeff, QuadExt3)
-    leading = (coeff.rat or coeff.root) if quadratic else coeff
-    sign = -1 if leading < 0 else 1
-    text = str(-coeff if sign < 0 else coeff)
-    if quadratic and coeff.rat and coeff.root:
-        text = f"({text})"
-    return sign, text
+    """Split a rational coefficient into a +-1 sign and the text of |coeff|,
+    as in "5" or "2/3"."""
+    return (-1, str(-coeff)) if coeff < 0 else (1, str(coeff))
 
 
 def _render_monomial(names, mono) -> str:

@@ -144,14 +144,14 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
 
     The mixed product property makes the composed S the IRGA of the
     composed P; in float mode that identity is checked to 1e-9, and a
-    miss raises FloatAccuracyError.
+    miss, a NaN deviation included, raises FloatAccuracyError.
     """
     p = linalg.kron(a.p, b.p)
     s = linalg.kron(a.s, b.s)
     if not (a.is_exact and b.is_exact):
         recomputed = irga(np.asarray(p, dtype=float))
         dev = float(np.abs(recomputed - s).max())
-        if dev > _KRON_CONSISTENCY_TOL:
+        if not dev <= _KRON_CONSISTENCY_TOL:  # also rejects a NaN deviation
             raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
     return _composed("kron", (a, b), p, s)
 
@@ -202,8 +202,8 @@ class SpddMatrix:
 
     The spectrum is exact by construction; the defining mapping identity
     diag(M) = RGA(P) * spectrum is checked at construction to 1e-9, scaled
-    by the largest diagonal entry when that exceeds 1; a miss raises
-    FloatAccuracyError.
+    by the largest diagonal entry when that exceeds 1; a miss, a NaN
+    deviation or an overflowed diagonal raises FloatAccuracyError.
     """
 
     gauge: Gauge
@@ -236,8 +236,9 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
     predicted = (p * p_inv.T) @ spectrum  # RGA(P) = P o P^-T
     observed = diagonal.tolist()
     dev = linalg._max_abs([a - b for a, b in zip(observed, predicted.tolist())])
-    scale = max(1.0, linalg._max_abs(observed))
-    if dev > _SPDD_CONSTRUCTION_TOL * scale:
+    bound = _SPDD_CONSTRUCTION_TOL * max(1.0, linalg._max_abs(observed))
+    # Fails a NaN deviation, and an overflowed diagonal, whose bound is inf.
+    if not dev <= bound < np.inf:
         raise linalg.FloatAccuracyError(f"diagonal/spectrum mapping violated by {dev:.3e}")
     return SpddMatrix(gauge=gauge, spectrum=spectrum, m=m, diagonal=diagonal)
 

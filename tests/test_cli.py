@@ -18,6 +18,9 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 # started here runs the same irgalab as the tests, installed or not.
 SOURCE_DIR = Path(irgalab.__file__).resolve().parent.parent
 
+# Inputs near the float limit overflow inside numpy, which warns.
+OVERFLOW_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 
 def run_cli(*args, cwd=None, input=None):
     """Run the CLI in this process; an uncaught exception fails the test."""
@@ -358,6 +361,18 @@ class TestReportContract:
             # Mismatched variables and a missing assignment are usage errors.
             (("poly", "eval", "cert.json", "--at", "a=1"), "a^2 + b\n", 2),
             (("sos", "verify", "--cert", "builtin:n3", "--target", "derived:4:1:2"), None, 2),
+            # A report with a NaN or infinite value is a numeric failure, not
+            # a verdict; numpy warns about the overflow that produces it.
+            pytest.param(("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"),
+                         None, 4, marks=OVERFLOW_WARNS),
+            pytest.param(("search", "run", DEMO, "--e0", "1e308,1e308,1e308,1e308",
+                          "--delta", "1"), None, 4, marks=OVERFLOW_WARNS),
+            pytest.param(("spdd", "make", DEMO, "--spectrum=1e308,1e308,1e308,1e308"),
+                         None, 4, marks=OVERFLOW_WARNS),
+            # sqrt3 is not a word of the grammar: its letters are unknown
+            # identifiers of a certificate over a, b, c.
+            (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
+             '{"variables": "abc", "terms": [{"multiplier": "1", "body": "sqrt3 a b"}]}', 3),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -491,8 +506,10 @@ class TestReportContract:
             (("spdd", "construct", "--n", "1"), None, 2),
             (("irga", "check", "p.mat"), "1 frog\n2 3\n", 3),
             (("irga", "check", "p.mat"), "1 2\n2 1\n", 4),
+            pytest.param(("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"),
+                         None, 4, marks=OVERFLOW_WARNS),
         ],
-        ids=["violated", "usage", "parse", "numeric"],
+        ids=["violated", "usage", "parse", "numeric", "non-finite"],
     )
     def test_out_holds_a_report_only_for_a_verdict(self, tmp_path, args, matrix, code):
         if matrix is not None:
@@ -505,6 +522,8 @@ class TestReportContract:
             assert json.loads(out.read_text())["outcome"] == "fail"
         else:
             assert not out.exists()
+        if code == 4:
+            assert proc.stderr.startswith("numeric failure: ")
 
     def test_human_summary_on_stderr(self):
         proc = run_cli("irga", "check", DEMO)

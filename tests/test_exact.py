@@ -8,8 +8,6 @@ from irgalab.exact import (
     IncompatibleVariablesError,
     IncompleteAssignmentError,
     Polynomial,
-    QuadExt3,
-    SQRT3,
     VariableSet,
 )
 
@@ -20,50 +18,6 @@ def poly(text, variables=ABC):
     from irgalab.polytext import parse_polynomial
 
     return parse_polynomial(text, variables)
-
-
-class TestQuadExt3:
-    def test_sqrt3_squares_to_three(self):
-        assert SQRT3 * SQRT3 == 3
-
-    def test_conjugate_product_is_one(self):
-        # (2 - sqrt3)(2 + sqrt3) = 4 - 3 = 1
-        assert (QuadExt3(2, -1)) * (QuadExt3(2, 1)) == 1
-
-    def test_inverse_of_two_plus_sqrt3(self):
-        assert QuadExt3(2, 1).inverse() == QuadExt3(2, -1)
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadExt3(0, 0).inverse()
-
-    def test_mixed_arithmetic_with_rationals(self):
-        x = Fraction(1, 2) + SQRT3
-        assert x == QuadExt3(Fraction(1, 2), 1)
-        assert 2 * SQRT3 - SQRT3 == SQRT3
-        assert (1 / QuadExt3(2, 1)) == QuadExt3(2, -1)
-
-    def test_pow(self):
-        assert SQRT3**2 == 3
-        assert QuadExt3(1, 1) ** 0 == 1
-        with pytest.raises(ValueError):
-            SQRT3 ** (-1)
-
-    def test_equality_and_float(self):
-        assert QuadExt3(5, 0) == Fraction(5)
-        assert QuadExt3(5, 0) == 5
-        assert QuadExt3(0, 1) != 1
-        assert abs(float(SQRT3) - 3**0.5) < 1e-15
-
-    @given(
-        st.fractions(max_denominator=50),
-        st.fractions(max_denominator=50),
-    )
-    def test_nonzero_elements_invert_exactly(self, r, s):
-        x = QuadExt3(r, s)
-        if not x:
-            return
-        assert x * x.inverse() == 1
 
 
 class TestVariableSet:
@@ -89,12 +43,16 @@ class TestPolynomialArithmetic:
         p = poly("a^2 b^2 + a b c")
         assert (p * Polynomial.zero(ABC)).is_zero
 
-    def test_sqrt3_square_expansion(self):
-        # (ab(sqrt3 - 1) + c(sqrt3 + 1))^2 = a^2 b^2 (4 - 2 sqrt3) + 4abc + c^2 (4 + 2 sqrt3)
-        base = poly("a b (sqrt3 - 1) + c (sqrt3 + 1)")
-        expanded = base**2
-        expected = poly("(4 - 2 sqrt3) a^2 b^2 + 4 a b c + (4 + 2 sqrt3) c^2")
-        assert expanded == expected
+    def test_rational_square_expansion(self):
+        # The rational form of the paper's sqrt(2 -+ sqrt 3) pair of squares.
+        expanded = poly("a b + 1/2 c") ** 2 + poly("c^2") * Fraction(3, 4)
+        assert expanded == poly("a^2 b^2 + a b c + c^2")
+
+    def test_rejects_non_rational_operands(self):
+        with pytest.raises(TypeError):
+            poly("a") + 0.5
+        assert poly("a") != 0.5
+        assert poly("3/2") == Fraction(3, 2)
 
     def test_variable_set_mismatch(self):
         other = poly("a + b", VariableSet("ab"))

@@ -326,6 +326,20 @@ class TestEntropy:
             assert majorizes(y, x).holds
             assert shannon_entropy(x) >= shannon_entropy(y) - 1e-9
 
+    # Warnings are errors in this suite already; the mark keeps it so here.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_is_scaled_without_warning(self):
+        assert shannon_entropy([1e308, 1e308]) == pytest.approx(np.log(2))
+        assert shannon_entropy([1.7e308, 0.0, 1.7e308, 1.7e308]) == pytest.approx(np.log(3))
+
+    def test_finite_total_is_the_unscaled_formula(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            v = rng.uniform(0, 10.0 ** rng.integers(-300, 300), int(rng.integers(1, 9)))
+            z = v / v.sum()
+            z = z[z > 0]
+            assert shannon_entropy(v) == 0.0 - (z * np.log(z)).sum()
+
     def test_point_mass_entropy_is_positive_zero(self):
         for v in ([3.0], [0.0, 5.0]):
             assert math.copysign(1.0, shannon_entropy(v)) == 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irgalab.exact import Polynomial, QuadExt3, VariableSet
+from irgalab.exact import Polynomial, VariableSet
 from irgalab.polytext import (
     ParseDiagnostic,
     PolyParseError,
@@ -58,9 +58,9 @@ class TestParsing:
         assert p.terms[(1, 0)] == Fraction(3, 4)
         assert p.terms[(0, 0)] == Fraction(1, 8)
 
-    def test_sqrt3_keyword(self):
-        p = parse_polynomial("sqrt3 a")
-        assert p.terms[(1,)] == QuadExt3(0, 1)
+    def test_sqrt3_is_letters_and_a_number(self):
+        # No reserved words: "sqrt3" is the product of s, q, r, t and 3.
+        assert parse_polynomial("sqrt3 a") == parse_polynomial("3 a q r s t")
 
     def test_unary_minus(self):
         assert parse_polynomial("-a + b") == parse_polynomial("b - a")
@@ -131,7 +131,8 @@ class TestDiagnostics:
             ("\u00e9 b", (("var", "\u00e9"), ("var", "b"), ("mul", (0, 1)))),
             ("a\u00a0b", (("var", "a"), ("var", "b"), ("mul", (0, 1)))),
             ("a\u00b2b", (("var", "a"), ("pow", 0, 2), ("var", "b"), ("mul", (1, 2)))),
-            ("sqrt33", (("num", QuadExt3(0, 1)), ("num", 3), ("mul", (0, 1)))),
+            ("sqrt33", (("var", "s"), ("var", "q"), ("var", "r"), ("var", "t"), ("num", 33),
+                        ("mul", (0, 1, 2, 3, 4)))),
             ("sqrta", (("var", "s"), ("var", "q"), ("var", "r"), ("var", "t"), ("var", "a"),
                        ("mul", (0, 1, 2, 3, 4)))),
         ],
@@ -154,26 +155,10 @@ class TestRendering:
         p = parse_polynomial("-a^2 + b", VariableSet("ab"))
         assert render_polynomial(p) == "- a^2 + b"
 
-    @pytest.mark.parametrize(
-        "terms, text",
-        [
-            ({(2, 0): QuadExt3(0, Fraction(2, 3)), (1, 1): QuadExt3(0, 1)},
-             "2/3 sqrt3 a^2 + sqrt3 a b"),
-            ({(1, 0): QuadExt3(1, -2), (0, 0): QuadExt3(-1, -1)},
-             "(1 - 2 sqrt3) a - (1 + sqrt3)"),
-            ({(0, 2): QuadExt3(0, -1), (0, 1): QuadExt3(-1, 2), (0, 0): QuadExt3(0, -3)},
-             "- sqrt3 b^2 - (1 - 2 sqrt3) b - 3 sqrt3"),
-            ({(1, 0): QuadExt3(Fraction(-1, 2)), (0, 0): QuadExt3(5, 1)},
-             "- 1/2 a + (5 + sqrt3)"),
-        ],
-    )
-    def test_quadext_coefficient_text(self, terms, text):
+    def test_rational_coefficient_text(self):
+        terms = {(2, 0): Fraction(2, 3), (1, 1): -1, (0, 1): Fraction(-5, 2), (0, 0): 7}
+        text = "2/3 a^2 - a b - 5/2 b + 7"
         assert render_polynomial(Polynomial(VariableSet("ab"), terms)) == text
-
-    def test_quadext_coefficients_round_trip(self):
-        source = "(4 - 2 sqrt3) a^2 + 2 sqrt3 b - sqrt3 + 1/2"
-        p = parse_polynomial(source, VariableSet("ab"))
-        assert parse_polynomial(render_polynomial(p), VariableSet("ab")) == p
 
     def test_pn4_transcription_round_trip(self):
         from irgalab.sos import builtin_polynomial
@@ -186,7 +171,6 @@ class TestRendering:
 coeffs = st.one_of(
     st.integers(-9, 9).map(Fraction),
     st.fractions(max_denominator=12),
-    st.builds(QuadExt3, st.fractions(max_denominator=6), st.fractions(max_denominator=6)),
 )
 monos = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
@@ -210,7 +194,7 @@ def test_expression_evaluation_matches_expansion():
 class TestCompiledEvaluation:
     POINTS = (
         {name: Fraction(k - 7, k + 2) for k, name in enumerate("abcdef")},
-        {name: QuadExt3(Fraction(k, 3), 1 - k) for k, name in enumerate("abcdef")},
+        {name: 2 * k - 5 for k, name in enumerate("abcdef")},
     )
 
     @pytest.mark.parametrize("asset", ["pn3", "pn4", "s4-entry12"])
@@ -221,12 +205,6 @@ class TestCompiledEvaluation:
         polynomial = expression.to_polynomial()
         for point in self.POINTS:
             assert expression.evaluate(point) == polynomial.evaluate(point)
-
-    def test_sqrt3_literal(self):
-        expression = parse_expression("(sqrt3 a + 1)^2 - 2 sqrt3 a")
-        point = {"a": QuadExt3(0, 1)}
-        assert expression.evaluate(point) == 10
-        assert expression.evaluate(point) == expression.to_polynomial().evaluate(point)
 
     def test_missing_variable_raises(self):
         from irgalab.exact import IncompleteAssignmentError
@@ -271,12 +249,11 @@ class TestCompiledEvaluation:
 
 
 # Random expressions paired with their value at POINT, computed directly.
-POINT = {"a": Fraction(2, 3), "b": -3, "c": QuadExt3(Fraction(1, 2), 1)}
+POINT = {"a": Fraction(2, 3), "b": -3, "c": Fraction(-5, 4)}
 
 leaf_expressions = st.one_of(
     st.sampled_from("abc").map(lambda name: (name, POINT[name])),
     st.fractions(min_value=0, max_value=9, max_denominator=5).map(lambda q: (str(q), q)),
-    st.just(("sqrt3", QuadExt3(0, 1))),
 )
 
 
@@ -309,7 +286,6 @@ def test_compiled_evaluation_matches_direct_arithmetic(case):
 # same program, or fail with the same diagnostic, on any input.
 _REFERENCE_TOKEN = re.compile(
     r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
-    r"|(?P<sqrt3>sqrt3)"
     r"|(?P<num>[0-9]+(?:/[0-9]*)?)"
     r"|(?P<op>[-+^()])"
     r"|(?P<super>[⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
@@ -385,7 +361,7 @@ def reference_parse(text, allowed=None):
             pos += 1
             sign = -1
         factors = [factor()]
-        while tokens[pos][0] in ("var", "num", "sqrt3", "("):
+        while tokens[pos][0] in ("var", "num", "("):
             factors.append(factor())
         slot = factors[0] if len(factors) == 1 else emit(("mul", tuple(factors)))
         return emit(("add", ((-1, slot),))) if sign == -1 else slot
@@ -412,9 +388,6 @@ def reference_parse(text, allowed=None):
         if kind == "num":
             pos += 1
             return emit(("num", value))
-        if kind == "sqrt3":
-            pos += 1
-            return emit(("num", QuadExt3(0, 1)))
         if kind == "var":
             if allowed is not None and value not in allowed:
                 fail(f"unknown identifier {value!r}")
@@ -427,7 +400,7 @@ def reference_parse(text, allowed=None):
                 fail("unbalanced parentheses", (")",))
             pos += 1
             return slot
-        fail("expected a factor", ("variable", "number", "sqrt3", "("))
+        fail("expected a factor", ("variable", "number", "("))
 
     expr()
     if tokens[pos][0] != "end":

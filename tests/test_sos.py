@@ -7,8 +7,9 @@ import pytest
 from irgalab.exact import Polynomial, VariableSet
 from irgalab.irga import _build_lower
 from irgalab.linalg import Matrix, adjugate_entry, cholesky, hadamard
-from irgalab.polytext import parse_polynomial, render_polynomial
+from irgalab.polytext import PolyParseError, parse_polynomial, render_polynomial
 from irgalab.sos import (
+    BUILTIN_ASSETS,
     InvalidCertificateError,
     SoSCertificate,
     SymbolicCapabilityError,
@@ -188,16 +189,22 @@ class TestCertificates:
 
     def test_difference_keys_and_coefficients(self):
         variables = VariableSet("ab")
-        body = parse_polynomial("sqrt3 a b + 1", variables)
+        body = parse_polynomial("3/2 a b + 1", variables)
         check = SoSCertificate(variables, [(Fraction(1), body)]).verify(
-            parse_polynomial("3 a^2 b^2 + b^2 + 3", variables)
+            parse_polynomial("9/4 a^2 b^2 + b^2 + 3", variables)
         )
         assert check.to_json_dict() == {
             "ok": False,
-            "expansion_rational": False,
-            "difference": {"1": ["1", "3"], "b^2": ["0", "1"], "a b": ["2 sqrt3", "0"]},
+            "expansion_rational": True,
+            "difference": {"1": ["1", "3"], "b^2": ["0", "1"], "a b": ["3", "0"]},
         }
         assert list(check.difference) == ["1", "b^2", "a b"]
+
+    def test_rational_is_read_only(self):
+        check = builtin_certificate("n3").verify(builtin_polynomial("pn3"))
+        with pytest.raises(AttributeError):
+            check.rational = False
+        assert check.rational
 
     def test_negative_multiplier_rejected_at_load(self):
         variables = VariableSet("a")
@@ -214,13 +221,44 @@ class TestCertificates:
         assert not check.ok
         assert len(check.difference) > 0
 
-    def test_sqrt3_cancellation_is_required(self):
-        # Dropping one of the paired sqrt3 squares leaves irrational residue.
+    def test_builtin_n3_is_rational(self):
+        certificate = builtin_certificate("n3")
+        assert [m for m, _ in certificate.terms] == [1, 1, Fraction(3, 4), 1]
+        assert all(
+            type(c) in (int, Fraction) for _, body in certificate.terms for c in body.terms.values()
+        )
+        # The paper's two sqrt(2 -+ sqrt 3) squares sum to the middle pair.
+        ab_plus_c = parse_polynomial("a^2 b^2 + a b c + c^2", certificate.variables)
+        middle = SoSCertificate(certificate.variables, certificate.terms[1:3])
+        assert middle.verify(ab_plus_c).ok
+
+    def test_dropping_a_square_fails(self):
         base = builtin_certificate("n3")
-        partial = SoSCertificate(base.variables, base.terms[:2])
-        check = partial.verify(entry_polynomial(3, 2, 3))
-        assert not check.ok
-        assert not check.rational
+        for k in range(len(base)):
+            partial = SoSCertificate(base.variables, base.terms[:k] + base.terms[k + 1 :])
+            check = partial.verify(entry_polynomial(3, 2, 3))
+            assert not check.ok and check.difference
+
+    def test_sqrt3_body_is_rejected_at_load(self):
+        payload = {"variables": "abc", "terms": [{"multiplier": "1", "body": "sqrt3 a b"}]}
+        with pytest.raises(PolyParseError, match="unknown identifier 's'"):
+            SoSCertificate.from_json_dict(payload)
+
+
+# The target each bundled certificate proves nonnegative.
+CERTIFICATE_TARGETS = {"n3": "pn3", "n4": "pn4"}
+
+
+@pytest.mark.parametrize("asset", sorted(BUILTIN_ASSETS))
+def test_bundled_asset_loads_with_the_current_grammar(asset):
+    # A grammar change must not orphan a bundled file: every polynomial
+    # parses, and every certificate parses and verifies against its target.
+    if BUILTIN_ASSETS[asset].endswith(".json"):
+        certificate = builtin_certificate(asset)
+        target = builtin_polynomial(CERTIFICATE_TARGETS[asset], certificate.variables)
+        assert certificate.verify(target).ok
+    else:
+        assert builtin_expression(asset).program
 
 
 class TestIdentityTest:

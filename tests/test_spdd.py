@@ -98,6 +98,21 @@ class TestMakeSpdd:
         with pytest.raises(DimensionMismatchError):
             make_spdd(worked_gauge(), [1.0, 2.0, 3.0])
 
+    def test_nan_mapping_deviation_is_an_accuracy_failure(self):
+        with pytest.raises(linalg.FloatAccuracyError, match="nan"):
+            make_spdd(worked_gauge(), [np.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        "path", [None, str(data_path("gauge4_demo.mat"))], ids=["worked", "demo"]
+    )
+    def test_overflowed_diagonal_is_an_accuracy_failure(self, path):
+        # M overflows: the demo's diagonal becomes NaN, the worked gauge's
+        # first entry +inf, which would also make a scaled bound infinite.
+        gauge = worked_gauge() if path is None else make_gauge(load_matrix(path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(linalg.FloatAccuracyError):
+                make_spdd(gauge, [1e308] * gauge.n)
+
 
 class TestVerifyMapping:
     def test_worked_two_by_two(self):
@@ -149,6 +164,13 @@ class TestMajorizationTheorem:
 
 
 class TestKronSpdd:
+    def test_nan_consistency_deviation_is_an_accuracy_failure(self):
+        gauge = worked_gauge()
+        s = gauge.s.copy()
+        s[0, 1] = np.nan
+        with pytest.raises(linalg.FloatAccuracyError, match="nan"):
+            kron_gauge(replace(gauge, s=s), gauge)
+
     def test_diagonal_spectra(self):
         a = make_spdd(make_gauge(np.eye(2)), [1.0, 2.0])
         b = make_spdd(make_gauge(np.eye(3)), [3.0, 4.0, 5.0])
