@@ -155,9 +155,19 @@ class TestRendering:
         p = parse_polynomial("-a^2 + b", VariableSet("ab"))
         assert render_polynomial(p) == "- a^2 + b"
 
-    def test_rational_coefficient_text(self):
-        terms = {(2, 0): Fraction(2, 3), (1, 1): -1, (0, 1): Fraction(-5, 2), (0, 0): 7}
-        text = "2/3 a^2 - a b - 5/2 b + 7"
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(2, 0): Fraction(2, 3), (1, 1): 1}, "2/3 a^2 + a b"),
+            ({(1, 0): Fraction(-7, 3), (0, 0): -2}, "- 7/3 a - 2"),
+            ({(0, 2): -1, (0, 1): Fraction(-5, 2), (0, 0): 3}, "- b^2 - 5/2 b + 3"),
+            ({(1, 0): Fraction(-1, 2), (0, 0): 5}, "- 1/2 a + 5"),
+            ({(2, 0): Fraction(2, 3), (1, 1): -1, (0, 1): Fraction(-5, 2), (0, 0): 7},
+             "2/3 a^2 - a b - 5/2 b + 7"),
+        ],
+        ids=["terms0", "terms1", "terms2", "terms3", "terms4"],
+    )
+    def test_rational_coefficient_text(self, terms, text):
         assert render_polynomial(Polynomial(VariableSet("ab"), terms)) == text
 
     def test_pn4_transcription_round_trip(self):
