@@ -8,11 +8,16 @@ array operations:
    then ``generate_state(4, uint64)``, in wrapping uint32 arithmetic;
 2. PCG64 seeding and steps of its 128-bit LCG, held as (hi, lo) uint64
    pairs, with XSL-RR output (O'Neill, HMC-CS-2014-0905);
-3. ``next_double = (x >> 11) * 2**-53``.
+3. ``next_double = (x >> 11) * 2**-53``, written straight into row j of a
+   (k, len(seeds)) buffer, which is returned transposed.
 
 A uint64 seed has at most two 32-bit words.  Padding them to the pool size
 with zeros hashes exactly as ``SeedSequence`` does for one or two words, so
-seeds below 2**32 need no special case.
+seeds below 2**32 need no special case.  A step and its output take 31
+elementwise operations: the high half of ``lo * MULT_LO`` comes from four
+32-bit limb products whose partial sums stay below 2**64, the carry out of
+the low half is added as a bool, and the rotation needs no mask because
+numpy defines ``x << 64`` as 0.
 """
 
 from __future__ import annotations
@@ -74,37 +79,44 @@ def _seed_state(seeds: np.ndarray) -> list:
 
 
 def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product ``a * _MULT_LO``."""
-    b_lo, b_hi = _MULT_LO_LIMBS
-    a_lo, a_hi = a & _LIMB, a >> _U64(32)
-    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    mid = (lo_lo >> _U64(32)) + (lo_hi & _LIMB) + (hi_lo & _LIMB)
-    return a_hi * b_hi + (lo_hi >> _U64(32)) + (hi_lo >> _U64(32)) + (mid >> _U64(32))
+    """High 64 bits of the 128-bit product ``a * _MULT_LO``.
+
+    Schoolbook on 32-bit limbs, ordered so that no partial sum exceeds 64 bits.
+    """
+    b0, b1 = _MULT_LO_LIMBS
+    a0, a1 = a & _LIMB, a >> _U64(32)
+    u = a1 * b0 + ((a0 * b0) >> _U64(32))
+    v = a0 * b1 + (u & _LIMB)
+    return a1 * b1 + (u >> _U64(32)) + (v >> _U64(32))
 
 
 def _step(hi, lo, inc_hi, inc_lo):
     """One LCG step ``state * MULT + inc`` modulo 2**128."""
     new_lo = lo * _MULT_LO + inc_lo
-    carry = (new_lo < inc_lo).astype(_U64)
-    new_hi = _mulhi_mult_lo(lo) + lo * _MULT_HI + hi * _MULT_LO + inc_hi + carry
+    # A bool array adds as 0 or 1 to uint64: the carry out of the low half.
+    new_hi = _mulhi_mult_lo(lo) + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
     return new_hi, new_lo
 
 
 def random(seeds, k: int) -> np.ndarray:
-    """Array of shape (len(seeds), k): row i is ``default_rng(seeds[i]).random(k)``."""
+    """Array of shape (len(seeds), k): row i is ``default_rng(seeds[i]).random(k)``.
+
+    It is the transposed view of a C-contiguous (k, len(seeds)) buffer, so
+    draw j of every seed is one contiguous row of ``random(seeds, k).T``.
+    """
     seeds = np.asarray(seeds, dtype=_U64)
     init_hi, init_lo, seq_hi, seq_lo = _seed_state(seeds)
     # pcg64_set_seed: inc = (initseq << 1) | 1; state = 0, step, += initstate, step.
     inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
     inc_lo = (seq_lo << _U64(1)) | _U64(1)
     lo = inc_lo + init_lo
-    hi = inc_hi + init_hi + (lo < init_lo).astype(_U64)
+    hi = inc_hi + init_hi + (lo < init_lo)
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
 
-    out = np.empty((seeds.size, k))
-    for j in range(k):
+    out = np.empty((k, seeds.size))
+    for row in out:
         hi, lo = _step(hi, lo, inc_hi, inc_lo)
         xored, rot = hi ^ lo, hi >> _U64(58)
-        x = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
-        out[:, j] = x >> _U64(11)
-    return out * (1.0 / 9007199254740992.0)
+        x = (xored >> rot) | (xored << (_U64(64) - rot))
+        np.multiply(x >> _U64(11), 1.0 / 9007199254740992.0, out=row)
+    return out.T

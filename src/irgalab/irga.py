@@ -12,9 +12,11 @@ strict lower triangle is drawn.
 
 Stream contract: trial t of a search draws from ``default_rng(mix64(seed, t))``
 (n-1 row-scale exponents, then the strict lower triangle), computed for a
-whole chunk of trials at once (see ``_pcg64``).  Results are therefore
-independent of chunking, and bit-identical to drawing each trial from its
-own generator.
+whole chunk of trials at once into one buffer, one contiguous row per draw
+(see ``_pcg64``), and mapped to L in place.  The float screen folds each
+entry of S into a running minimum, so a chunk never holds all of S.  Results
+are therefore independent of chunking, and bit-identical to drawing and
+screening each trial on its own.
 """
 
 from __future__ import annotations
@@ -297,8 +299,11 @@ _ROW_SCALE_EXPONENTS = (-1.5, 0.8)
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Map ``random()`` draws exactly as ``Generator.uniform(low, high)`` does."""
-    return low + (high - low) * u
+    """Map ``random()`` draws in place exactly as ``Generator.uniform(low, high)``
+    does, and return them."""
+    u *= high - low
+    u += low
+    return u
 
 
 def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
@@ -306,66 +311,68 @@ def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
     row per trial.
 
     Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
-    row-scale exponents, then the m entries uniform in +-rng_range/2.
+    row-scale exponents, then the m entries uniform in +-rng_range/2.  The
+    draws are mapped in place, one contiguous row per draw; the result is a
+    transposed view of that buffer.
     """
     m = n * (n - 1) // 2
     trial_ids = np.arange(ts.start, ts.stop, ts.step, dtype=np.uint64)
-    u = _pcg64.random(mix64(seed, trial_ids), n - 1 + m)
-    scales = 10.0 ** _uniform(u[:, : n - 1], *_ROW_SCALE_EXPONENTS)
-    rows = np.repeat(np.arange(n - 1), np.arange(1, n))
+    draws = _pcg64.random(mix64(seed, trial_ids), n - 1 + m).T
+    scales = np.power(10.0, _uniform(draws[: n - 1], *_ROW_SCALE_EXPONENTS), out=draws[: n - 1])
     half = rng_range / 2.0
-    return _uniform(u[:, n - 1 :], -half, half) * scales[:, rows]
-
-
-def _spd_inverse(a: list) -> list:
-    """Inverse of every symmetric positive-definite matrix in a stack.
-
-    A stack is a lower triangle of trial vectors: ``a[i][j]`` (j <= i) holds
-    entry (i, j) of every trial, and the result has the same layout.
-    Cholesky a = C C^T, then Y = C^-1 by forward substitution, then
-    a^-1 = Y^T Y.  Each entry is one fixed sequence of elementwise operations
-    accumulated left to right, so a trial's result is bit-identical whatever
-    else the stack holds.  A failed pivot i (the square root of a value that
-    is not positive) leaves NaN or inf in entry (i, i) of the result.
-    """
-    n = len(a)
-    c = []
-    for i in range(n):
-        row = []
-        c.append(row)
-        for j in range(i + 1):
-            acc = a[i][j]
-            for k in range(j):
-                acc = acc - row[k] * c[j][k]
-            row.append(np.sqrt(acc) if i == j else acc / c[j][j])
-    y = []
-    for i in range(n):
-        row = [-linalg._dot(c[i][j:i], [y[k][j] for k in range(j, i)]) / c[i][i] for j in range(i)]
-        y.append(row + [1.0 / c[i][i]])
-    return [
-        [linalg._dot([r[i] for r in y[i:]], [r[j] for r in y[i:]]) for j in range(i + 1)]
-        for i in range(n)
-    ]
+    lower = _uniform(draws[n - 1 :], -half, half)
+    for i in range(1, n):
+        lower[i * (i - 1) // 2 : i * (i + 1) // 2] *= scales[i - 1]
+    return lower.T
 
 
 def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
     """Minimum float IRGA entry for each row of strict-lower entries.
 
-    The whole chunk is screened at once, as stacks of trial vectors (see
-    ``_spd_inverse``): T = P o P^-1 comes from L without factorization
-    (``_t_from_lower``), then S = T^-1 by ``_spd_inverse``.  S is symmetric,
-    so its lower triangle holds its minimum.  A trial whose T is not
-    numerically PD, or whose S is not finite, screens as inf.
+    The whole chunk is screened at once, as stacks of trial vectors: entry
+    (i, j) of every trial is one vector.  T = P o P^-1 comes from L without
+    factorization (``_t_from_lower``).  Then S = T^-1: Cholesky T = C C^T,
+    Y = C^-1 by forward substitution and S = Y^T Y.  Each row of T is
+    dropped once C has used it, and each row of C once Y has.  S is
+    symmetric, so its lower triangle holds its minimum.  Each of its entries
+    is folded into a running minimum and maximum as soon as it is formed; an
+    entry that is not finite leaves one of them not finite.  Every entry is
+    one fixed sequence of elementwise operations accumulated left to right,
+    so a trial's result is bit-identical whatever else the stack holds.  A
+    trial whose T is not numerically PD (a failed pivot takes the square root
+    of a value that is not positive), or whose S is not finite, screens as
+    inf.
     """
+    mins = np.full(len(lower), np.inf)
+    maxs = -mins
     with np.errstate(all="ignore"):
-        ts = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
-        ss = np.array([entry for row in _spd_inverse(ts) for entry in row])
-        mins = ss.min(axis=0)
-    mins[~np.isfinite(ss).all(axis=0)] = np.inf
+        t = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
+        c = []
+        for i in range(n):
+            a, t[i] = t[i], None
+            row = []
+            c.append(row)
+            for j in range(i + 1):
+                acc = a[j]
+                for k in range(j):
+                    acc = acc - row[k] * c[j][k]
+                row.append(np.sqrt(acc) if i == j else acc / c[j][j])
+        y = []
+        for i in range(n):
+            ci, c[i] = c[i], None
+            row = [-linalg._dot(ci[j:i], [y[k][j] for k in range(j, i)]) / ci[i] for j in range(i)]
+            y.append(row + [1.0 / ci[i]])
+        for i in range(n):
+            col_i = [r[i] for r in y[i:]]
+            for j in range(i + 1):
+                s = linalg._dot(col_i, [r[j] for r in y[i:]])
+                np.minimum(mins, s, out=mins)
+                np.maximum(maxs, s, out=maxs)
+        mins[~(np.isfinite(mins) & np.isfinite(maxs))] = np.inf
     return mins
 
 
-_CHUNK_SIZE = 2048  # trials drawn and screened together; results do not depend on it
+_CHUNK_SIZE = 4096  # trials drawn and screened together; results do not depend on it
 
 
 def search_counterexample(

@@ -62,6 +62,9 @@ class MajorizationVerdict:
         }
 
 
+# Entries near the float limit overflow the sums to inf or NaN, which fail
+# the verdict (and the strict JSON report); the overflow need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
     """Decide whether y majorizes x (x < y), within tol."""
     y = np.asarray(y, dtype=float)
@@ -70,7 +73,7 @@ def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
         raise DimensionMismatchError(f"vector shapes {y.shape} vs {x.shape}")
     if not len(y):
         raise DimensionMismatchError(f"empty vectors, shape {y.shape}")
-    deficits = _prefix_deficits(y, x)
+    deficits = _prefix_deficits(np.sort(y), np.sort(x))
     sum_gap = float(x.sum() - y.sum())
     return MajorizationVerdict(
         holds=_holds(deficits, sum_gap, tol),
@@ -80,20 +83,23 @@ def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
     )
 
 
-def _majorizes(y: np.ndarray, x: np.ndarray, tol: float) -> bool:
+def _majorizes(
+    y: np.ndarray, y_sorted: np.ndarray, x: np.ndarray, x_sorted: np.ndarray, tol: float
+) -> bool:
     """``majorizes(y, x, tol).holds`` for nonempty float vectors of one
-    shape, without building the verdict."""
-    return _holds(_prefix_deficits(y, x), float(x.sum() - y.sum()), tol)
+    shape, given with their ascending sorts, without building the verdict."""
+    return _holds(_prefix_deficits(y_sorted, x_sorted), float(x.sum() - y.sum()), tol)
 
 
-def _prefix_deficits(y: np.ndarray, x: np.ndarray) -> list:
-    """(sum of k+1 largest of y) - (sum of k+1 largest of x) for each k.
+def _prefix_deficits(y_sorted: np.ndarray, x_sorted: np.ndarray) -> list:
+    """(sum of k+1 largest of y) - (sum of k+1 largest of x) for each k, from
+    the ascending sorts of y and x.
 
     The prefix sums run left to right from the largest entry, the order of
     ``np.cumsum`` on the descending sort, so each deficit is the same double.
     """
-    y_desc = np.sort(y).tolist()
-    x_desc = np.sort(x).tolist()
+    y_desc = y_sorted.tolist()
+    x_desc = x_sorted.tolist()
     y_desc.reverse()
     x_desc.reverse()
     return [a - b for a, b in zip(accumulate(y_desc), accumulate(x_desc))]

@@ -132,15 +132,18 @@ def neighbors(spectrum, delta: float) -> list:
     return out
 
 
-def _admissible(current_diag, candidate_diag, direction: str, tol: float) -> bool:
+def _admissible(current_diag, current_sorted, candidate_diag, direction: str, tol: float) -> bool:
+    """Whether the candidate diagonal is a strict move from the current one,
+    whose ascending sort the caller passes (it serves every candidate)."""
+    candidate_sorted = np.sort(candidate_diag)
     # Permutation-equal diagonals are excluded: no strict progress.  On
     # sorted vectors this is np.allclose(..., rtol=0) for finite entries,
     # and an infinite entry fails the prefix test either way.
-    if np.abs(np.sort(current_diag) - np.sort(candidate_diag)).max() <= max(tol, 1e-12):
+    if np.abs(current_sorted - candidate_sorted).max() <= max(tol, 1e-12):
         return False
     if direction == "max_entropy":
-        return _majorizes(current_diag, candidate_diag, tol)
-    return _majorizes(candidate_diag, current_diag, tol)
+        return _majorizes(current_diag, current_sorted, candidate_diag, candidate_sorted, tol)
+    return _majorizes(candidate_diag, candidate_sorted, current_diag, current_sorted, tol)
 
 
 def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
@@ -153,6 +156,10 @@ def step(gauge: Gauge, spectrum, config: SearchConfig) -> Optional[np.ndarray]:
     return trace.states[1].spectrum if trace.moves else None
 
 
+# A spectrum near the float limit overflows the diagonals to inf or NaN: no
+# move is then admissible, and the strict JSON report rejects the trace, so
+# the overflow need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
     """Take the best move until a local optimum or the iteration budget."""
     gauge.require_valid()
@@ -172,8 +179,11 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
     for _ in range(config.max_iters):
         best = None
         best_gain = 0.0
+        diag_sorted = np.sort(state.diagonal)
         for i, j, candidate in neighbors(state.spectrum, config.delta):
-            if not _admissible(state.diagonal, rga_p @ candidate, config.direction, config.tol):
+            if not _admissible(
+                state.diagonal, diag_sorted, rga_p @ candidate, config.direction, config.tol
+            ):
                 continue
             gain = sign * (shannon_entropy(candidate) - state.spectral_entropy)
             if gain > best_gain + 1e-15:

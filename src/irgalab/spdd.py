@@ -222,6 +222,9 @@ class SpddMatrix:
         return _entropy_or_none(self.diagonal)
 
 
+# A spectrum near the float limit overflows M, which the mapping check
+# rejects; the overflow need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
     """Build M = P diag(e) P^-1 and check the mapping identity."""
     spectrum = np.asarray(spectrum, dtype=float)
@@ -273,18 +276,22 @@ def verify_majorization_theorem(matrix: SpddMatrix, tol: float = 1e-9) -> Majori
     return majorizes(matrix.diagonal, matrix.spectrum, tol=tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kron_spdd(a: SpddMatrix, b: SpddMatrix) -> SpddMatrix:
     """Kronecker composition of two SPDD matrices.
 
     The composed spectrum is the Kronecker product of the spectra, the
     composed diagonal the Kronecker product of the diagonals, and the
-    composed gauge carries S = Sa (x) Sb.
+    composed gauge carries S = Sa (x) Sb.  A product that overflows raises
+    FloatAccuracyError, as ``make_spdd`` does for an overflowed diagonal.
     """
     a.gauge.require_valid()
     b.gauge.require_valid()
     gauge = kron_gauge(a.gauge, b.gauge)
     spectrum = np.kron(a.spectrum, b.spectrum)
     m = np.kron(a.m, b.m)
+    if not (np.isfinite(m).all() and np.isfinite(spectrum).all()):
+        raise linalg.FloatAccuracyError("Kronecker product overflowed: M or spectrum not finite")
     diagonal = np.diag(m).copy()
     return SpddMatrix(gauge=gauge, spectrum=spectrum, m=m, diagonal=diagonal)
 

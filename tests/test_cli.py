@@ -18,10 +18,6 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 # started here runs the same irgalab as the tests, installed or not.
 SOURCE_DIR = Path(irgalab.__file__).resolve().parent.parent
 
-# Inputs near the float limit overflow inside numpy, which warns.
-OVERFLOW_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 def run_cli(*args, cwd=None, input=None):
     """Run the CLI in this process; an uncaught exception fails the test."""
     previous = os.getcwd()
@@ -362,17 +358,17 @@ class TestReportContract:
             (("poly", "eval", "cert.json", "--at", "a=1"), "a^2 + b\n", 2),
             (("sos", "verify", "--cert", "builtin:n3", "--target", "derived:4:1:2"), None, 2),
             # A report with a NaN or infinite value is a numeric failure, not
-            # a verdict; numpy warns about the overflow that produces it.
-            pytest.param(("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"),
-                         None, 4, marks=OVERFLOW_WARNS),
-            pytest.param(("search", "run", DEMO, "--e0", "1e308,1e308,1e308,1e308",
-                          "--delta", "1"), None, 4, marks=OVERFLOW_WARNS),
-            pytest.param(("spdd", "make", DEMO, "--spectrum=1e308,1e308,1e308,1e308"),
-                         None, 4, marks=OVERFLOW_WARNS),
+            # a verdict, and the overflow that produces it does not warn.
+            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"), None, 4),
+            (("search", "run", DEMO, "--e0", "1e308,1e308,1e308,1e308", "--delta", "1"), None, 4),
+            (("spdd", "make", DEMO, "--spectrum=1e308,1e308,1e308,1e308"), None, 4),
             # sqrt3 is not a word of the grammar: its letters are unknown
             # identifiers of a certificate over a, b, c.
             (("sos", "verify", "--cert", "cert.json", "--target", "builtin:pn3"),
              '{"variables": "abc", "terms": [{"multiplier": "1", "body": "sqrt3 a b"}]}', 3),
+            # Finite factors whose Kronecker product overflows.
+            (("spdd", "kron", "--pa", DEMO, "--ea", "1e200,1e200,1e200,1e200",
+              "--pb", DEMO, "--eb", "1e200,1e200,1e200,1e200"), None, 4),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -506,8 +502,7 @@ class TestReportContract:
             (("spdd", "construct", "--n", "1"), None, 2),
             (("irga", "check", "p.mat"), "1 frog\n2 3\n", 3),
             (("irga", "check", "p.mat"), "1 2\n2 1\n", 4),
-            pytest.param(("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"),
-                         None, 4, marks=OVERFLOW_WARNS),
+            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"), None, 4),
         ],
         ids=["violated", "usage", "parse", "numeric", "non-finite"],
     )

@@ -293,6 +293,87 @@ class TestStreamIdentity:
         assert np.array_equal(_search_lower(n, seed, range(3000), rng_range), expected)
 
 
+def reference_mulhi_mult_lo(a):
+    """The pre-change high product: three 64-bit partial sums of limb products."""
+    b_lo, b_hi = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+    limb, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a_lo, a_hi = a & limb, a >> shift
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> shift) + (lo_hi & limb) + (hi_lo & limb)
+    return a_hi * b_hi + (lo_hi >> shift) + (hi_lo >> shift) + (mid >> shift)
+
+
+def reference_step(hi, lo, inc_hi, inc_lo):
+    mult_hi, mult_lo = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+    new_lo = lo * mult_lo + inc_lo
+    carry = (new_lo < inc_lo).astype(np.uint64)
+    new_hi = reference_mulhi_mult_lo(lo) + lo * mult_hi + hi * mult_lo + inc_hi + carry
+    return new_hi, new_lo
+
+
+def reference_random(seeds, k):
+    """The pre-change step loop of ``_pcg64.random``, column by column of a
+    (len(seeds), k) array, with the rotation masked; also returns each
+    output's rotation."""
+    u64 = np.uint64
+    seeds = np.asarray(seeds, dtype=u64)
+    init_hi, init_lo, seq_hi, seq_lo = _pcg64._seed_state(seeds)
+    inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
+    inc_lo = (seq_lo << u64(1)) | u64(1)
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < init_lo).astype(u64)
+    hi, lo = reference_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((seeds.size, k))
+    rotations = np.empty((seeds.size, k), dtype=u64)
+    for j in range(k):
+        hi, lo = reference_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> u64(58)
+        x = (xored >> rot) | (xored << ((u64(64) - rot) & u64(63)))
+        out[:, j] = x >> u64(11)
+        rotations[:, j] = rot
+    return out * (1.0 / 9007199254740992.0), rotations
+
+
+def reference_search_lower(n, seed, trials, rng_range):
+    """The pre-change draws: the step loop, then (C, m) temporaries for the
+    affine map and the row scales."""
+    m = n * (n - 1) // 2
+    u, _ = reference_random(mix64(seed, np.arange(trials, dtype=np.uint64)), n - 1 + m)
+    scales = 10.0 ** (-1.5 + (0.8 - -1.5) * u[:, : n - 1])
+    rows = np.repeat(np.arange(n - 1), np.arange(1, n))
+    half = rng_range / 2.0
+    return (-half + (half - -half) * u[:, n - 1 :]) * scales[:, rows]
+
+
+class TestLeanStep:
+    """The shorter PCG64 step and the in-place draws equal the step loop
+    they replaced, bit for bit."""
+
+    def test_random_equals_the_step_loop(self):
+        seeds = mix64(0, np.arange(4096, dtype=np.uint64))
+        draws = _pcg64.random(seeds, 40)
+        expected, rotations = reference_random(seeds, 40)
+        assert draws.shape == (4096, 40)
+        assert np.array_equal(draws, expected)
+        # A rotation of 0 shifts the other half by 64 bits; thousands occur.
+        assert (rotations == 0).sum() > 1000
+
+    def test_seeds_whose_first_rotation_is_zero(self):
+        _, rotations = reference_random(np.arange(2000), 1)
+        seeds = np.flatnonzero(rotations[:, 0] == 0)
+        assert len(seeds) > 0
+        draws = _pcg64.random(seeds, 3)
+        for row, seed in zip(draws, seeds.tolist()):
+            assert np.array_equal(row, np.random.default_rng(seed).random(3))
+
+    @pytest.mark.parametrize("rng_range", [2.0, 10.0, 300.0])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_search_lower_equals_the_step_loop(self, n, rng_range):
+        for seed in (0, 7919):
+            expected = reference_search_lower(n, seed, 300, rng_range)
+            assert np.array_equal(_search_lower(n, seed, range(300), rng_range), expected)
+
+
 class TestSearch:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -321,7 +402,7 @@ class TestSearch:
     def test_first_hit_independent_of_chunking(self, monkeypatch):
         module = importlib.import_module("irgalab.irga")
         outcomes = []
-        for chunk_size in (101, 512, 2048):
+        for chunk_size in (101, 512, 2048, 4096):
             monkeypatch.setattr(module, "_CHUNK_SIZE", chunk_size)
             outcomes.append(search_counterexample(7, 6000, seed=5))
         assert len({outcome.trial_index for outcome in outcomes}) == 1
@@ -361,6 +442,39 @@ def reference_min_irga_entries(n, lower):
     ps = ls @ np.transpose(ls, (0, 2, 1))
     ss = np.linalg.inv(ps * np.linalg.inv(ps))
     return ss.reshape(count, -1).min(axis=1)
+
+
+def reference_spd_inverse(a):
+    """The pre-change inverse of a lower triangle of trial vectors: C, Y and
+    S all kept whole."""
+    n = len(a)
+    c = []
+    for i in range(n):
+        row = []
+        c.append(row)
+        for j in range(i + 1):
+            acc = a[i][j]
+            for k in range(j):
+                acc = acc - row[k] * c[j][k]
+            row.append(np.sqrt(acc) if i == j else acc / c[j][j])
+    y = []
+    for i in range(n):
+        row = [-linalg._dot(c[i][j:i], [y[k][j] for k in range(j, i)]) / c[i][i] for j in range(i)]
+        y.append(row + [1.0 / c[i][i]])
+    return [
+        [linalg._dot([r[i] for r in y[i:]], [r[j] for r in y[i:]]) for j in range(i + 1)]
+        for i in range(n)
+    ]
+
+
+def reference_stacked_screen(n, lower):
+    """The pre-change screen: every entry of S stacked, then ``ss.min``."""
+    with np.errstate(all="ignore"):
+        ts = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
+        ss = np.array([entry for row in reference_spd_inverse(ts) for entry in row])
+        mins = ss.min(axis=0)
+    mins[~np.isfinite(ss).all(axis=0)] = np.inf
+    return mins
 
 
 class TestHadamardGramBuilder:
@@ -425,3 +539,12 @@ class TestFloatScreen:
         hits = np.flatnonzero(_min_irga_entries(n, lower) < -1e-10)
         expected = np.flatnonzero(reference_min_irga_entries(n, lower) < -1e-10)
         assert np.array_equal(hits, expected)
+
+    @pytest.mark.parametrize("rng_range", [2.0, 10.0, 300.0])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_running_minimum_equals_the_stacked_screen(self, n, rng_range):
+        lower = _search_lower(n, 0, range(300), rng_range).copy()
+        lower[123] *= 1e200
+        mins = _min_irga_entries(n, lower)
+        assert mins[123] == np.inf
+        assert np.array_equal(mins, reference_stacked_screen(n, lower))

@@ -108,10 +108,10 @@ class TestMakeSpdd:
     def test_overflowed_diagonal_is_an_accuracy_failure(self, path):
         # M overflows: the demo's diagonal becomes NaN, the worked gauge's
         # first entry +inf, which would also make a scaled bound infinite.
+        # The overflow itself does not warn (warnings are errors here).
         gauge = worked_gauge() if path is None else make_gauge(load_matrix(path))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(linalg.FloatAccuracyError):
-                make_spdd(gauge, [1e308] * gauge.n)
+        with pytest.raises(linalg.FloatAccuracyError):
+            make_spdd(gauge, [1e308] * gauge.n)
 
 
 class TestVerifyMapping:
@@ -170,6 +170,15 @@ class TestKronSpdd:
         s[0, 1] = np.nan
         with pytest.raises(linalg.FloatAccuracyError, match="nan"):
             kron_gauge(replace(gauge, s=s), gauge)
+
+    @pytest.mark.parametrize("gauge_of", [worked_gauge, lambda: make_gauge(np.eye(2))],
+                             ids=["worked", "identity"])
+    def test_overflowed_product_is_an_accuracy_failure(self, gauge_of):
+        # Each factor is finite; their Kronecker product overflows, without
+        # a warning (warnings are errors here).
+        a = make_spdd(gauge_of(), [1e200, 1e200])
+        with pytest.raises(linalg.FloatAccuracyError, match="overflowed"):
+            kron_spdd(a, a)
 
     def test_diagonal_spectra(self):
         a = make_spdd(make_gauge(np.eye(2)), [1.0, 2.0])
