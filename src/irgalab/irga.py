@@ -21,6 +21,7 @@ screening each trial on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -147,7 +148,9 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
     p, scale = linalg._check_symmetric(p)
-    if not linalg._is_positive_definite(p):
+    # A float P with a NaN or infinite entry has no finite scale.
+    finite = scale is None or math.isfinite(scale)
+    if not (finite and linalg._is_positive_definite(p)):
         raise NotPositiveDefiniteError("input must be positive definite")
     report = _membership_report(_irga(p, scale), tol)
     if isinstance(p, Matrix) and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):

@@ -521,10 +521,9 @@ def _cholesky_lower(a: np.ndarray):
     """dpotrf's lower factor of a symmetric float array, or None unless it is PD.
 
     dpotrf reads only the lower triangle and lets +inf through on the
-    diagonal, so every entry must also be finite.
+    diagonal, so the caller must first reject an ``a`` with a NaN or
+    infinite entry: one whose ``_check_symmetric`` scale is not finite.
     """
-    if not np.isfinite(a).all():
-        return None
     factor, info = _lapack().dpotrf(a, lower=1)
     return factor if info == 0 else None
 
@@ -535,7 +534,8 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefiniteError exactly when ``is_positive_definite``
     is False.
     """
-    factor = _cholesky_lower(_check_symmetric(np.asarray(a, dtype=float))[0])
+    a, scale = _check_symmetric(np.asarray(a, dtype=float))
+    factor = _cholesky_lower(a) if math.isfinite(scale) else None
     if factor is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return factor
@@ -543,11 +543,13 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def is_positive_definite(a) -> bool:
     """Sylvester criterion (exact scalars) or dpotrf success on finite entries (floats)."""
-    return _is_positive_definite(_check_symmetric(a)[0])
+    a, scale = _check_symmetric(a)
+    return (scale is None or math.isfinite(scale)) and _is_positive_definite(a)
 
 
 def _is_positive_definite(a) -> bool:
-    """``is_positive_definite`` for a Matrix or float array known to be symmetric."""
+    """``is_positive_definite`` for a Matrix, or a float array with finite
+    entries, known to be symmetric."""
     if isinstance(a, Matrix):
         # Sylvester's criterion on the pivots; D*A's leading minors are A's
         # times powers of D > 0.

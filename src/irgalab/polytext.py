@@ -14,10 +14,14 @@ and ``a b`` both denote a*b; there are no multi-letter tokens.  Coefficients
 are rational.  Unicode superscript digits are accepted and mean the same as
 ``^k``.
 
+Parentheses may nest at most 200 deep; deeper nesting is a parse error.
+
 ``parse_polynomial`` expands the input into a canonical ``Polynomial``.
 ``parse_expression`` parses straight into a program of shared
 subexpressions, which can be evaluated exactly without expansion; that is
 the only practical route for the very large bundled reference polynomial.
+A parenthesized group whose text occurs again is lexed and parsed only
+once, which is most of the groups of the size-6 reference.
 """
 
 from __future__ import annotations
@@ -42,13 +46,19 @@ _DIGITS = "0123456789"
 _SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
 _SUPER_DIGITS = str.maketrans(_SUPERSCRIPTS, _DIGITS)
 
-# One token per match of group 1: a number, a run of superscript digits,
-# or any other single non-whitespace character (an operator, a letter, or
-# an error).  A comment matches with group 1 empty, and whitespace (\s,
-# which is str.isspace) matches nothing, so findall skips both.  A token's
-# kind is read from its first character.
-_TOKEN = re.compile(r"#[^\n]*|([0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S)")
-_END = ""  # follows the last token; no token is empty
+# A comment runs from ``#`` to the end of its line.  The parser blanks each
+# one to spaces, so offsets, lines and columns stay those of the input.
+_COMMENT = re.compile(r"#[^\n]*")
+# One token per match: a number, a run of superscript digits, or any other
+# single non-whitespace character (an operator, a letter, or an error).
+# Whitespace (\s, which is str.isspace) matches nothing, so findall skips
+# it.  A token's kind is read from its first character.
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S")
+_PAREN = re.compile(r"[()]")
+_END = ""  # follows the last token of a span; no token is empty
+# The descent recurses at each level of parentheses, so deeper nesting is a
+# parse error rather than a RecursionError.
+_MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,13 @@ def _lexical_error(token: str):
     return 0, f"unexpected character {token!r}", ()
 
 
+def _blank_comments(text: str) -> str:
+    return _COMMENT.sub(lambda match: " " * len(match.group()), text)
+
+
 def _raise_first_lexical_error(text: str):
-    for match in _TOKEN.finditer(text):
-        error = match.group(1) and _lexical_error(match.group(1))
+    for match in _TOKEN.finditer(_blank_comments(text)):
+        error = _lexical_error(match.group())
         if error:
             delta, message, expected = error
             raise PolyParseError(_diag(text, match.start() + delta, message, expected))
@@ -102,44 +116,99 @@ def _diag(text: str, offset: int, message: str, expected: tuple[str, ...] = ()):
     return ParseDiagnostic(offset, line, column, message, expected)
 
 
+def _token_offsets(text: str, start: int, end: int) -> list:
+    return [match.start() for match in _TOKEN.finditer(text, start, end)]
+
+
 # The parser emits a program: instruction k computes slot k from earlier
 # slots, and equal instructions share one slot, so repeated subexpressions
 # are computed once.  Instructions:
 #   ("var", name)  ("num", value)  ("pow", slot, k)
 #   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
 # ``expr`` and ``term`` return the slot of what they parsed; the last
-# instruction is the root.  Tokens carry no offsets: ``fail`` finds the
-# offset of token ``pos`` by lexing the text again.
+# instruction is the root.
+#
+# The parentheses are matched once, before the descent.  The top level and
+# the inside of each group are spans.  A span is lexed only when the descent
+# reaches it, and each group directly inside it is one token: the offset of
+# its '('.  A group whose text was parsed before is skipped whole, with the
+# slot it gave then (packrat parsing, memoized by span): emission is
+# hash-consed, so parsing it again would emit nothing and return that slot.
+# A '(' that is never closed opens a group running to the end of the text,
+# which fails; a stray ')' is a token of the top level.  Each distinct token
+# is validated when first met, but every diagnostic first looks for a
+# lexical error in the whole text, so the first lexical error wins over any
+# syntax error.  Tokens carry no offsets: ``fail`` finds the offset of token
+# ``pos`` by lexing the current span again.
 class _Parser:
     def __init__(self, text: str, allowed: VariableSet | None):
-        self.text = text
-        tokens = [token for token in _TOKEN.findall(text) if token]
-        # What each distinct token means where a factor or an exponent may
-        # start.  The whole input is lexed before parsing, so the first
-        # lexical error in the text wins over any syntax error.
+        self.text = text = _blank_comments(text)
+        self.allowed = allowed
+        # close[at]: the offset of the ')' matching the '(' at ``at``, or
+        # len(text) if none does; the top level opens at -1.  children[at]:
+        # the groups directly inside, in order.
+        self.close = {-1: len(text)}
+        self.children = {-1: []}
+        stack = [-1]
+        for match in _PAREN.finditer(text):
+            at = match.start()
+            if match.group() == "(":
+                self.children[stack[-1]].append(at)
+                self.children[at] = []
+                stack.append(at)
+                if len(stack) > _MAX_NESTING + 1:
+                    _raise_first_lexical_error(text)
+                    raise PolyParseError(_diag(
+                        text, at, f"parentheses nested more than {_MAX_NESTING} deep"))
+            elif len(stack) > 1:
+                self.close[stack.pop()] = at
+        for at in stack[1:]:
+            self.close[at] = len(text)
+        self.groups = {}  # the inner text of a parsed group -> its slot
+        self.known = set()  # the tokens met so far
+        # What each of them means where a factor or an exponent may start.
         self.leaves = {}
         self.powers = {}
         self.superscripts = {}
-        for token in set(tokens):
-            if _lexical_error(token):
-                _raise_first_lexical_error(text)
-            if token[0] in _DIGITS:
-                # Integral literals are int, so integer points stay in
-                # integer arithmetic.
-                value = Fraction(token)
-                value = value.numerator if value.denominator == 1 else value
-                self.leaves[token] = ("num", value)
-                if type(value) is int:
-                    self.powers[token] = value
-            elif token[0] in _SUPERSCRIPTS:
-                self.superscripts[token] = int(token.translate(_SUPER_DIGITS))
-            elif token.isalpha() and (allowed is None or token in allowed):
-                self.leaves[token] = ("var", token)
-        tokens.append(_END)
-        self.tokens = tokens
-        self.pos = 0
         self.program = []
         self.slots = {}
+
+    def scan(self, opening: int, find) -> list:
+        """``find(text, start, end)`` over the pieces of the span opened at
+        ``opening``, with the offset of each child group's '(' in its place."""
+        start, items = opening + 1, []
+        for child in self.children[opening]:
+            items += find(self.text, start, child)
+            items.append(child)
+            start = self.close[child] + 1
+        items += find(self.text, start, self.close[opening])
+        return items
+
+    def lex(self, opening: int) -> list:
+        """The tokens of the span opened at ``opening``, ending with _END."""
+        tokens = self.scan(opening, _TOKEN.findall)
+        for token in set(tokens).difference(self.known):
+            if type(token) is str:
+                self.learn(token)
+        tokens.append(_END)
+        return tokens
+
+    def learn(self, token: str):
+        self.known.add(token)
+        if _lexical_error(token):
+            _raise_first_lexical_error(self.text)
+        if token[0] in _DIGITS:
+            # Integral literals are int, so integer points stay in integer
+            # arithmetic.
+            value = Fraction(token)
+            value = value.numerator if value.denominator == 1 else value
+            self.leaves[token] = ("num", value)
+            if type(value) is int:
+                self.powers[token] = value
+        elif token[0] in _SUPERSCRIPTS:
+            self.superscripts[token] = int(token.translate(_SUPER_DIGITS))
+        elif token.isalpha() and (self.allowed is None or token in self.allowed):
+            self.leaves[token] = ("var", token)
 
     def emit(self, instruction) -> int:
         slot = self.slots.get(instruction)
@@ -149,15 +218,35 @@ class _Parser:
         return slot
 
     def fail(self, message, expected=()):
-        offsets = [match.start() for match in _TOKEN.finditer(self.text) if match.group(1)]
-        offsets.append(len(self.text))
+        _raise_first_lexical_error(self.text)
+        offsets = self.scan(self.span, _token_offsets)
+        offsets.append(self.close[self.span])
         raise PolyParseError(_diag(self.text, offsets[self.pos], message, tuple(expected)))
 
     def parse(self) -> tuple:
+        self.span, self.tokens, self.pos = -1, self.lex(-1), 0
         self.expr()
         if self.tokens[self.pos] != _END:
             self.fail("unexpected token after expression", ("end of input",))
         return tuple(self.program)
+
+    def group(self, opening: int) -> int:
+        """The slot of the group whose '(' is at ``opening``."""
+        close = self.close[opening]
+        closed = close < len(self.text)
+        inner = self.text[opening + 1:close]
+        slot = self.groups.get(inner)
+        # An unclosed group fails even when a closed one had the same text.
+        if slot is not None and closed:
+            return slot
+        outer = self.span, self.tokens, self.pos
+        self.span, self.tokens, self.pos = opening, self.lex(opening), 0
+        slot = self.expr()
+        if self.tokens[self.pos] != _END or not closed:
+            self.fail("unbalanced parentheses", (")",))
+        self.span, self.tokens, self.pos = outer
+        self.groups[inner] = slot
+        return slot
 
     def expr(self) -> int:
         parts = [(1, self.term())]
@@ -176,7 +265,7 @@ class _Parser:
         return self.emit(("add", tuple(parts)))
 
     def term(self) -> int:
-        """['-'] factor+, each factor a leaf or '(' expr ')' with an optional exponent."""
+        """['-'] factor+, each factor a leaf or a group with an optional exponent."""
         tokens, leaves, emit = self.tokens, self.leaves, self.emit
         negate = tokens[self.pos] == "-"
         if negate:
@@ -188,12 +277,9 @@ class _Parser:
             if leaf is not None:
                 self.pos += 1
                 slot = emit(leaf)
-            elif token == "(":
+            elif type(token) is int:
                 self.pos += 1
-                slot = self.expr()
-                if tokens[self.pos] != ")":
-                    self.fail("unbalanced parentheses", (")",))
-                self.pos += 1
+                slot = self.group(token)
             elif token.isalpha():
                 self.fail(f"unknown identifier {token!r}")
             elif factors:

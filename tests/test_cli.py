@@ -12,6 +12,8 @@ from irgalab.cli import main
 from irgalab.sos import data_path
 
 DEMO = str(data_path("gauge4_demo.mat"))
+# A .poly text nested 1,000 parentheses deep.
+DEEP = "(" * 1000 + "a" + ")" * 1000 + "\n"
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 # ``python -m`` puts its working directory first on sys.path, so a process
@@ -369,6 +371,12 @@ class TestReportContract:
             # Finite factors whose Kronecker product overflows.
             (("spdd", "kron", "--pa", DEMO, "--ea", "1e200,1e200,1e200,1e200",
               "--pb", DEMO, "--eb", "1e200,1e200,1e200,1e200"), None, 4),
+            # Parentheses nested too deep are a parse error, not a RecursionError.
+            pytest.param(("poly", "parse", "cert.json"), DEEP, 3, id="deep-nesting"),
+            pytest.param(("sos", "identity-test", "--n", "6", "--reference", "cert.json"), DEEP, 3,
+                         id="deep-nesting-reference"),
+            pytest.param(("sos", "verify", "--cert", "builtin:n3", "--target", "cert.json"), DEEP, 3,
+                         id="deep-nesting-target"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irgalab.exact import Polynomial, VariableSet
@@ -141,6 +141,23 @@ class TestDiagnostics:
         # Letters and whitespace follow str.isalpha and str.isspace; the
         # superscript two is an exponent, not a letter or a digit.
         assert parse_expression(text).program == program
+
+    def test_nesting_up_to_two_hundred_levels_parses(self):
+        text = "(" * 200 + "a + 2" + ")" * 200 + "^3 " + "(" * 200 + "b" + ")" * 200
+        assert parse_expression(text).program == reference_parse(text)
+
+    def test_deeper_nesting_is_a_parse_error(self):
+        # 5,000 levels would overflow the recursive descent; the diagnostic
+        # points at the first '(' nested too deep.
+        text = "# deep\n" + "(" * 5000 + "a" + ")" * 5000
+        with pytest.raises(PolyParseError) as err:
+            parse_expression(text)
+        d = err.value.diagnostic
+        assert (d.offset, d.line, d.column) == (207, 2, 201)
+        assert d.message == "parentheses nested more than 200 deep"
+        # A lexical error anywhere in the text still wins.
+        with pytest.raises(PolyParseError, match="unexpected character '\\$'"):
+            parse_expression(text + " $")
 
 
 class TestRendering:
@@ -438,3 +455,79 @@ def test_parser_matches_reference_on_random_token_strings(pieces, names):
         assert got.value.diagnostic == err.diagnostic
     else:
         assert parse_expression(text, allowed).program == expected
+
+
+# Texts built from a few small groups, repeated and nested, so that the
+# parser meets group texts it has parsed before.  The other pieces put
+# parentheses in comments, leave a '(' unclosed or a ')' stray, put
+# exponents next to groups, and place syntax errors before lexical ones,
+# also before lexical errors inside a later group.
+_GROUP_PIECES = ["a", "b", "z", "2", "1/3", " + ", " - ", " ", "-"]
+_MEMO_PIECES = [
+    " + ", " - ", " ", "\n", "^2", "\u00b2", "a^(2)", "(a)\u00b2 (a)^2", "# (\n", "# )\n",
+    "(", ")", "+ +", "$", "1/", "3/0", "(b $)", "((1/) a)",
+]
+
+
+@st.composite
+def repeated_group_texts(draw):
+    bodies = draw(st.lists(
+        st.lists(st.sampled_from(_GROUP_PIECES), min_size=1, max_size=5).map("".join),
+        min_size=1, max_size=3,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        # A group of earlier groups, itself available for repeating.
+        parts = st.one_of(st.sampled_from(bodies).map("({})".format), st.sampled_from(_GROUP_PIECES))
+        bodies.append("".join(draw(st.lists(parts, min_size=1, max_size=4))))
+    groups = st.sampled_from(bodies).map("({})".format)
+    pieces = st.one_of(groups, groups, st.sampled_from(_GROUP_PIECES), st.sampled_from(_MEMO_PIECES))
+    return "".join(draw(st.lists(pieces, min_size=1, max_size=10)))
+
+
+@given(repeated_group_texts(), st.sampled_from([None, "ab", "abz"]))
+@example("(a # (\n+ b) (a # )\n+ b) + (a # x\n+ b)^2", None)
+@example("(a + b) + (a + b", None)
+@example("((a)) (a)) + ((a)", None)
+@example("(a + b)\u00b2 + (a + b)^2 - a^(2)", None)
+@example("(a + b) (a + + b) + (a + + b) $", None)
+@example("(a + + b) + (a + + b) (b $)", None)
+@example("(a z) + (a z)", "ab")
+@example("(a z) + ((a z) b)^2 (a z)", "abz")
+@settings(max_examples=400, deadline=None)
+def test_repeated_groups_parse_as_the_reference_does(text, names):
+    allowed = None if names is None else VariableSet(names)
+    try:
+        expected = reference_parse(text, allowed)
+    except PolyParseError as err:
+        with pytest.raises(PolyParseError) as got:
+            parse_expression(text, allowed)
+        assert got.value.diagnostic == err.diagnostic
+    else:
+        assert parse_expression(text, allowed).program == expected
+
+
+def test_each_distinct_group_of_the_size_six_reference_is_lexed_once(monkeypatch):
+    from irgalab import polytext
+    from irgalab.sos import _read_asset
+
+    text = _read_asset("s6-entry12")
+    lexed = []
+    lex = polytext._Parser.lex
+
+    def recording_lex(parser, opening):
+        lexed.append(parser.text[opening + 1:parser.close[opening]])
+        return lex(parser, opening)
+
+    monkeypatch.setattr(polytext._Parser, "lex", recording_lex)
+    parse_expression(text)
+    # The group texts, found independently of the parser's own match.
+    code = re.sub(r"#[^\n]*", lambda match: " " * len(match.group()), text)
+    groups, stack = [], []
+    for at, char in enumerate(code):
+        if char == "(":
+            stack.append(at)
+        elif char == ")":
+            groups.append(code[stack.pop() + 1:at])
+    assert len(groups) == 1864 and len(set(groups)) == 249
+    assert lexed[0] == code
+    assert sorted(lexed[1:]) == sorted(set(groups))

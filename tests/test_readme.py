@@ -72,3 +72,21 @@ def test_command_line_example_runs(tmp_path, monkeypatch, argv):
     assert result.exit_code in (0, 1), result.output
     report = json.loads(result.stdout)
     assert report["command"] == " ".join(argv[1:3])
+
+
+def test_size_six_reference_figures_match_the_asset():
+    from irgalab.sos import _read_asset, builtin_expression
+
+    code = re.sub(r"#[^\n]*", "", _read_asset("s6-entry12"))
+    tokens = re.findall(r"[0-9]+(?:/[0-9]*)?|[⁰¹²³⁴⁵⁶⁷⁸⁹]+|\S", code)
+    groups, stack = [], []
+    for at, char in enumerate(code):
+        if char == "(":
+            stack.append(at)
+        elif char == ")":
+            groups.append(code[stack.pop() + 1:at])
+    instructions = len(builtin_expression("s6-entry12").program)
+    text = " ".join(README.split())
+    assert f"the {len(tokens):,} tokens of the size-6 reference" in text
+    assert f"become {instructions:,} instructions" in text
+    assert f"Its {len(groups):,} parenthesized groups have {len(set(groups)):,} distinct texts" in text
