@@ -145,7 +145,7 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     The input must be symmetric positive definite; violations raise rather
     than report.  ``tol`` must be finite and >= 0.
     """
-    if not 0 <= tol < np.inf:
+    if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
     p, scale = linalg._check_symmetric(p)
     # A float P with a NaN or infinite entry has no finite scale.
@@ -397,9 +397,9 @@ def search_counterexample(
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < rng_range < np.inf:
+    if not 0 < rng_range < math.inf:
         raise ValueError("rng_range must be finite and > 0")
-    if not 0 <= tol < np.inf:
+    if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
 
     hits = []

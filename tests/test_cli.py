@@ -361,7 +361,7 @@ class TestReportContract:
             (("sos", "verify", "--cert", "builtin:n3", "--target", "derived:4:1:2"), None, 2),
             # A report with a NaN or infinite value is a numeric failure, not
             # a verdict, and the overflow that produces it does not warn.
-            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"), None, 4),
+            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,-1e308"), None, 4),
             (("search", "run", DEMO, "--e0", "1e308,1e308,1e308,1e308", "--delta", "1"), None, 4),
             (("spdd", "make", DEMO, "--spectrum=1e308,1e308,1e308,1e308"), None, 4),
             # sqrt3 is not a word of the grammar: its letters are unknown
@@ -377,6 +377,9 @@ class TestReportContract:
                          id="deep-nesting-reference"),
             pytest.param(("sos", "verify", "--cert", "builtin:n3", "--target", "cert.json"), DEEP, 3,
                          id="deep-nesting-target"),
+            # Every entry is within --tol: a verdict with no permutations.
+            pytest.param(("majorize", "birkhoff", "cert.json", "--tol", "0.5"), "0.5 0.5\n0.5 0.5\n", 0,
+                         id="birkhoff-empty"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -510,7 +513,7 @@ class TestReportContract:
             (("spdd", "construct", "--n", "1"), None, 2),
             (("irga", "check", "p.mat"), "1 frog\n2 3\n", 3),
             (("irga", "check", "p.mat"), "1 2\n2 1\n", 4),
-            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,1e308"), None, 4),
+            (("majorize", "check", "--y", "1e308,1e308", "--x", "1e308,-1e308"), None, 4),
         ],
         ids=["violated", "usage", "parse", "numeric", "non-finite"],
     )

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from irgalab import majorization
 from irgalab.irga import check_conjecture, random_pd
 from irgalab.linalg import DimensionMismatchError
 from irgalab.majorization import (
     NotDoublyStochasticError,
     TransferChain,
     _entropy_or_none,
+    _find_matching,
+    _matching,
     birkhoff,
     majorizes,
     shannon_entropy,
@@ -107,6 +110,40 @@ class TestMajorizes:
                 assert verdict.holds == bool(
                     deficits.min() >= -verdict.tol and abs(verdict.sum_gap) <= verdict.tol
                 )
+
+
+class TestMajorizesNearTheFloatLimit:
+    # Sums that overflow are computed on both vectors scaled by one power of
+    # two; finite-sum inputs take the plain path (pinned above).
+    def test_equal_vectors_whose_sums_overflow(self):
+        verdict = majorizes([1e308, 1e308], [1e308, 1e308])
+        assert verdict.holds
+        assert verdict.prefix_deficits == (0.0, 0.0)
+        assert verdict.sum_gap == 0.0
+
+    def test_a_deficit_that_overflows_stays_infinite(self):
+        verdict = majorizes([1e308, 1e308], [1e308, -1e308])
+        assert not verdict.holds
+        assert verdict.prefix_deficits == (0.0, math.inf)
+        assert verdict.sum_gap == -math.inf
+
+    def test_scaling_is_exact(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            y = rng.uniform(0.0, 1.0, n)
+            x = rng.permutation(y) * rng.uniform(0.5, 1.5, n)
+            small = majorizes(y, x)
+            big = majorizes(np.ldexp(y, 1023), np.ldexp(x, 1023))
+            assert big.prefix_deficits == tuple(math.ldexp(d, 1023) for d in small.prefix_deficits)
+            assert big.sum_gap == math.ldexp(small.sum_gap, 1023)
+            assert big.holds == majorizes(y, x, tol=math.ldexp(1e-9, -1023)).holds
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_entry_is_not_scaled(self, bad):
+        verdict = majorizes([bad, 1e308, 1e308], [1.0, 1.0, 1.0])
+        assert not verdict.holds
+        assert not all(map(math.isfinite, verdict.prefix_deficits))
 
 
 class TestEmptyInput:
@@ -273,6 +310,17 @@ class TestBirkhoff:
         with pytest.raises(NotDoublyStochasticError, match="non-finite"):
             birkhoff(s)
 
+    def test_empty_decomposition_reconstructs_zeros(self):
+        decomposition = birkhoff(np.full((2, 2), 0.5), tol=0.5)
+        assert len(decomposition) == 0 and decomposition.n == 2
+        np.testing.assert_array_equal(decomposition.reconstruct(), np.zeros((2, 2)))
+        assert decomposition.to_json_dict() == {"weights": [], "permutations": []}
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            birkhoff(np.eye(2), tol=tol)
+
     def test_random_reconstruction_and_budget(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -282,6 +330,86 @@ class TestBirkhoff:
             assert len(decomposition) <= (n - 1) ** 2 + 1
             assert np.abs(decomposition.reconstruct() - s).max() <= 1e-9
             assert abs(sum(decomposition.weights) - 1.0) <= 1e-10
+
+
+def support_of(n, mask):
+    """Row r lists, in order, the columns c whose bit r*n + c is set in mask."""
+    return [[c for c in range(n) if mask >> (r * n + c) & 1] for r in range(n)]
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """An empty matching memo for one test, the module's own restored after."""
+    memo = {}
+    monkeypatch.setattr(majorization, "_MATCHINGS", memo)
+    return memo
+
+
+class TestMatchingMemo:
+    def test_cold_and_warm_equal_numpy_reference(self, matchings):
+        rng = np.random.default_rng(17)
+        for k in range(300):
+            n = int(rng.integers(2, 7))
+            report = check_conjecture(random_pd(n, k, rng_range=2.0).p)
+            s = report.s if k % 2 and report.doubly_stochastic else random_doubly_stochastic(rng, n + 1)
+            expected = reference_birkhoff(s)
+            matchings.clear()
+            for _ in ("cold", "warm"):
+                decomposition = birkhoff(s)
+                assert (decomposition.weights, decomposition.permutations) == expected
+
+    def test_key_holds_the_size(self, matchings):
+        # Bits 0 and 3 are the diagonal of a 2 x 2 support, but entries
+        # (0, 0) and (1, 0) of a 3 x 3 one, which has no perfect matching.
+        mask = 0b1001
+        assert _matching(2, mask, support_of(2, mask)) == (0, 1)
+        assert _matching(3, mask, support_of(3, mask)) is None
+        assert list(matchings) == [(2, mask), (3, mask)]
+        assert _matching(2, mask, support_of(2, mask)) == _find_matching(support_of(2, mask))
+
+    def test_second_decomposition_runs_no_search(self, matchings, monkeypatch):
+        searches = []
+
+        def counted(support):
+            searches.append(support)
+            return _find_matching(support)
+
+        monkeypatch.setattr(majorization, "_find_matching", counted)
+        s = make_gauge(random_pd(6, 2).p).s
+        first = birkhoff(s)
+        assert 0 < len(searches) <= len(first)
+        searches.clear()
+        second = birkhoff(s)
+        assert searches == []
+        assert second == first
+        # The permutations are the memo's tuples, shared between the two.
+        assert all(a is b for a, b in zip(first.permutations, second.permutations))
+
+    def test_no_perfect_matching_raises_every_time(self, matchings):
+        # Sums are 1 and the negative entry is within tol, but rows 0 and 1
+        # both have column 0 alone above tol.
+        s = np.array([[0.6, 0.2, 0.2], [0.6, 0.2, 0.2], [-0.2, 0.6, 0.6]])
+        for _ in range(2):
+            with pytest.raises(NotDoublyStochasticError, match="no perfect matching"):
+                birkhoff(s, tol=0.3)
+        assert list(matchings.values()) == [None]
+
+    def test_never_grows_past_its_bound(self, matchings, monkeypatch):
+        monkeypatch.setattr(majorization, "_MATCHINGS_MAX", 5)
+        searches = []
+
+        def counted(support):
+            searches.append(support)
+            return _find_matching(support)
+
+        monkeypatch.setattr(majorization, "_find_matching", counted)
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            s = random_doubly_stochastic(rng, int(rng.integers(2, 7)))
+            decomposition = birkhoff(s)
+            assert len(matchings) <= 5
+            assert (decomposition.weights, decomposition.permutations) == reference_birkhoff(s)
+        assert len(searches) > 5
 
 
 class TestEntropy:

@@ -194,6 +194,15 @@ def diagonal_pairs(draw):
 
 
 class TestAdmissible:
+    def test_sums_near_the_float_limit(self):
+        # The diagonals' sums overflow; the verdicts are those of the halves.
+        current, candidate = np.array([1.5e308, 0.5e308]), np.array([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for direction, expected in (("max_entropy", True), ("min_entropy", False)):
+                assert _admissible(current, np.sort(current), candidate, direction, 1e-9) is expected
+                half = current / 2
+                assert _admissible(half, np.sort(half), candidate / 2, direction, 1e-9) is expected
+
     @given(diagonal_pairs(), st.sampled_from(["max_entropy", "min_entropy"]))
     @example((np.array([2.0, 1.0]), np.array([1.5, 1.5]), 1e-9), "max_entropy")
     @example((np.array([2.0, 1.0]), np.array([1.0, 2.0]), 1e-9), "min_entropy")
