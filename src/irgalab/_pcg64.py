@@ -8,8 +8,12 @@ array operations:
    then ``generate_state(4, uint64)``, in wrapping uint32 arithmetic;
 2. PCG64 seeding and steps of its 128-bit LCG, held as (hi, lo) uint64
    pairs, with XSL-RR output (O'Neill, HMC-CS-2014-0905);
-3. ``next_double = (x >> 11) * 2**-53``, written straight into row j of a
-   (k, len(seeds)) buffer, which is returned transposed.
+3. ``next_double = (x >> 11) * 2**-53``, written straight into the next
+   row of a float buffer.
+
+``blocks(seeds, sizes)`` returns the draws in blocks of rows, one buffer per
+block, so the search frees the row-scale draws apart from L; ``random`` is
+the single (k, len(seeds)) block, returned transposed.
 
 A uint64 seed has at most two 32-bit words.  Padding them to the pool size
 with zeros hashes exactly as ``SeedSequence`` does for one or two words, so
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random"]
+__all__ = ["random", "blocks"]
 
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -104,19 +108,36 @@ def random(seeds, k: int) -> np.ndarray:
     It is the transposed view of a C-contiguous (k, len(seeds)) buffer, so
     draw j of every seed is one contiguous row of ``random(seeds, k).T``.
     """
+    return blocks(seeds, [k])[0].T
+
+
+def blocks(seeds, sizes) -> list:
+    """The first ``sum(sizes)`` draws of every seed's stream, in consecutive blocks.
+
+    Block b is a C-contiguous (sizes[b], len(seeds)) array of its own, whose
+    row j is the next draw of every stream, so a caller can free each block
+    on its own.  The seeding arrays are freed before the first block is
+    allocated; only the 128-bit state and increment, four uint64 vectors,
+    live through the draws.
+    """
     seeds = np.asarray(seeds, dtype=_U64)
+    count = seeds.size
     init_hi, init_lo, seq_hi, seq_lo = _seed_state(seeds)
+    del seeds
     # pcg64_set_seed: inc = (initseq << 1) | 1; state = 0, step, += initstate, step.
     inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
     inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    del seq_hi, seq_lo
     lo = inc_lo + init_lo
     hi = inc_hi + init_hi + (lo < init_lo)
+    del init_hi, init_lo
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
 
-    out = np.empty((k, seeds.size))
-    for row in out:
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        xored, rot = hi ^ lo, hi >> _U64(58)
-        x = (xored >> rot) | (xored << (_U64(64) - rot))
-        np.multiply(x >> _U64(11), 1.0 / 9007199254740992.0, out=row)
-    return out.T
+    out = [np.empty((size, count)) for size in sizes]
+    for block in out:
+        for row in block:
+            hi, lo = _step(hi, lo, inc_hi, inc_lo)
+            xored, rot = hi ^ lo, hi >> _U64(58)
+            x = (xored >> rot) | (xored << (_U64(64) - rot))
+            np.multiply(x >> _U64(11), 1.0 / 9007199254740992.0, out=row)
+    return out

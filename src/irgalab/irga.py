@@ -12,11 +12,17 @@ strict lower triangle is drawn.
 
 Stream contract: trial t of a search draws from ``default_rng(mix64(seed, t))``
 (n-1 row-scale exponents, then the strict lower triangle), computed for a
-whole chunk of trials at once into one buffer, one contiguous row per draw
-(see ``_pcg64``), and mapped to L in place.  The float screen folds each
-entry of S into a running minimum, so a chunk never holds all of S.  Results
-are therefore independent of chunking, and bit-identical to drawing and
-screening each trial on its own.
+whole chunk of trials at once, one contiguous vector per draw (see
+``_pcg64``), and mapped to L in place.  The scales and L fill buffers of
+their own.  The float screen frees each vector once its last reader has
+run: the scales once L is scaled, X = L^-1 entry by entry as T = P o P^-1
+is formed, L once T is complete, and T entry by entry as its Cholesky
+factor is formed.  It folds each entry of S into a running minimum, so a
+chunk never holds all of S.  At n = 7 a chunk peaks at about 51 vectors,
+as T is completed beside L.  Only the trial ids of float hits outlive a
+chunk; certification draws their rows again from their own streams.
+Results are therefore independent of chunking, and bit-identical to
+drawing and screening each trial on its own.
 """
 
 from __future__ import annotations
@@ -217,21 +223,33 @@ def _t_from_lower(l) -> list:
     substitution X_ij = -(L_ij + sum over j < k < i of L_ik X_kj) needs no
     division: one code path serves int, Fraction and Polynomial entries and
     stacks of float trial vectors.  T is symmetric, so only its lower
-    triangle is computed; the upper triangle mirrors it.
+    triangle is computed, column by column; the upper triangle mirrors it.
+    For i >= j, T_ij is the dot of rows i and j of L over k <= j times the
+    dot of columns i and j of X over k >= i, from the bottom up.  The last
+    term of each dot pairs an entry with a unit diagonal, so it is added as
+    the bare entry.
+
+    X_ij is released once T_ij is formed, its last reader.
     """
     n = len(l)
-    x = [list(row) for row in l]
-    for i in range(n):
-        for j in range(i):
-            x[i][j] = -sum((l[i][k] * x[k][j] for k in range(j + 1, i)), l[i][j])
-    # Row i of L up to the diagonal; column j of X from the bottom up to the
-    # diagonal.  zip() stops at the shorter one: k = min(i, j), k = max(i, j).
-    rows = [row[: i + 1] for i, row in enumerate(l)]
-    cols = [[x[k][j] for k in range(n - 1, j - 1, -1)] for j in range(n)]
-    t = [
-        [linalg._dot(rows[i], rows[j]) * linalg._dot(cols[i], cols[j]) for j in range(i + 1)]
-        for i in range(n)
-    ]
+
+    def dot(a, b, last):
+        # a . b, then + last; zip() stops at the shorter of a and b.
+        total = linalg._dot(a, b)
+        return last if total is None else total + last
+
+    x = []  # x[j][i] = X_ij for i >= j: column j of X
+    for j in range(n):
+        col = [None] * n
+        col[j] = l[j][j]
+        for i in range(j + 1, n):
+            col[i] = -sum((l[i][k] * col[k] for k in range(j + 1, i)), l[i][j])
+        x.append(col)
+    t = [[None] * (i + 1) for i in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            t[i][j] = dot(l[i][:j], l[j], l[i][j]) * dot(x[i][:i:-1], x[j][:i:-1], x[j][i])
+            x[j][i] = None
     return [[t[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
 
 
@@ -246,10 +264,13 @@ def random_pd(n: int, seed: int, rng_range: float = 2.0, mode: str = "float") ->
     """Deterministic PD sample; strict-lower entries uniform in [-range, range].
 
     Exact mode draws dyadic rationals k/2^16 so the sample certifies without
-    rounding.
+    rounding.  ``rng_range`` must be finite and >= 0; a range of 0 gives
+    L = P = I.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 <= rng_range < math.inf:
+        raise ValueError("rng_range must be finite and >= 0")
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     if mode == "exact":
@@ -310,20 +331,20 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
-    """Strict-lower entries (row-major) of each trial in the range ``ts``, one
-    row per trial.
+    """Strict-lower entries (row-major) of each trial in ``ts`` (a range, a
+    sequence of ints or a uint64 array), one row per trial.
 
     Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
     row-scale exponents, then the m entries uniform in +-rng_range/2.  The
-    draws are mapped in place, one contiguous row per draw; the result is a
-    transposed view of that buffer.
+    draws are mapped in place, one contiguous row per draw.  The scales fill
+    a buffer of their own, freed on return; the result is a transposed view
+    of L's (m, len(ts)) buffer.
     """
-    m = n * (n - 1) // 2
-    trial_ids = np.arange(ts.start, ts.stop, ts.step, dtype=np.uint64)
-    draws = _pcg64.random(mix64(seed, trial_ids), n - 1 + m).T
-    scales = np.power(10.0, _uniform(draws[: n - 1], *_ROW_SCALE_EXPONENTS), out=draws[: n - 1])
+    ids = np.asarray(ts, dtype=np.uint64)
+    scales, lower = _pcg64.blocks(mix64(seed, ids), [n - 1, n * (n - 1) // 2])
+    np.power(10.0, _uniform(scales, *_ROW_SCALE_EXPONENTS), out=scales)
     half = rng_range / 2.0
-    lower = _uniform(draws[n - 1 :], -half, half)
+    _uniform(lower, -half, half)
     for i in range(1, n):
         lower[i * (i - 1) // 2 : i * (i + 1) // 2] *= scales[i - 1]
     return lower.T
@@ -335,8 +356,9 @@ def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
     The whole chunk is screened at once, as stacks of trial vectors: entry
     (i, j) of every trial is one vector.  T = P o P^-1 comes from L without
     factorization (``_t_from_lower``).  Then S = T^-1: Cholesky T = C C^T,
-    Y = C^-1 by forward substitution and S = Y^T Y.  Each row of T is
-    dropped once C has used it, and each row of C once Y has.  S is
+    Y = C^-1 by forward substitution and S = Y^T Y.  A caller that passes
+    ``lower`` as a temporary has L freed once T is formed; each entry of T
+    is dropped as C reads it, and each row of C once Y has used it.  S is
     symmetric, so its lower triangle holds its minimum.  Each of its entries
     is folded into a running minimum and maximum as soon as it is formed; an
     entry that is not finite leaves one of them not finite.  Every entry is
@@ -346,17 +368,17 @@ def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
     of a value that is not positive), or whose S is not finite, screens as
     inf.
     """
-    mins = np.full(len(lower), np.inf)
-    maxs = -mins
+    count = len(lower)
     with np.errstate(all="ignore"):
         t = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
+        del lower
         c = []
         for i in range(n):
             a, t[i] = t[i], None
             row = []
             c.append(row)
             for j in range(i + 1):
-                acc = a[j]
+                acc, a[j] = a[j], None
                 for k in range(j):
                     acc = acc - row[k] * c[j][k]
                 row.append(np.sqrt(acc) if i == j else acc / c[j][j])
@@ -365,6 +387,8 @@ def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
             ci, c[i] = c[i], None
             row = [-linalg._dot(ci[j:i], [y[k][j] for k in range(j, i)]) / ci[i] for j in range(i)]
             y.append(row + [1.0 / ci[i]])
+        mins = np.full(count, np.inf)
+        maxs = -mins
         for i in range(n):
             col_i = [r[i] for r in y[i:]]
             for j in range(i + 1):
@@ -390,8 +414,10 @@ def search_counterexample(
     Trials draw unit-diagonal Cholesky factors whose rows carry log-uniform
     scales (see _ROW_SCALE_EXPONENTS); ``rng_range`` sets the base entry
     width; ``seed`` is taken modulo 2**64.  Each chunk of trials is drawn
-    once; float hits are re-verified exactly on the dyadic rounding of
-    their own L, and the lowest-index trial that certifies is reported.
+    and screened, and only the ids of its float hits are kept.  The hits'
+    rows of L are drawn again from their own streams, bit for bit, and
+    re-verified exactly on their dyadic rounding; the lowest-index trial
+    that certifies is reported.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -404,14 +430,19 @@ def search_counterexample(
 
     hits = []
     for start in range(0, trials, _CHUNK_SIZE):
-        lower = _search_lower(n, seed, range(start, min(start + _CHUNK_SIZE, trials)), rng_range)
-        found = np.flatnonzero(_min_irga_entries(n, lower) < -tol)
-        # Copy the hits' rows: a view would keep the whole chunk alive.
-        hits.extend(zip((start + found).tolist(), lower[found]))
+        stop = min(start + _CHUNK_SIZE, trials)
+        # Neither the trial ids nor L are bound here, so the draws free the
+        # ids and the screen frees L once read.  Only the chunk's verdicts
+        # (one byte per trial) outlive the chunk.
+        below = _min_irga_entries(
+            n, _search_lower(n, seed, np.arange(start, stop, dtype=np.uint64), rng_range)
+        ) < -tol
+        hits.extend((start + np.flatnonzero(below)).tolist())
 
     sample = report = trial_index = None
     uncertified = 0
-    for t, row in hits:
+    # Each hit's own stream gives back the row of L that the screen read.
+    for t, row in zip(hits, _search_lower(n, seed, hits, rng_range)):
         candidate = _dyadic_sample(mix64(seed, t), n, np.rint(row * DYADIC_DENOMINATOR))
         candidate_report = check_conjecture(candidate.p)
         if candidate_report.min_entry < 0:

@@ -562,14 +562,14 @@ class TestReportContract:
 
 
 # Imports the CLI in a fresh interpreter, then runs each command line of
-# argv[1] in that process and records whether scipy, and whether the
-# scipy.linalg package, had been imported.
+# argv[1] in that process and records whether scipy, the scipy.linalg
+# package and numpy.random had been imported.
 _SCIPY_PROBE = """
 import json, sys
 import irgalab.cli
 from click.testing import CliRunner
 def loaded():
-    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules]
+    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules, "numpy.random" in sys.modules]
 seen = [loaded()]
 for args in json.loads(sys.argv[1]):
     result = CliRunner().invoke(irgalab.cli.main, args, catch_exceptions=False)
@@ -580,6 +580,7 @@ print(json.dumps(seen))
 
 def test_scipy_is_loaded_only_by_float_linear_algebra():
     commands = [
+        ["irga", "search-counterexample", "--n", "7", "--trials", "3000", "--seed", "5"],
         ["sos", "verify", "--cert", "builtin:n4", "--target", "builtin:pn4"],
         ["sos", "identity-test", "--reference", "builtin:s4-entry12", "--n", "4", "--trials", "2"],
         ["irga", "check", "--mode", "exact", DEMO],
@@ -592,7 +593,15 @@ def test_scipy_is_loaded_only_by_float_linear_algebra():
         cwd=SOURCE_DIR,
     )
     assert proc.returncode == 0, proc.stderr
-    # The float check loads only scipy's LAPACK extension, never scipy.linalg.
+    # The search draws through irgalab._pcg64 and certifies exactly: it loads
+    # neither scipy nor numpy.random (about 6 MB of RSS on its own).  The
+    # identity test draws its points with numpy.random; the float check loads
+    # only scipy's LAPACK extension, never scipy.linalg.
     assert json.loads(proc.stdout) == [
-        [False, False], [0, False, False], [0, False, False], [0, False, False], [0, True, False],
+        [False, False, False],
+        [1, False, False, False],
+        [0, False, False, False],
+        [0, False, False, True],
+        [0, False, False, True],
+        [0, True, False, True],
     ]

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import types
 import warnings
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from irgalab import _pcg64, linalg
+from irgalab import _pcg64, linalg, sos
 from irgalab.irga import (
     NONNEG_TOL,
     _build_lower,
@@ -248,6 +249,18 @@ class TestRandomPd:
         with pytest.raises(ValueError):
             random_pd(0, 1)
 
+    @pytest.mark.parametrize("rng_range", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_rejects_rng_range_that_is_not_finite_and_nonnegative(self, mode, rng_range):
+        with pytest.raises(ValueError, match="rng_range"):
+            random_pd(3, 1, rng_range=rng_range, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_zero_range_gives_the_identity(self, mode):
+        sample = random_pd(3, 1, rng_range=0.0, mode=mode)
+        p = sample.p.rows if mode == "exact" else sample.p
+        assert np.array_equal(np.array(p, dtype=float), np.eye(3))
+
 
 class TestMix64:
     def test_spread_and_determinism(self):
@@ -366,6 +379,22 @@ class TestLeanStep:
         for row, seed in zip(draws, seeds.tolist()):
             assert np.array_equal(row, np.random.default_rng(seed).random(3))
 
+    def test_blocks_continue_one_stream(self):
+        seeds = mix64(7919, np.arange(500, dtype=np.uint64))
+        blocks = _pcg64.blocks(seeds, [3, 1, 0, 2])
+        assert [block.shape for block in blocks] == [(3, 500), (1, 500), (0, 500), (2, 500)]
+        assert all(block.flags.c_contiguous and block.base is None for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), _pcg64.random(seeds, 6).T)
+
+    @pytest.mark.parametrize("rng_range", [2.0, 300.0])
+    @pytest.mark.parametrize("n", [2, 7, 9])
+    def test_hits_draw_their_rows_of_any_chunk(self, n, rng_range):
+        # The search draws its hits' L again from their trial ids alone.
+        chunk = _search_lower(n, 5, range(1000, 1300), rng_range)
+        hits = [1000, 1123, 1299]
+        assert np.array_equal(_search_lower(n, 5, hits, rng_range), chunk[[0, 123, 299]])
+        assert np.array_equal(_search_lower(n, 5, range(1123, 1124), rng_range), chunk[123:124])
+
     @pytest.mark.parametrize("rng_range", [2.0, 10.0, 300.0])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_search_lower_equals_the_step_loop(self, n, rng_range):
@@ -477,8 +506,58 @@ def reference_stacked_screen(n, lower):
     return mins
 
 
+def reference_t_from_lower(l):
+    """The pre-change builder: X row by row, and each dot of T ending with a
+    product by a unit diagonal, l[i][j] * 1 and 1 * x[i][j]."""
+    n = len(l)
+    x = [list(row) for row in l]
+    for i in range(n):
+        for j in range(i):
+            x[i][j] = -sum((l[i][k] * x[k][j] for k in range(j + 1, i)), l[i][j])
+    rows = [row[: i + 1] for i, row in enumerate(l)]
+    cols = [[x[k][j] for k in range(n - 1, j - 1, -1)] for j in range(n)]
+    t = [
+        [linalg._dot(rows[i], rows[j]) * linalg._dot(cols[i], cols[j]) for j in range(i + 1)]
+        for i in range(n)
+    ]
+    return [[t[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+
+
 class TestHadamardGramBuilder:
     """``_t_from_lower`` builds T = P o P^-1 for P = L L^T without factorizing P."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_int_entries_equal_the_unit_products(self, n):
+        values = [(-1) ** k * (k + 2) for k in range(n * (n - 1) // 2)]
+        l = _build_lower(n, values, 1, 0)
+        t = _t_from_lower(l)
+        assert t == reference_t_from_lower(l)
+        assert all(type(entry) is int for row in t for entry in row)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_fraction_entries_equal_the_unit_products(self, n):
+        for seed in range(3):
+            l = [list(row) for row in random_pd(n, seed, mode="exact").l.rows]
+            before = [list(row) for row in l]
+            assert _t_from_lower(l) == reference_t_from_lower(l)
+            # The caller's rows are left as they were.
+            assert l == before
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_polynomial_entries_equal_the_unit_products(self, n):
+        rows = sos._symbolic_lower(n).rows
+        assert _t_from_lower(rows) == reference_t_from_lower(rows)
+
+    @pytest.mark.parametrize("rng_range", [2.0, 300.0])
+    @pytest.mark.parametrize("n", [2, 5, 7, 12])
+    def test_float_stacks_equal_the_unit_products_bit_for_bit(self, n, rng_range):
+        lower = _search_lower(n, 7919, range(300), rng_range).copy()
+        lower[123] *= 1e200
+        l = _build_lower(n, lower.T, 1.0, 0.0)
+        with np.errstate(all="ignore"):
+            t = np.array(_t_from_lower(l))
+            expected = np.array(reference_t_from_lower(l))
+        assert t.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exact_on_dyadic_samples(self, n):
@@ -498,6 +577,30 @@ class TestHadamardGramBuilder:
         expected = p * np.linalg.inv(p)
         # Entries reach about 3e4 at n = 7, so the bound is relative as well.
         np.testing.assert_allclose(np.moveaxis(t, -1, 0), expected, rtol=1e-9, atol=1e-9)
+
+
+# One n = 7 chunk of the search peaks at 51.2 vectors of _CHUNK_SIZE doubles
+# in traced memory, as the last entry of T is formed beside L (21 vectors)
+# and the rest of T (27).  Keeping all of X = L^-1 until T is whole reads
+# 72, keeping L through the Cholesky step 63, drawing the row scales into
+# L's buffer 57, and the draws, X and T all at once about 80.
+SIZE_SEVEN_CHUNK_VECTORS = 54
+
+
+class TestScreenMemory:
+    def test_one_size_seven_chunk_stays_within_its_vector_budget(self):
+        module = importlib.import_module("irgalab.irga")
+        chunk = module._CHUNK_SIZE
+        # Draw, screen and certify one chunk once untraced, so that imports
+        # and first-call caches do not count.
+        search_counterexample(7, chunk, seed=0)
+        tracemalloc.start()
+        try:
+            search_counterexample(7, chunk, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * chunk) < SIZE_SEVEN_CHUNK_VECTORS
 
 
 class TestFloatScreen:
