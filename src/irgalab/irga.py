@@ -12,17 +12,20 @@ strict lower triangle is drawn.
 
 Stream contract: trial t of a search draws from ``default_rng(mix64(seed, t))``
 (n-1 row-scale exponents, then the strict lower triangle), computed for a
-whole chunk of trials at once, one contiguous vector per draw (see
-``_pcg64``), and mapped to L in place.  The scales and L fill buffers of
-their own.  The float screen frees each vector once its last reader has
-run: the scales once L is scaled, X = L^-1 entry by entry as T = P o P^-1
-is formed, L once T is complete, and T entry by entry as its Cholesky
-factor is formed.  It folds each entry of S into a running minimum, so a
-chunk never holds all of S.  At n = 7 a chunk peaks at about 51 vectors,
-as T is completed beside L.  Only the trial ids of float hits outlive a
-chunk; certification draws their rows again from their own streams.
-Results are therefore independent of chunking, and bit-identical to
-drawing and screening each trial on its own.
+whole chunk of trials at once, one row per draw (see ``_pcg64``), and
+mapped to L in place.  A search draws and screens every chunk in one
+workspace that it allocates once (``_workspace``): every seed, stream
+state, draw and entry of X = L^-1, T = P o P^-1, its Cholesky factor and
+its inverse is a row of it, written with ``out=``, so no chunk allocates or
+frees a vector.  Rows are reused as their contents die: the draws' scratch
+becomes X, each entry of T is written over a column of X that no later
+entry reads, the Cholesky factor and its inverse are formed in place over
+T, and L's rows then hold products and blocks of S, which is folded into a
+running minimum, so a chunk never holds all of S.  At n = 7 the workspace
+is 50 rows.  Only the trial ids of float hits outlive a chunk;
+certification draws their rows again from their own streams.  Results are
+therefore independent of chunking, and bit-identical to drawing and
+screening each trial on its own.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ DYADIC_DENOMINATOR = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# mix64's xorshift-multiply rounds after (t + 1) * GOLDEN + seed.
+_MIX64_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0))
 
 
 def mix64(seed: int, t):
@@ -66,11 +71,10 @@ def mix64(seed: int, t):
     reduce a Python int modulo 2**64.
     """
     z = ((t + 1) * _GOLDEN + (seed & _MASK64)) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
+    for shift, mult in _MIX64_STEPS:
+        z ^= z >> shift
+        if mult:
+            z = (z * mult) & _MASK64
     return z
 
 
@@ -330,76 +334,297 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
-def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
-    """Strict-lower entries (row-major) of each trial in ``ts`` (a range, a
-    sequence of ints or a uint64 array), one row per trial.
+# Rows before L in a workspace: the T step's dot of two rows of L (its
+# products go to rows of L that T no longer reads).
+_TEMPS = 1
 
-    Row i is what ``default_rng(mix64(seed, ts[i]))`` draws: n-1 log-uniform
-    row-scale exponents, then the m entries uniform in +-rng_range/2.  The
-    draws are mapped in place, one contiguous row per draw.  The scales fill
-    a buffer of their own, freed on return; the result is a transposed view
-    of L's (m, len(ts)) buffer.
+
+def _layout(n: int) -> tuple:
+    """(rows, free) of an n x n workspace.
+
+    L's m = n(n-1)/2 strict-lower entries fill rows _TEMPS.._TEMPS+m-1; the
+    m + n rows after them hold the draws' scratch, then X = L^-1, T, its
+    Cholesky factor and its inverse.  ``free`` is the slice of at least
+    2n + 4 rows that the last steps use besides those: L's rows where there
+    are enough.
     """
-    ids = np.asarray(ts, dtype=np.uint64)
-    scales, lower = _pcg64.blocks(mix64(seed, ids), [n - 1, n * (n - 1) // 2])
+    m = n * (n - 1) // 2
+    q, base, spare = m + n, _TEMPS + m, 2 * n + 4
+    region = max(q, n - 1 + _pcg64.SCRATCH_ROWS)
+    if base >= spare:
+        return base + region, slice(0, base)
+    return base + max(region, q + spare), slice(base + q, base + q + spare)
+
+
+def _workspace(n: int, count: int, buffer=None) -> np.ndarray:
+    """A (rows, count) float array that draws and screens ``count`` trials
+    of size n; ``buffer`` lends it the memory of a larger workspace."""
+    rows = _layout(n)[0]
+    if buffer is None:
+        buffer = np.empty(rows * count)
+    return buffer.reshape(-1)[: rows * count].reshape(rows, count)
+
+
+def _lower_rows(n: int, ws: np.ndarray) -> np.ndarray:
+    """The workspace's (m, count) block of L: row k is entry k of the strict
+    lower triangle (row-major) of every trial."""
+    return ws[_TEMPS : _TEMPS + n * (n - 1) // 2]
+
+
+def _draw(n: int, seed: int, ids, rng_range: float, ws: np.ndarray) -> None:
+    """Fill L with the draws of the trials ``ids``: a range, or a uint64
+    array of ws.shape[1] trial indices.
+
+    Trial t draws from ``default_rng(mix64(seed, t))``: n-1 log-uniform row
+    scales, then L's entries uniform in +-rng_range/2.  mix64 is evaluated
+    in place; the seeds, every stream's state and the scales live in the
+    rows after L, which the screen overwrites.
+    """
+    m = n * (n - 1) // 2
+    lower, scales = ws[_TEMPS : _TEMPS + m], ws[_TEMPS + m : _TEMPS + m + n - 1]
+    scratch = ws[_TEMPS + m + n - 1 :]
+    z, tmp = scratch[0].view(np.uint64), scratch[1].view(np.uint64)
+    # mix64(seed, t) in place; for a range, (t - start + 1) * GOLDEN is a
+    # running sum of GOLDEN.
+    golden = np.uint64(_GOLDEN)
+    if isinstance(ids, range):
+        np.add.accumulate(np.broadcast_to(golden, z.shape), out=z)
+        offset = ids.start * _GOLDEN + seed
+    else:
+        np.multiply(ids, golden, out=z)
+        offset = _GOLDEN + seed
+    np.add(z, np.uint64(offset & _MASK64), out=z)
+    for shift, mult in _MIX64_STEPS:
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        if mult:
+            np.multiply(z, np.uint64(mult), out=z)
+    _pcg64.fill([scales, lower], scratch)
     np.power(10.0, _uniform(scales, *_ROW_SCALE_EXPONENTS), out=scales)
     half = rng_range / 2.0
     _uniform(lower, -half, half)
     for i in range(1, n):
         lower[i * (i - 1) // 2 : i * (i + 1) // 2] *= scales[i - 1]
-    return lower.T
 
 
-def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
-    """Minimum float IRGA entry for each row of strict-lower entries.
+def _search_lower(n: int, seed: int, ts, rng_range: float) -> np.ndarray:
+    """Strict-lower entries (row-major) of each trial in ``ts`` (a range, a
+    sequence of ints or a uint64 array), one row per trial.
 
-    The whole chunk is screened at once, as stacks of trial vectors: entry
-    (i, j) of every trial is one vector.  T = P o P^-1 comes from L without
-    factorization (``_t_from_lower``).  Then S = T^-1: Cholesky T = C C^T,
-    Y = C^-1 by forward substitution and S = Y^T Y.  A caller that passes
-    ``lower`` as a temporary has L freed once T is formed; each entry of T
-    is dropped as C reads it, and each row of C once Y has used it.  S is
-    symmetric, so its lower triangle holds its minimum.  Each of its entries
-    is folded into a running minimum and maximum as soon as it is formed; an
-    entry that is not finite leaves one of them not finite.  Every entry is
-    one fixed sequence of elementwise operations accumulated left to right,
-    so a trial's result is bit-identical whatever else the stack holds.  A
-    trial whose T is not numerically PD (a failed pivot takes the square root
-    of a value that is not positive), or whose S is not finite, screens as
-    inf.
+    Row i is what ``default_rng(mix64(seed, ts[i]))`` draws (see ``_draw``);
+    the result is a transposed view of L's rows in a workspace of its own.
     """
-    count = len(lower)
+    ids = ts if isinstance(ts, range) else np.asarray(ts, dtype=np.uint64)
+    ws = _workspace(n, len(ids))
+    _draw(n, seed, ids, rng_range, ws)
+    return _lower_rows(n, ws).T
+
+
+def _column_starts(n: int) -> list:
+    """Row of the workspace's T region where each column of T (and later of
+    C and Y) starts: column j holds entries (j..n-1, j)."""
+    return [j * n - j * (j - 1) // 2 for j in range(n + 1)]
+
+
+def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
+    """Form T = P o P^-1 of every trial whose L is in the workspace, with the
+    operations of ``_t_from_lower``; return the T region, whose rows
+    ``_column_starts(n)[j] + i - j`` hold entry (i, j), i >= j.
+
+    1. Z = -X = -L^-1, column by column: Z_ij = L_ij - sum over j < k < i
+       of L_ik Z_kj, folded left by ``np.subtract.reduce``.  Products of Z
+       are products of X.  Column j of Z ends where column j + 1 of T will
+       start, so the T region's first n rows are free.
+    2. T_ij = (L_i . L_j over k < j, + L_ij) * (X_i . X_j over k > i, from
+       the bottom up, + X_ij), with L_jj = X_jj = 1, column by column.
+       Each entry is written over a column of Z that no later entry reads,
+       and the second dot's products fill the rows of column j below it.
+    """
+    m = n * (n - 1) // 2
+    lower, r = _lower_rows(n, ws), ws[_TEMPS + m :]
+    off = _column_starts(n)
+    lrows = [lower[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(n)]
+    zcols = [r[n + off[j] - j : off[j + 1] + n - j - 1] for j in range(n)]
+    for j in range(n - 1):
+        z = zcols[j]
+        for i in range(j + 1, n):
+            row, d = lrows[i], i - j - 1
+            if d == 0:
+                np.copyto(z[0], row[j])
+            elif d == 1:
+                np.multiply(row[j + 1], z[0], out=r[0])
+                np.subtract(row[j], r[0], out=z[1])
+            else:
+                np.copyto(r[0], row[j])
+                np.multiply(row[j + 1 : i], z[:d], out=r[1 : 1 + d])
+                np.subtract.reduce(r[: 1 + d], axis=0, out=z[d])
+    # The first dot goes to row 0, its products to rows of L that column j
+    # no longer reads.
+    a, prod = ws[0], ws[1:]
+    for j in range(n):
+        lj, t, zj = lrows[j], r[off[j] : off[j + 1]], zcols[j]
+        for i in range(j, n):
+            li = lrows[i]
+            last = li[j] if i > j else 1.0
+            if j >= 3:
+                np.multiply(li[:j], lj, out=prod[:j])
+                np.add.reduce(prod[:j], axis=0, out=a)
+            elif j:
+                np.multiply(li[0], lj[0], out=a)
+                if j == 2:
+                    np.multiply(li[1], lj[1], out=prod[0])
+                    np.add(a, prod[0], out=a)
+            if j:
+                np.add(a, last, out=a)
+            factor = a if j else (li[0] if i else None)
+            slot, below = t[i - j], n - 1 - i
+            if below >= 2:
+                products = t[i - j + 1 : i - j + 1 + below]
+                np.multiply(zcols[i][::-1], zj[i - j :][::-1], out=products)
+                np.add.reduce(products, axis=0, out=slot)
+            elif below == 1:
+                np.multiply(zcols[i][0], zj[i - j], out=slot)
+            if i > j:
+                if below:
+                    np.subtract(slot, zj[i - j - 1], out=slot)
+                else:
+                    np.negative(zj[i - j - 1], out=slot)
+            elif below:
+                np.add(slot, 1.0, out=slot)
+            else:
+                np.copyto(slot, factor)
+                continue
+            if factor is not None:
+                np.multiply(factor, slot, out=slot)
+    return r[: off[n]]
+
+
+def _screen(n: int, ws: np.ndarray) -> np.ndarray:
+    """Minimum float IRGA entry of every trial whose L is in the workspace,
+    as a row of the workspace.
+
+    Entry (i, j) of every trial is one row, so each step is a short sequence
+    of elementwise operations on rows and on slabs of contiguous rows:
+    products, and sums by ``np.add.reduce`` over axis 0, which adds the rows
+    left to right.  Every entry is the same sequence of operations as in
+    ``_t_from_lower`` and a row-by-row Cholesky inverse, so a trial's result
+    is bit-identical whatever else the workspace holds:
+
+    1-2. T, by ``_form_t``.
+    3. Cholesky T = C C^T in place, one column at a time: a column of C is
+       updated by whole earlier columns.
+    4. Y = C^-1 in place, column by column, by forward substitution; the
+       sums are held negated so that each entry needs one division.
+    5. S = Y^T Y, row by row; blocks of rows of S are folded into a running
+       minimum and maximum.
+
+    A trial whose T is not numerically PD (a failed pivot takes the square
+    root of a value that is not positive), or whose S is not finite,
+    screens as inf.  L's rows are overwritten once T is formed.
+    """
+    free = ws[_layout(n)[1]]
     with np.errstate(all="ignore"):
-        t = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
-        del lower
-        c = []
-        for i in range(n):
-            a, t[i] = t[i], None
-            row = []
-            c.append(row)
+        t = _form_t(n, ws)
+        off = _column_starts(n)
+        cols = [t[off[j] : off[j + 1]] for j in range(n)]
+        # 3. L is spent: its rows hold the products from here on.
+        for j, col in enumerate(cols):
+            for k in range(j):
+                ck = cols[k][j - k :]
+                np.multiply(ck, ck[0], out=free[: n - j])
+                np.subtract(col, free[: n - j], out=col)
+            np.sqrt(col[0], out=col[0])
+            if j < n - 1:
+                np.divide(col[1:], col[0], out=col[1:])
+        # 4. y_ij = -(sum over j <= k < i of c_ik y_kj) / c_ii, y_jj = 1 / c_jj.
+        for j, y in enumerate(cols):
+            if j < n - 1:
+                np.divide(-1.0, y[0], out=free[0])
+                np.multiply(y[1:], free[0], out=y[1:])
+            np.divide(1.0, y[0], out=y[0])
+            for k in range(j + 1, n):
+                ck = cols[k]
+                np.divide(y[k - j], ck[0], out=y[k - j])
+                if k < n - 1:
+                    products = free[1 : n - k]
+                    np.multiply(ck[1:], y[k - j], out=products)
+                    np.subtract(y[k - j + 1 :], products, out=y[k - j + 1 :])
+        # 5. S_ij = sum over r >= i of y_ri y_rj; S is symmetric, so its lower
+        # triangle holds its minimum.  Entries wait in ``block``, in row-major
+        # order, to be folded into the running minimum and maximum; np.minimum
+        # and np.maximum return their second operand on a tie, so folding a
+        # block at a time gives the bits of folding entry by entry.  An entry
+        # that is not finite leaves the minimum or the maximum not finite.
+        prod = free[:n]
+        mins, maxs, row_min, row_max = free[n : n + 4]
+        block, filled, folded = free[n + 4 :], 0, False
+        for i in range(n + 1):
+            if i == n or filled + i + 1 > len(block):
+                if folded:
+                    np.minimum.reduce(block[:filled], axis=0, out=row_min)
+                    np.minimum(mins, row_min, out=mins)
+                    np.maximum.reduce(block[:filled], axis=0, out=row_max)
+                    np.maximum(maxs, row_max, out=maxs)
+                else:
+                    np.minimum.reduce(block[:filled], axis=0, out=mins)
+                    np.maximum.reduce(block[:filled], axis=0, out=maxs)
+                filled, folded = 0, True
+            if i == n:
+                break
+            yi = cols[i]
             for j in range(i + 1):
-                acc, a[j] = a[j], None
-                for k in range(j):
-                    acc = acc - row[k] * c[j][k]
-                row.append(np.sqrt(acc) if i == j else acc / c[j][j])
-        y = []
-        for i in range(n):
-            ci, c[i] = c[i], None
-            row = [-linalg._dot(ci[j:i], [y[k][j] for k in range(j, i)]) / ci[i] for j in range(i)]
-            y.append(row + [1.0 / ci[i]])
-        mins = np.full(count, np.inf)
-        maxs = -mins
-        for i in range(n):
-            col_i = [r[i] for r in y[i:]]
-            for j in range(i + 1):
-                s = linalg._dot(col_i, [r[j] for r in y[i:]])
-                np.minimum(mins, s, out=mins)
-                np.maximum(maxs, s, out=maxs)
-        mins[~(np.isfinite(mins) & np.isfinite(maxs))] = np.inf
+                yj = cols[j][i - j :]
+                if i == n - 1:
+                    np.multiply(yi[0], yj[0], out=block[filled])
+                else:
+                    np.multiply(yi, yj, out=prod[: n - i])
+                    np.add.reduce(prod[: n - i], axis=0, out=block[filled])
+                filled += 1
+        count = ws.shape[1]
+        finite, finite_max = row_min.view(np.bool_)[:count], row_max.view(np.bool_)[:count]
+        np.isfinite(mins, out=finite)
+        np.isfinite(maxs, out=finite_max)
+        np.logical_and(finite, finite_max, out=finite)
+        np.logical_not(finite, out=finite)
+        np.copyto(mins, np.inf, where=finite)
     return mins
 
 
+def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
+    """Minimum float IRGA entry for each row of strict-lower entries, screened
+    in a workspace of its own (see ``_screen``).
+
+    A workspace screens at least two trials: numpy sums a single column
+    pairwise, not row by row, so one row is screened twice.
+    """
+    if len(lower) == 1:
+        return _min_irga_entries(n, np.repeat(lower, 2, axis=0))[:1]
+    ws = _workspace(n, len(lower))
+    np.copyto(_lower_rows(n, ws), lower.T)
+    return _screen(n, ws).copy()
+
+
 _CHUNK_SIZE = 4096  # trials drawn and screened together; results do not depend on it
+
+
+def _float_hits(n: int, trials: int, seed: int, rng_range: float, tol: float) -> list:
+    """Ids of the trials among the first ``trials`` whose float IRGA has an
+    entry below -tol, drawn and screened a chunk at a time.
+
+    One workspace serves every chunk, and a short last chunk uses its
+    memory; it is freed on return, before any certification.  A one-trial
+    chunk also draws the next trial (see ``_min_irga_entries``).
+    """
+    hits = []
+    ws = _workspace(n, max(2, min(trials, _CHUNK_SIZE)))
+    for start in range(0, trials, _CHUNK_SIZE):
+        count = min(_CHUNK_SIZE, trials - start)
+        chunk = ws if count == ws.shape[1] else _workspace(n, max(2, count), ws)
+        _draw(n, seed, range(start, start + chunk.shape[1]), rng_range, chunk)
+        # The screen leaves the workspace's first row free.
+        below = np.less(_screen(n, chunk)[:count], -tol, out=chunk[0].view(np.bool_)[:count])
+        hits.extend((start + np.flatnonzero(below)).tolist())
+    return hits
 
 
 def search_counterexample(
@@ -428,17 +653,7 @@ def search_counterexample(
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
 
-    hits = []
-    for start in range(0, trials, _CHUNK_SIZE):
-        stop = min(start + _CHUNK_SIZE, trials)
-        # Neither the trial ids nor L are bound here, so the draws free the
-        # ids and the screen frees L once read.  Only the chunk's verdicts
-        # (one byte per trial) outlive the chunk.
-        below = _min_irga_entries(
-            n, _search_lower(n, seed, np.arange(start, stop, dtype=np.uint64), rng_range)
-        ) < -tol
-        hits.extend((start + np.flatnonzero(below)).tolist())
-
+    hits = _float_hits(n, trials, seed, rng_range, tol)
     sample = report = trial_index = None
     uncertified = 0
     # Each hit's own stream gives back the row of L that the screen read.

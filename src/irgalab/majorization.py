@@ -430,7 +430,8 @@ def shannon_entropy(v) -> float:
     """Entropy of v normalized to a distribution; 0*log 0 taken as 0.
 
     Natural logarithm; entries may be zero, and tiny negative noise within
-    1e-12 is clipped rather than rejected.
+    1e-12 is clipped rather than rejected.  A NaN or infinite entry raises
+    ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if v.min() < -1e-12:
@@ -439,7 +440,11 @@ def shannon_entropy(v) -> float:
     with np.errstate(over="ignore"):
         total = v.sum()
     if not np.isfinite(total):
-        # The sum of finite entries overflowed: scale by the largest first.
+        # A NaN or +inf entry has no distribution (-inf failed the sign
+        # test); otherwise the sum of finite entries overflowed: scale by
+        # the largest first.
+        if not np.isfinite(v).all():
+            raise ValueError("entropy of a vector with a non-finite entry")
         v = v / v.max()
         total = v.sum()
     if total <= 0:

@@ -1,9 +1,12 @@
 import importlib
 import math
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,7 +333,8 @@ def reference_random(seeds, k):
     output's rotation."""
     u64 = np.uint64
     seeds = np.asarray(seeds, dtype=u64)
-    init_hi, init_lo, seq_hi, seq_lo = _pcg64._seed_state(seeds)
+    states = [np.random.SeedSequence(int(seed)).generate_state(4, u64) for seed in seeds]
+    init_hi, init_lo, seq_hi, seq_lo = np.array(states, dtype=u64).reshape(-1, 4).T
     inc_hi = (seq_hi << u64(1)) | (seq_lo >> u64(63))
     inc_lo = (seq_lo << u64(1)) | u64(1)
     lo = inc_lo + init_lo
@@ -379,12 +383,18 @@ class TestLeanStep:
         for row, seed in zip(draws, seeds.tolist()):
             assert np.array_equal(row, np.random.default_rng(seed).random(3))
 
-    def test_blocks_continue_one_stream(self):
+    @pytest.mark.parametrize("scratch_rows", [_pcg64.SCRATCH_ROWS, 14, 20, 50])
+    def test_fill_continues_one_stream_across_blocks(self, scratch_rows):
+        # The scratch size sets how many draws advance at once, not the draws.
         seeds = mix64(7919, np.arange(500, dtype=np.uint64))
-        blocks = _pcg64.blocks(seeds, [3, 1, 0, 2])
-        assert [block.shape for block in blocks] == [(3, 500), (1, 500), (0, 500), (2, 500)]
-        assert all(block.flags.c_contiguous and block.base is None for block in blocks)
-        assert np.array_equal(np.concatenate(blocks), _pcg64.random(seeds, 6).T)
+        out = np.full((13, 500), np.nan)
+        blocks = [out[0:3], out[3:4], out[4:4], out[4:6], out[6:13]]
+        scratch = np.empty((scratch_rows, 500))
+        scratch[0].view(np.uint64)[:] = seeds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _pcg64.fill(blocks, scratch)
+        assert np.array_equal(out, reference_random(seeds, 13)[0].T)
 
     @pytest.mark.parametrize("rng_range", [2.0, 300.0])
     @pytest.mark.parametrize("n", [2, 7, 9])
@@ -455,6 +465,11 @@ class TestSearch:
         # irga search-counterexample --n 7 --trials 100000 --seed 0
         outcome = search_counterexample(7, 100000, seed=0)
         assert (outcome.trial_index, outcome.float_hits, outcome.uncertified_hits) == (5707, 10, 0)
+
+    def test_pinned_held_out_headline_search(self):
+        # irga search-counterexample --n 7 --trials 100000 --seed 7919
+        outcome = search_counterexample(7, 100000, seed=7919)
+        assert (outcome.trial_index, outcome.float_hits, outcome.uncertified_hits) == (815, 14, 0)
 
     def test_exact_certification_refutes_float_noise(self):
         # Every reported hit is exact; uncertified float hits are counted.
@@ -559,6 +574,24 @@ class TestHadamardGramBuilder:
             expected = np.array(reference_t_from_lower(l))
         assert t.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rng_range", [2.0, 300.0])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_screen_forms_the_same_t(self, n, rng_range):
+        # The search's screen forms T in its workspace by the same operations.
+        module = importlib.import_module("irgalab.irga")
+        lower = _search_lower(n, 7919, range(300), rng_range).copy()
+        lower[123] *= 1e200
+        ws = module._workspace(n, 300)
+        np.copyto(module._lower_rows(n, ws), lower.T)
+        with np.errstate(all="ignore"):
+            expected = _t_from_lower(_build_lower(n, lower.T, 1.0, 0.0))
+            t = module._form_t(n, ws)
+        off = module._column_starts(n)
+        assert len(t) == off[n] == n * (n + 1) // 2
+        for j in range(n):
+            for i in range(j, n):
+                assert np.array_equal(t[off[j] + i - j], expected[i][j], equal_nan=True)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exact_on_dyadic_samples(self, n):
         for seed in range(3):
@@ -579,12 +612,22 @@ class TestHadamardGramBuilder:
         np.testing.assert_allclose(np.moveaxis(t, -1, 0), expected, rtol=1e-9, atol=1e-9)
 
 
-# One n = 7 chunk of the search peaks at 51.2 vectors of _CHUNK_SIZE doubles
-# in traced memory, as the last entry of T is formed beside L (21 vectors)
-# and the rest of T (27).  Keeping all of X = L^-1 until T is whole reads
-# 72, keeping L through the Cholesky step 63, drawing the row scales into
-# L's buffer 57, and the draws, X and T all at once about 80.
+# One n = 7 chunk of the search peaks at 52.4 vectors of _CHUNK_SIZE doubles
+# in traced memory: the workspace's 50 rows (L's 21, the 28 that hold X, T,
+# C and Y in turn, and one for a dot of two rows of L) and the 2 vectors of
+# numpy's iterator buffer, which a ufunc that broadcasts a row over a slab
+# allocates.  X and T sharing their rows is what keeps it there: a row each
+# for L, X and T would take 70.
 SIZE_SEVEN_CHUNK_VECTORS = 54
+
+_FAULT_PROBE = """
+import resource
+from irgalab.irga import search_counterexample
+search_counterexample(7, 100000, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+search_counterexample(7, 100000, seed=0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestScreenMemory:
@@ -602,6 +645,20 @@ class TestScreenMemory:
             tracemalloc.stop()
         assert peak / (8 * chunk) < SIZE_SEVEN_CHUNK_VECTORS
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+    def test_a_second_search_faults_in_few_pages(self):
+        # A buffer per chunk vector lets glibc trim the heap after each chunk
+        # and fault it back in for the next: about 9,600 faults per search.
+        # One workspace per search costs a few hundred.
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE],
+            capture_output=True,
+            text=True,
+            cwd=Path(importlib.import_module("irgalab").__file__).resolve().parent.parent,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1500
+
 
 class TestFloatScreen:
     @pytest.mark.parametrize("rng_range", [2.0, 300.0])
@@ -614,6 +671,24 @@ class TestFloatScreen:
         slices = np.concatenate([_min_irga_entries(n, lower[s : s + 97]) for s in starts])
         assert np.array_equal(whole, alone)
         assert np.array_equal(whole, slices)
+
+    def test_reused_workspace_leaks_nothing_between_chunks(self):
+        # The search draws and screens every chunk in one workspace; the last
+        # chunk of 100,000 trials is 1,696 long and uses part of its memory.
+        module = importlib.import_module("irgalab.irga")
+        n, chunk = 7, module._CHUNK_SIZE
+        ws = module._workspace(n, chunk)
+        for start, stop, scaled in [(0, chunk, 123), (chunk, 2 * chunk, None), (24 * chunk, 100000, None)]:
+            rows = module._workspace(n, stop - start, ws)
+            module._draw(n, 5, range(start, stop), 2.0, rows)
+            lower = module._lower_rows(n, rows)
+            if scaled is not None:
+                lower[:, scaled] *= 1e200
+            expected = _min_irga_entries(n, lower.T.copy())
+            mins = module._screen(n, rows)
+            assert len(mins) == stop - start
+            assert np.array_equal(mins, expected)
+            assert np.isfinite(mins).sum() == len(mins) - (scaled is not None)
 
     def test_trial_that_is_not_numerically_pd_screens_as_inf(self):
         lower = _search_lower(7, 5, range(300), 2.0)

@@ -468,6 +468,14 @@ class TestEntropy:
             z = z[z > 0]
             assert shannon_entropy(v) == 0.0 - (z * np.log(z)).sum()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_has_no_entropy(self, bad):
+        # A NaN or +inf entry must not read as a point mass (entropy 0.0).
+        with pytest.raises(ValueError):
+            shannon_entropy([bad, 1.0])
+        assert _entropy_or_none([1.0, bad]) is None
+
     def test_point_mass_entropy_is_positive_zero(self):
         for v in ([3.0], [0.0, 5.0]):
             assert math.copysign(1.0, shannon_entropy(v)) == 1.0
