@@ -160,9 +160,8 @@ def _advance(hi, lo, new_hi, new_lo, mult, add, t) -> None:
     np.add(new_hi, a0, out=new_hi)
 
 
-def _output(hi, lo, t, targets) -> None:
-    """XSL-RR output of the states (hi, lo) as doubles; ``targets`` pairs
-    each output row slab with the slice of states it receives."""
+def _output(hi, lo, t, out) -> None:
+    """XSL-RR output of the states (hi, lo) as doubles, written to ``out``."""
     x, rot, y = t[0][: len(hi)], t[1][: len(hi)], t[2][: len(hi)]
     np.bitwise_xor(hi, lo, out=x)
     np.right_shift(hi, _U64(58), out=rot)
@@ -172,23 +171,20 @@ def _output(hi, lo, t, targets) -> None:
     np.bitwise_or(x, y, out=x)
     np.right_shift(x, _U64(11), out=x)
     # x < 2**53 converts to a double exactly, and numpy converts int64 faster.
-    x = x.view(np.int64)
-    for out, rows in targets:
-        np.multiply(x[rows], 1.0 / 9007199254740992.0, out=out)
+    np.multiply(x.view(np.int64), 1.0 / 9007199254740992.0, out=out)
 
 
-def fill(blocks, scratch) -> None:
-    """Write consecutive draws of every stream into the rows of ``blocks``.
+def fill(out, scratch) -> None:
+    """Write consecutive draws of every stream into the rows of ``out``.
 
-    The uint64 seeds are read from ``scratch[0].view(np.uint64)``.  Each
-    block is a C-contiguous (rows, count) float array; row j of the first
-    block gets draw j of every stream, and each later block continues where
-    the one before it stopped.  ``scratch`` is a (rows, count) float array
-    of at least ``SCRATCH_ROWS`` rows, apart from the blocks; it holds every
-    intermediate, so nothing of size count is allocated.  The more rows it
-    has, the more draws the LCG advances at once.
+    The uint64 seeds are read from ``scratch[0].view(np.uint64)``.  ``out``
+    is a C-contiguous (rows, count) float array; row j gets draw j of every
+    stream.  ``scratch`` is a (rows, count) float array of at least
+    ``SCRATCH_ROWS`` rows, apart from ``out``; it holds every intermediate,
+    so nothing of size count is allocated.  The more rows it has, the more
+    draws the LCG advances at once.
     """
-    total, count = sum(len(block) for block in blocks), scratch.shape[1]
+    total, count = len(out), scratch.shape[1]
     if total == 0 or count == 0:
         return
     u64 = scratch.view(_U64)
@@ -228,19 +224,7 @@ def fill(blocks, scratch) -> None:
         if start:
             _advance(hi, lo, hi, lo, jump, inc, t)
         stop = min(start + group, total)
-        _output(hi[: stop - start], lo[: stop - start], t, _targets(blocks, start, stop))
-
-
-def _targets(blocks, start: int, stop: int) -> list:
-    """(rows of a block, slice of the group) pairs that receive draws
-    start..stop-1, which form one group."""
-    targets, first = [], 0
-    for block in blocks:
-        lo, hi = max(start, first), min(stop, first + len(block))
-        if lo < hi:
-            targets.append((block[lo - first : hi - first], slice(lo - start, hi - start)))
-        first += len(block)
-    return targets
+        _output(hi[: stop - start], lo[: stop - start], t, out[start:stop])
 
 
 def random(seeds, k: int) -> np.ndarray:
@@ -253,5 +237,5 @@ def random(seeds, k: int) -> np.ndarray:
     out = np.empty((k, seeds.size))
     scratch = np.empty((max(SCRATCH_ROWS, 2 + 5 * min(k, 4)), seeds.size))
     scratch[0].view(_U64)[:] = seeds
-    fill([out], scratch)
+    fill(out, scratch)
     return out.T

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg, majorization as mj, search as searchmod, sos as sosmod, spdd as spddmod
 from .exact import VariableSet
-from .irga import check_conjecture, search_counterexample
+from .irga import NONNEG_TOL, check_conjecture, search_counterexample
 from .polytext import (
     PolyParseError,
     parse_expression,
@@ -80,7 +80,8 @@ def _reports(fn):
         quiet = ctx.obj.get("json_only", False)
         try:
             outcome, payload, summary = fn(**params)
-        except (PolyParseError, sosmod.InvalidCertificateError) as exc:
+        except (PolyParseError, sosmod.InvalidCertificateError, UnicodeDecodeError) as exc:
+            # An input file that is not UTF-8 is text that does not parse.
             _summary(f"parse error: {exc}", quiet)
             sys.exit(EXIT_PARSE)
         except _ReportFailure as exc:
@@ -112,7 +113,11 @@ def _reports(fn):
             sys.exit(EXIT_NUMERIC)
         out_path = ctx.obj.get("out")
         if out_path:
-            Path(out_path).write_text(text + "\n", encoding="utf-8")
+            try:
+                Path(out_path).write_text(text + "\n", encoding="utf-8")
+            except OSError as exc:
+                _summary(f"cannot write report {out_path}: {exc}", quiet)
+                sys.exit(EXIT_USAGE)
         else:
             click.echo(text)
         _summary(summary, quiet)
@@ -204,7 +209,7 @@ def irga_group():
 @irga_group.command("check")
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float")
-@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
+@click.option("--tol", type=float, default=NONNEG_TOL, show_default=True, callback=_tolerance)
 @_reports
 def irga_check(matrix, mode, tol):
     """Compute S = (P o P^-1)^-1 and report membership checks."""
@@ -223,7 +228,7 @@ def irga_check(matrix, mode, tol):
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "rng_range", type=float, default=2.0, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
+@click.option("--tol", type=float, default=NONNEG_TOL, show_default=True, callback=_tolerance)
 @_reports
 def irga_search(n, trials, seed, rng_range, tol):
     """Randomized search for a sample whose IRGA has a negative entry."""

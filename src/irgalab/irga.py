@@ -17,15 +17,16 @@ mapped to L in place.  A search draws and screens every chunk in one
 workspace that it allocates once (``_workspace``): every seed, stream
 state, draw and entry of X = L^-1, T = P o P^-1, its Cholesky factor and
 its inverse is a row of it, written with ``out=``, so no chunk allocates or
-frees a vector.  Rows are reused as their contents die: the draws' scratch
-becomes X, each entry of T is written over a column of X that no later
-entry reads, the Cholesky factor and its inverse are formed in place over
-T, and L's rows then hold products and blocks of S, which is folded into a
-running minimum, so a chunk never holds all of S.  At n = 7 the workspace
-is 50 rows.  Only the trial ids of float hits outlive a chunk;
-certification draws their rows again from their own streams.  Results are
-therefore independent of chunking, and bit-identical to drawing and
-screening each trial on its own.
+frees a vector.  The row scales sit just before L, so one block of rows
+takes every draw.  Rows are reused as their contents die: the draws'
+scratch and the scales become X, each entry of T is written over a column
+of X that no later entry reads, the Cholesky factor and its inverse are
+formed in place over T, and L's rows then hold products and blocks of S,
+which is folded into a running minimum, so a chunk never holds all of S.
+At n = 7 the workspace is 50 rows.  Only the trial ids of float hits
+outlive a chunk; certification draws their rows again from their own
+streams.  Results are therefore independent of chunking, and bit-identical
+to drawing and screening each trial on its own.
 """
 
 from __future__ import annotations
@@ -334,41 +335,33 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
-# Rows before L in a workspace: the T step's dot of two rows of L (its
-# products go to rows of L that T no longer reads).
-_TEMPS = 1
+def _layout(n: int) -> int:
+    """Rows of an n x n workspace.
 
-
-def _layout(n: int) -> tuple:
-    """(rows, free) of an n x n workspace.
-
-    L's m = n(n-1)/2 strict-lower entries fill rows _TEMPS.._TEMPS+m-1; the
-    m + n rows after them hold the draws' scratch, then X = L^-1, T, its
-    Cholesky factor and its inverse.  ``free`` is the slice of at least
-    2n + 4 rows that the last steps use besides those: L's rows where there
-    are enough.
+    Row 0 takes the T step's dot of two rows of L.  Rows 1..m+n, with
+    m = n(n-1)/2, hold X = L^-1, T, its Cholesky factor and its inverse in
+    turn; the rows after them, at least max(m, 2n + 4), are free for the
+    last steps and end in L's m strict-lower entries.  The n - 1 row
+    scales sit just before L, so the scales and L are one block of draws,
+    and every row before that block is the draws' scratch.
     """
     m = n * (n - 1) // 2
-    q, base, spare = m + n, _TEMPS + m, 2 * n + 4
-    region = max(q, n - 1 + _pcg64.SCRATCH_ROWS)
-    if base >= spare:
-        return base + region, slice(0, base)
-    return base + max(region, q + spare), slice(base + q, base + q + spare)
+    return max(1 + m + n + max(m, 2 * n + 4), m + n - 1 + _pcg64.SCRATCH_ROWS)
 
 
 def _workspace(n: int, count: int, buffer=None) -> np.ndarray:
     """A (rows, count) float array that draws and screens ``count`` trials
     of size n; ``buffer`` lends it the memory of a larger workspace."""
-    rows = _layout(n)[0]
+    rows = _layout(n)
     if buffer is None:
         buffer = np.empty(rows * count)
     return buffer.reshape(-1)[: rows * count].reshape(rows, count)
 
 
 def _lower_rows(n: int, ws: np.ndarray) -> np.ndarray:
-    """The workspace's (m, count) block of L: row k is entry k of the strict
-    lower triangle (row-major) of every trial."""
-    return ws[_TEMPS : _TEMPS + n * (n - 1) // 2]
+    """The workspace's last m rows, L: row k is entry k of the strict lower
+    triangle (row-major) of every trial."""
+    return ws[len(ws) - n * (n - 1) // 2 :]
 
 
 def _draw(n: int, seed: int, ids, rng_range: float, ws: np.ndarray) -> None:
@@ -378,11 +371,11 @@ def _draw(n: int, seed: int, ids, rng_range: float, ws: np.ndarray) -> None:
     Trial t draws from ``default_rng(mix64(seed, t))``: n-1 log-uniform row
     scales, then L's entries uniform in +-rng_range/2.  mix64 is evaluated
     in place; the seeds, every stream's state and the scales live in the
-    rows after L, which the screen overwrites.
+    rows before L, which the screen overwrites.
     """
-    m = n * (n - 1) // 2
-    lower, scales = ws[_TEMPS : _TEMPS + m], ws[_TEMPS + m : _TEMPS + m + n - 1]
-    scratch = ws[_TEMPS + m + n - 1 :]
+    split = len(ws) - n * (n - 1) // 2 - (n - 1)
+    draws, scratch = ws[split:], ws[:split]
+    scales, lower = draws[: n - 1], draws[n - 1 :]
     z, tmp = scratch[0].view(np.uint64), scratch[1].view(np.uint64)
     # mix64(seed, t) in place; for a range, (t - start + 1) * GOLDEN is a
     # running sum of GOLDEN.
@@ -399,7 +392,7 @@ def _draw(n: int, seed: int, ids, rng_range: float, ws: np.ndarray) -> None:
         np.bitwise_xor(z, tmp, out=z)
         if mult:
             np.multiply(z, np.uint64(mult), out=z)
-    _pcg64.fill([scales, lower], scratch)
+    _pcg64.fill(draws, scratch)
     np.power(10.0, _uniform(scales, *_ROW_SCALE_EXPONENTS), out=scales)
     half = rng_range / 2.0
     _uniform(lower, -half, half)
@@ -426,6 +419,16 @@ def _column_starts(n: int) -> list:
     return [j * n - j * (j - 1) // 2 for j in range(n + 1)]
 
 
+def _dot(a, b, out, prod) -> None:
+    """out = a . b over rows: one product for a single row, else the
+    products in ``prod`` summed left to right by ``np.add.reduce``."""
+    if len(a) == 1:
+        np.multiply(a[0], b[0], out=out)
+    else:
+        np.multiply(a, b, out=prod[: len(a)])
+        np.add.reduce(prod[: len(a)], axis=0, out=out)
+
+
 def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
     """Form T = P o P^-1 of every trial whose L is in the workspace, with the
     operations of ``_t_from_lower``; return the T region, whose rows
@@ -440,8 +443,7 @@ def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
        Each entry is written over a column of Z that no later entry reads,
        and the second dot's products fill the rows of column j below it.
     """
-    m = n * (n - 1) // 2
-    lower, r = _lower_rows(n, ws), ws[_TEMPS + m :]
+    lower, r = _lower_rows(n, ws), ws[1:]
     off = _column_starts(n)
     lrows = [lower[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(n)]
     zcols = [r[n + off[j] - j : off[j + 1] + n - j - 1] for j in range(n)]
@@ -449,41 +451,31 @@ def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
         z = zcols[j]
         for i in range(j + 1, n):
             row, d = lrows[i], i - j - 1
-            if d == 0:
-                np.copyto(z[0], row[j])
-            elif d == 1:
-                np.multiply(row[j + 1], z[0], out=r[0])
-                np.subtract(row[j], r[0], out=z[1])
-            else:
+            if d:
                 np.copyto(r[0], row[j])
                 np.multiply(row[j + 1 : i], z[:d], out=r[1 : 1 + d])
                 np.subtract.reduce(r[: 1 + d], axis=0, out=z[d])
+            else:
+                np.copyto(z[0], row[j])
     # The first dot goes to row 0, its products to rows of L that column j
-    # no longer reads.
-    a, prod = ws[0], ws[1:]
+    # no longer reads: the first j(j-1)/2, so at j = 2 only the first.
+    a, prod = ws[0], lower
     for j in range(n):
         lj, t, zj = lrows[j], r[off[j] : off[j + 1]], zcols[j]
         for i in range(j, n):
             li = lrows[i]
-            last = li[j] if i > j else 1.0
-            if j >= 3:
-                np.multiply(li[:j], lj, out=prod[:j])
-                np.add.reduce(prod[:j], axis=0, out=a)
-            elif j:
+            if j == 2:
                 np.multiply(li[0], lj[0], out=a)
-                if j == 2:
-                    np.multiply(li[1], lj[1], out=prod[0])
-                    np.add(a, prod[0], out=a)
+                np.multiply(li[1], lj[1], out=prod[0])
+                np.add(a, prod[0], out=a)
+            elif j:
+                _dot(li[:j], lj, a, prod)
             if j:
-                np.add(a, last, out=a)
+                np.add(a, li[j] if i > j else 1.0, out=a)
             factor = a if j else (li[0] if i else None)
             slot, below = t[i - j], n - 1 - i
-            if below >= 2:
-                products = t[i - j + 1 : i - j + 1 + below]
-                np.multiply(zcols[i][::-1], zj[i - j :][::-1], out=products)
-                np.add.reduce(products, axis=0, out=slot)
-            elif below == 1:
-                np.multiply(zcols[i][0], zj[i - j], out=slot)
+            if below:
+                _dot(zcols[i][::-1], zj[i - j :][::-1], slot, t[i - j + 1 :])
             if i > j:
                 if below:
                     np.subtract(slot, zj[i - j - 1], out=slot)
@@ -522,9 +514,9 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
     root of a value that is not positive), or whose S is not finite,
     screens as inf.  L's rows are overwritten once T is formed.
     """
-    free = ws[_layout(n)[1]]
     with np.errstate(all="ignore"):
         t = _form_t(n, ws)
+        free = ws[1 + len(t) :]
         off = _column_starts(n)
         cols = [t[off[j] : off[j + 1]] for j in range(n)]
         # 3. L is spent: its rows hold the products from here on.
@@ -557,28 +549,21 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
         # that is not finite leaves the minimum or the maximum not finite.
         prod = free[:n]
         mins, maxs, row_min, row_max = free[n : n + 4]
-        block, filled, folded = free[n + 4 :], 0, False
+        mins.fill(np.inf)
+        maxs.fill(-np.inf)
+        block, filled = free[n + 4 :], 0
         for i in range(n + 1):
             if i == n or filled + i + 1 > len(block):
-                if folded:
-                    np.minimum.reduce(block[:filled], axis=0, out=row_min)
-                    np.minimum(mins, row_min, out=mins)
-                    np.maximum.reduce(block[:filled], axis=0, out=row_max)
-                    np.maximum(maxs, row_max, out=maxs)
-                else:
-                    np.minimum.reduce(block[:filled], axis=0, out=mins)
-                    np.maximum.reduce(block[:filled], axis=0, out=maxs)
-                filled, folded = 0, True
+                np.minimum.reduce(block[:filled], axis=0, out=row_min)
+                np.minimum(mins, row_min, out=mins)
+                np.maximum.reduce(block[:filled], axis=0, out=row_max)
+                np.maximum(maxs, row_max, out=maxs)
+                filled = 0
             if i == n:
                 break
             yi = cols[i]
             for j in range(i + 1):
-                yj = cols[j][i - j :]
-                if i == n - 1:
-                    np.multiply(yi[0], yj[0], out=block[filled])
-                else:
-                    np.multiply(yi, yj, out=prod[: n - i])
-                    np.add.reduce(prod[: n - i], axis=0, out=block[filled])
+                _dot(yi, cols[j][i - j :], block[filled], prod)
                 filled += 1
         count = ws.shape[1]
         finite, finite_max = row_min.view(np.bool_)[:count], row_max.view(np.bool_)[:count]
@@ -595,13 +580,11 @@ def _min_irga_entries(n: int, lower: np.ndarray) -> np.ndarray:
     in a workspace of its own (see ``_screen``).
 
     A workspace screens at least two trials: numpy sums a single column
-    pairwise, not row by row, so one row is screened twice.
+    pairwise, not row by row, so a single trial fills both columns.
     """
-    if len(lower) == 1:
-        return _min_irga_entries(n, np.repeat(lower, 2, axis=0))[:1]
-    ws = _workspace(n, len(lower))
+    ws = _workspace(n, len(lower) + (len(lower) == 1))
     np.copyto(_lower_rows(n, ws), lower.T)
-    return _screen(n, ws).copy()
+    return _screen(n, ws)[: len(lower)].copy()
 
 
 _CHUNK_SIZE = 4096  # trials drawn and screened together; results do not depend on it

@@ -175,6 +175,21 @@ class TestPolyCommands:
         assert proc.returncode == 0
         assert payload_of(proc)["value"] == "1/2"
 
+    @pytest.mark.parametrize(
+        "variables, code, message",
+        [("ac", 0, "2 terms over ac\n"),
+         ("ab", 3, "parse error: line 1, column 7: unknown identifier 'c'\n"),
+         ("a1", 2, "variable names must be single letters, got '1'\n")],
+    )
+    def test_parse_restricted_to_variables(self, tmp_path, variables, code, message):
+        path = tmp_path / "p.poly"
+        path.write_text("a^2 + c\n")
+        proc = run_cli("poly", "parse", str(path), "--variables", variables)
+        assert proc.returncode == code
+        assert proc.stderr == message
+        if code == 0:
+            assert payload_of(proc)["variables"] == ["a", "c"]
+
 
 class TestMajorizeCommands:
     def test_check_holds(self):
@@ -530,6 +545,33 @@ class TestReportContract:
             assert not out.exists()
         if code == 4:
             assert proc.stderr.startswith("numeric failure: ")
+
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        proc = run_cli("--out", str(out), "majorize", "entropy", "1,1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"cannot write report {out}: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [("poly", "parse", "input"),
+         ("poly", "eval", "input", "--at", "a=1"),
+         ("sos", "verify", "--cert", "input", "--target", "builtin:pn3"),
+         ("sos", "verify", "--cert", "builtin:n3", "--target", "input"),
+         ("sos", "identity-test", "--n", "6", "--reference", "input"),
+         ("irga", "check", "input")],
+        ids=["poly-parse", "poly-eval", "sos-verify-cert", "sos-verify-target",
+             "sos-identity-test-reference", "irga-check"],
+    )
+    def test_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, args):
+        # 0xff never occurs in UTF-8.
+        (tmp_path / "input").write_bytes(b"1 \xff\n0 1\n")
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
 
     def test_human_summary_on_stderr(self):
         proc = run_cli("irga", "check", DEMO)

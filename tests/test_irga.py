@@ -385,15 +385,15 @@ class TestLeanStep:
 
     @pytest.mark.parametrize("scratch_rows", [_pcg64.SCRATCH_ROWS, 14, 20, 50])
     def test_fill_continues_one_stream_across_blocks(self, scratch_rows):
-        # The scratch size sets how many draws advance at once, not the draws.
+        # One block of 13 rows, advanced a group of 1, 2, 3 or 9 draws at a
+        # time: the scratch size sets the groups, not the draws.
         seeds = mix64(7919, np.arange(500, dtype=np.uint64))
         out = np.full((13, 500), np.nan)
-        blocks = [out[0:3], out[3:4], out[4:4], out[4:6], out[6:13]]
         scratch = np.empty((scratch_rows, 500))
         scratch[0].view(np.uint64)[:] = seeds
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _pcg64.fill(blocks, scratch)
+            _pcg64.fill(out, scratch)
         assert np.array_equal(out, reference_random(seeds, 13)[0].T)
 
     @pytest.mark.parametrize("rng_range", [2.0, 300.0])
@@ -658,6 +658,53 @@ class TestScreenMemory:
         )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 1500
+
+
+# numpy calls that one n = 7 chunk makes to draw its trials (408) and screen
+# them (398); each costs about 1 us besides its work on the rows.
+SIZE_SEVEN_CHUNK_CALLS = 810
+
+
+class _CountingNumpy:
+    """Stands in for ``np`` in a module: counts each call of a numpy function,
+    ufunc or ufunc method (``np.add.reduce``); types and constants pass through."""
+
+    def __init__(self):
+        self.calls = [0]
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        return _CountedCall(attr, self.calls)
+
+
+class _CountedCall:
+    def __init__(self, fn, calls):
+        self.fn, self.calls = fn, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls[0] += 1
+        return self.fn(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return _CountedCall(getattr(self.fn, name), self.calls)
+
+
+class TestScreenCalls:
+    def test_one_size_seven_chunk_stays_within_its_call_budget(self, monkeypatch):
+        module = importlib.import_module("irgalab.irga")
+        n, chunk = 7, module._CHUNK_SIZE
+        ws = module._workspace(n, chunk)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(module, "np", counting)
+        monkeypatch.setattr(_pcg64, "np", counting)
+        module._draw(n, 0, range(chunk), 2.0, ws)
+        mins = module._screen(n, ws)
+        monkeypatch.undo()
+        assert len(ws) == 50
+        assert np.array_equal(mins, _min_irga_entries(n, _search_lower(n, 0, range(chunk), 2.0)))
+        assert counting.calls[0] <= SIZE_SEVEN_CHUNK_CALLS
 
 
 class TestFloatScreen:
