@@ -233,8 +233,6 @@ def _t_from_lower(l) -> list:
     dot of columns i and j of X over k >= i, from the bottom up.  The last
     term of each dot pairs an entry with a unit diagonal, so it is added as
     the bare entry.
-
-    X_ij is released once T_ij is formed, its last reader.
     """
     n = len(l)
 
@@ -254,7 +252,6 @@ def _t_from_lower(l) -> list:
     for j in range(n):
         for i in range(j, n):
             t[i][j] = dot(l[i][:j], l[j], l[i][j]) * dot(x[i][:i:-1], x[j][:i:-1], x[j][i])
-            x[j][i] = None
     return [[t[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
 
 
@@ -340,13 +337,13 @@ def _layout(n: int) -> int:
 
     Row 0 takes the T step's dot of two rows of L.  Rows 1..m+n, with
     m = n(n-1)/2, hold X = L^-1, T, its Cholesky factor and its inverse in
-    turn; the rows after them, at least max(m, 2n + 4), are free for the
+    turn; the rows after them, at least max(m, n + 4), are free for the
     last steps and end in L's m strict-lower entries.  The n - 1 row
     scales sit just before L, so the scales and L are one block of draws,
     and every row before that block is the draws' scratch.
     """
     m = n * (n - 1) // 2
-    return max(1 + m + n + max(m, 2 * n + 4), m + n - 1 + _pcg64.SCRATCH_ROWS)
+    return max(1 + m + n + max(m, n + 4), m + n - 1 + _pcg64.SCRATCH_ROWS)
 
 
 def _workspace(n: int, count: int, buffer=None) -> np.ndarray:
@@ -419,14 +416,14 @@ def _column_starts(n: int) -> list:
     return [j * n - j * (j - 1) // 2 for j in range(n + 1)]
 
 
-def _dot(a, b, out, prod) -> None:
-    """out = a . b over rows: one product for a single row, else the
-    products in ``prod`` summed left to right by ``np.add.reduce``."""
+def _dot(a, b, out) -> None:
+    """out = a . b over rows: one product for a single row, else
+    ``np.einsum``, which adds the products in row order as ``np.add.reduce``
+    does, but only on forward rows at least two columns wide."""
     if len(a) == 1:
         np.multiply(a[0], b[0], out=out)
     else:
-        np.multiply(a, b, out=prod[: len(a)])
-        np.add.reduce(prod[: len(a)], axis=0, out=out)
+        np.einsum("ij,ij->j", a, b, out=out)
 
 
 def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
@@ -436,51 +433,45 @@ def _form_t(n: int, ws: np.ndarray) -> np.ndarray:
 
     1. Z = -X = -L^-1, column by column: Z_ij = L_ij - sum over j < k < i
        of L_ik Z_kj, folded left by ``np.subtract.reduce``.  Products of Z
-       are products of X.  Column j of Z ends where column j + 1 of T will
-       start, so the T region's first n rows are free.
+       are products of X.  Column j of Z is held bottom-up (entry e is
+       Z_(n-1-e)j) where column j + 1 of T will start, so the T region's
+       first n rows are free.
     2. T_ij = (L_i . L_j over k < j, + L_ij) * (X_i . X_j over k > i, from
        the bottom up, + X_ij), with L_jj = X_jj = 1, column by column.
-       Each entry is written over a column of Z that no later entry reads,
-       and the second dot's products fill the rows of column j below it.
+       Both dots read forward rows.  Each entry is written over a column of
+       Z that no later entry reads.
     """
     lower, r = _lower_rows(n, ws), ws[1:]
     off = _column_starts(n)
     lrows = [lower[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(n)]
-    zcols = [r[n + off[j] - j : off[j + 1] + n - j - 1] for j in range(n)]
+    zcols = [r[off[j + 1] : off[j + 1] + n - 1 - j] for j in range(n)]
     for j in range(n - 1):
         z = zcols[j]
         for i in range(j + 1, n):
             row, d = lrows[i], i - j - 1
             if d:
                 np.copyto(r[0], row[j])
-                np.multiply(row[j + 1 : i], z[:d], out=r[1 : 1 + d])
-                np.subtract.reduce(r[: 1 + d], axis=0, out=z[d])
+                np.multiply(row[j + 1 : i], z[n - i : n - 1 - j][::-1], out=r[1 : 1 + d])
+                np.subtract.reduce(r[: 1 + d], axis=0, out=z[n - 1 - i])
             else:
-                np.copyto(z[0], row[j])
-    # The first dot goes to row 0, its products to rows of L that column j
-    # no longer reads: the first j(j-1)/2, so at j = 2 only the first.
-    a, prod = ws[0], lower
+                np.copyto(z[n - 1 - i], row[j])
+    a = ws[0]
     for j in range(n):
         lj, t, zj = lrows[j], r[off[j] : off[j + 1]], zcols[j]
         for i in range(j, n):
             li = lrows[i]
-            if j == 2:
-                np.multiply(li[0], lj[0], out=a)
-                np.multiply(li[1], lj[1], out=prod[0])
-                np.add(a, prod[0], out=a)
-            elif j:
-                _dot(li[:j], lj, a, prod)
             if j:
+                _dot(li[:j], lj, a)
                 np.add(a, li[j] if i > j else 1.0, out=a)
             factor = a if j else (li[0] if i else None)
             slot, below = t[i - j], n - 1 - i
             if below:
-                _dot(zcols[i][::-1], zj[i - j :][::-1], slot, t[i - j + 1 :])
+                _dot(zcols[i], zj[:below], slot)
             if i > j:
                 if below:
-                    np.subtract(slot, zj[i - j - 1], out=slot)
+                    np.subtract(slot, zj[below], out=slot)
                 else:
-                    np.negative(zj[i - j - 1], out=slot)
+                    np.negative(zj[below], out=slot)
             elif below:
                 np.add(slot, 1.0, out=slot)
             else:
@@ -496,9 +487,9 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
     as a row of the workspace.
 
     Entry (i, j) of every trial is one row, so each step is a short sequence
-    of elementwise operations on rows and on slabs of contiguous rows:
-    products, and sums by ``np.add.reduce`` over axis 0, which adds the rows
-    left to right.  Every entry is the same sequence of operations as in
+    of elementwise operations on rows and on slabs of contiguous rows, and
+    of dots over forward rows by ``_dot``, which add the rows' products in
+    row order.  Every entry is the same sequence of operations as in
     ``_t_from_lower`` and a row-by-row Cholesky inverse, so a trial's result
     is bit-identical whatever else the workspace holds:
 
@@ -519,7 +510,7 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
         free = ws[1 + len(t) :]
         off = _column_starts(n)
         cols = [t[off[j] : off[j + 1]] for j in range(n)]
-        # 3. L is spent: its rows hold the products from here on.
+        # 3. L is spent: the free rows, L's among them, hold the products.
         for j, col in enumerate(cols):
             for k in range(j):
                 ck = cols[k][j - k :]
@@ -547,11 +538,10 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
         # and np.maximum return their second operand on a tie, so folding a
         # block at a time gives the bits of folding entry by entry.  An entry
         # that is not finite leaves the minimum or the maximum not finite.
-        prod = free[:n]
-        mins, maxs, row_min, row_max = free[n : n + 4]
+        mins, maxs, row_min, row_max = free[:4]
         mins.fill(np.inf)
         maxs.fill(-np.inf)
-        block, filled = free[n + 4 :], 0
+        block, filled = free[4:], 0
         for i in range(n + 1):
             if i == n or filled + i + 1 > len(block):
                 np.minimum.reduce(block[:filled], axis=0, out=row_min)
@@ -563,7 +553,7 @@ def _screen(n: int, ws: np.ndarray) -> np.ndarray:
                 break
             yi = cols[i]
             for j in range(i + 1):
-                _dot(yi, cols[j][i - j :], block[filled], prod)
+                _dot(yi, cols[j][i - j :], block[filled])
                 filled += 1
         count = ws.shape[1]
         finite, finite_max = row_min.view(np.bool_)[:count], row_max.view(np.bool_)[:count]

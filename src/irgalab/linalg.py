@@ -465,8 +465,8 @@ def inverse(a):
     if isinstance(a, Matrix):
         return a.inverse()
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("inverse of a non-square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatchError(f"inverse of a non-square or empty matrix, shape {a.shape}")
     return _lu_inverse(a, np.abs(a).max())
 
 
@@ -495,20 +495,20 @@ def _check_symmetric(a) -> tuple:
     unless it is symmetric.
 
     Exact matrices must be symmetric entry for entry, and their scale is
-    None.  Float arrays must be square (else DimensionMismatchError) and
-    symmetric within ``SYMMETRY_RTOL * max(scale, 1)``, where scale is the
-    largest |entry|: finite exactly when every entry is, and the float
-    inverse's pivot bound.  A float array with a NaN or infinite entry is
-    not compared (its difference could warn): the float
-    positive-definiteness test rejects it.
+    None.  Float arrays must be square and nonempty (else
+    DimensionMismatchError) and symmetric within
+    ``SYMMETRY_RTOL * max(scale, 1)``, where scale is the largest |entry|:
+    finite exactly when every entry is, and the float inverse's pivot
+    bound.  A float array with a NaN or infinite entry is not compared (its
+    difference could warn): the float positive-definiteness test rejects it.
     """
     if isinstance(a, Matrix):
         if a.rows != tuple(zip(*a.rows)):
             raise NotSymmetricError("matrix is not symmetric")
         return a, None
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
     scale = np.abs(a).max()
     # a - a.T is antisymmetric to the bit, so its largest entry is its
     # largest |entry|.

@@ -430,10 +430,12 @@ def shannon_entropy(v) -> float:
     """Entropy of v normalized to a distribution; 0*log 0 taken as 0.
 
     Natural logarithm; entries may be zero, and tiny negative noise within
-    1e-12 is clipped rather than rejected.  A NaN or infinite entry raises
-    ``ValueError``.
+    1e-12 is clipped rather than rejected.  An empty vector, or a NaN or
+    infinite entry, raises ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
+    if not v.size:
+        raise ValueError("entropy of an empty vector")
     if v.min() < -1e-12:
         raise ValueError(f"negative entry {v.min():.3e} outside entropy domain")
     v = v.clip(min=0.0)

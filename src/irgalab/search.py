@@ -54,8 +54,8 @@ class SearchConfig:
             raise ValueError("tol must be finite and >= 0")
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError("max_iters must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

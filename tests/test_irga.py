@@ -176,6 +176,19 @@ class TestNonFiniteInput:
                 irga(p)
 
 
+class TestEmptyFloatMatrix:
+    # A 0 x 0 array is a dimension error naming its shape, as for birkhoff,
+    # not numpy's zero-size reduction error.
+    @pytest.mark.parametrize(
+        "entry",
+        [check_conjecture, irga, rga, linalg.inverse, is_positive_definite, linalg.cholesky, make_gauge],
+        ids=lambda f: f.__name__,
+    )
+    def test_raises_dimension_mismatch(self, entry):
+        with pytest.raises(linalg.DimensionMismatchError, match=r"\(0, 0\)"):
+            entry(np.zeros((0, 0)))
+
+
 class TestFloatPathPinned:
     def test_rng_range_ten_verdicts(self):
         # Reruns of the float chain are bit-identical, and its absolute 1e-10
@@ -661,8 +674,8 @@ class TestScreenMemory:
 
 
 # numpy calls that one n = 7 chunk makes to draw its trials (408) and screen
-# them (398); each costs about 1 us besides its work on the rows.
-SIZE_SEVEN_CHUNK_CALLS = 810
+# them (334); each costs about 1 us besides its work on the rows.
+SIZE_SEVEN_CHUNK_CALLS = 746
 
 
 class _CountingNumpy:
@@ -689,6 +702,33 @@ class _CountedCall:
 
     def __getattr__(self, name):
         return _CountedCall(getattr(self.fn, name), self.calls)
+
+
+class TestDot:
+    # The screen's dots go through np.einsum, which must add the rows'
+    # products in row order, as np.add.reduce over axis 0 does.  It does so
+    # only on forward rows at least two columns wide: on a reversed view
+    # einsum's iterator flips the axis and sums from the other end, and on a
+    # single column it sums in yet another order, so the screen passes
+    # neither.
+    @pytest.mark.parametrize("width", [2, 3, 97, 4096])
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_equals_products_summed_row_by_row(self, k, width):
+        module = importlib.import_module("irgalab.irga")
+        rng = np.random.default_rng(1000 * k + width)
+        a, b = (
+            rng.standard_normal((k, width)) * 10.0 ** rng.integers(-150, 150, (k, width))
+            for _ in range(2)
+        )
+        a[rng.random((k, width)) < 0.25] = 0.0
+        b[rng.random((k, width)) < 0.25] = -0.0
+        a[:, 0] = -0.0  # a column of signed zeros
+        out = np.empty(width)
+        module._dot(a, b, out)
+        expected = np.add.reduce(np.multiply(a, b), axis=0)
+        assert out.tobytes() == expected.tobytes()
+        module._dot(a[:1], b[:1], out)
+        assert out.tobytes() == np.multiply(a[0], b[0]).tobytes()
 
 
 class TestScreenCalls:

@@ -430,6 +430,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             shannon_entropy([0.5, -0.5])
 
+    def test_empty_vector_has_no_entropy(self):
+        with pytest.raises(ValueError, match="empty vector"):
+            shannon_entropy([])
+        assert _entropy_or_none([]) is None
+
     @pytest.mark.parametrize(
         "v, expected",
         [

@@ -54,6 +54,11 @@ class TestStep:
         result = step(worked_gauge(), [2.0, 2.0], config)
         assert np.abs(result - np.array([3.0, 1.0])).max() < 1e-12
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), float("inf"), "3", None])
+    def test_non_integer_budget_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="integer"):
+            SearchConfig(delta=1.0, max_iters=max_iters)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(delta=0.0)
