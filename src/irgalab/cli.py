@@ -8,6 +8,10 @@ with the same arguments and seeds, except for the wall_time_ms field.
 Exit codes: 0 verified/found, 1 violated/not found, 2 usage error,
 3 parse error, 4 numeric failure (singular / not PD / not symmetric, or a
 NaN or infinite value in the report, which is written as strict JSON).
+
+Only ``irga`` and ``linalg``, which the option defaults and the shared
+helpers need, are imported with this module; each command imports the
+other modules it runs, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -23,15 +27,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import linalg, majorization as mj, search as searchmod, sos as sosmod, spdd as spddmod
-from .exact import VariableSet
+from . import linalg
 from .irga import NONNEG_TOL, check_conjecture, search_counterexample
-from .polytext import (
-    PolyParseError,
-    parse_expression,
-    parse_polynomial,
-    render_polynomial,
-)
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATED = 1
@@ -39,17 +36,30 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
+# (module, class) of the errors reported as parse errors and as numeric
+# failures.  A module that was never imported cannot have raised, so
+# ``_loaded`` looks the classes up only in imported modules.
+_PARSE_ERRORS = (("polytext", "PolyParseError"), ("sos", "InvalidCertificateError"))
 _NUMERIC_ERRORS = (
-    linalg.SingularMatrixError,
-    linalg.NotPositiveDefiniteError,
-    linalg.NotSymmetricError,
-    linalg.DimensionMismatchError,
-    linalg.FloatAccuracyError,
-    mj.NotDoublyStochasticError,
-    spddmod.InvalidGaugeError,
-    spddmod.GaugeModeError,
-    sosmod.SymbolicCapabilityError,
+    ("linalg", "SingularMatrixError"),
+    ("linalg", "NotPositiveDefiniteError"),
+    ("linalg", "NotSymmetricError"),
+    ("linalg", "DimensionMismatchError"),
+    ("linalg", "FloatAccuracyError"),
+    ("majorization", "NotDoublyStochasticError"),
+    ("spdd", "InvalidGaugeError"),
+    ("spdd", "GaugeModeError"),
+    ("sos", "SymbolicCapabilityError"),
 )
+
+
+def _loaded(errors) -> tuple:
+    """The classes of ``errors`` whose modules are in ``sys.modules``."""
+    return tuple(
+        getattr(sys.modules[f"{__package__}.{module}"], name)
+        for module, name in errors
+        if f"{__package__}.{module}" in sys.modules
+    )
 
 
 class _ReportFailure(Exception):
@@ -80,14 +90,14 @@ def _reports(fn):
         quiet = ctx.obj.get("json_only", False)
         try:
             outcome, payload, summary = fn(**params)
-        except (PolyParseError, sosmod.InvalidCertificateError, UnicodeDecodeError) as exc:
+        except (UnicodeDecodeError, *_loaded(_PARSE_ERRORS)) as exc:
             # An input file that is not UTF-8 is text that does not parse.
             _summary(f"parse error: {exc}", quiet)
             sys.exit(EXIT_PARSE)
         except _ReportFailure as exc:
             _summary(str(exc), quiet)
             sys.exit(exc.code)
-        except _NUMERIC_ERRORS as exc:
+        except _loaded(_NUMERIC_ERRORS) as exc:
             _summary(f"numeric failure: {exc}", quiet)
             sys.exit(EXIT_NUMERIC)
         except (ValueError, IndexError) as exc:
@@ -274,6 +284,9 @@ def sos_group():
 @_reports
 def sos_derive(n, entry):
     """Derive the entry polynomial symbolically (sizes 2..4)."""
+    from . import sos as sosmod
+    from .polytext import render_polynomial
+
     i, j = entry
     if i is None:
         i, j = (2, 3) if n == 3 else (1, 2)
@@ -295,6 +308,9 @@ def sos_derive(n, entry):
 @_reports
 def sos_verify(cert, target):
     """Expand a sum-of-squares certificate and compare with the target."""
+    from . import sos as sosmod
+    from .polytext import parse_polynomial
+
     certificate = _resolve_spec(
         cert, "certificate", sosmod.builtin_certificate, sosmod.SoSCertificate.load
     )
@@ -331,6 +347,9 @@ def sos_verify(cert, target):
 @_reports
 def sos_identity(reference, n, i_index, j_index, trials, seed, coord_range):
     """Randomized identity test of a reference polynomial vs the exact oracle."""
+    from . import sos as sosmod
+    from .polytext import parse_expression
+
     sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
     expression = _resolve_spec(
         reference,
@@ -367,6 +386,9 @@ def poly_group():
 @_reports
 def poly_parse(source, variables):
     """Parse a polynomial file and print its canonical rendering."""
+    from .exact import VariableSet
+    from .polytext import parse_polynomial, render_polynomial
+
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     varset = VariableSet(variables) if variables else None
     polynomial = parse_polynomial(text, varset)
@@ -386,6 +408,8 @@ def poly_parse(source, variables):
 @_reports
 def poly_eval(source, assignment):
     """Evaluate a polynomial file exactly at a rational point."""
+    from .polytext import parse_expression
+
     text = Path(source).read_text(encoding="utf-8")
     point = {}
     try:
@@ -415,6 +439,8 @@ def majorize_group():
 @_reports
 def majorize_check(y_spec, x_spec, tol):
     """Decide whether y majorizes x."""
+    from . import majorization as mj
+
     y = _vector_arg(y_spec)
     x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
     verdict = mj.majorizes(y, x, tol=tol)
@@ -429,6 +455,8 @@ def majorize_check(y_spec, x_spec, tol):
 @_reports
 def majorize_construct(y_spec, x_spec, tol):
     """Build an explicit T-transform chain mapping y onto x."""
+    from . import majorization as mj
+
     y = _vector_arg(y_spec)
     x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
     try:
@@ -450,6 +478,8 @@ def majorize_construct(y_spec, x_spec, tol):
 @_reports
 def majorize_birkhoff(matrix, tol):
     """Decompose a doubly stochastic matrix into permutations."""
+    from . import majorization as mj
+
     s = _load_matrix_arg(matrix, "float")
     decomposition = mj.birkhoff(s, tol=tol)
     residual = float(np.abs(decomposition.reconstruct() - s).max())
@@ -467,6 +497,8 @@ def majorize_birkhoff(matrix, tol):
 @_reports
 def majorize_entropy(vector):
     """Shannon entropy of a vector normalized to a distribution."""
+    from . import majorization as mj
+
     v = _vector_arg(vector)
     try:
         value = mj.shannon_entropy(v)
@@ -484,12 +516,16 @@ def spdd_group():
 
 
 def _gauge_from_path(path, gauge_mode, mode):
+    from . import spdd as spddmod
+
     p = _load_matrix_arg(path, mode)
     return spddmod.make_gauge(p, mode=gauge_mode)
 
 
 def _spdd_verdict(matrix, tol: float) -> dict:
     """Payload of the mapping identities and diagonal-majorizes-spectrum checks."""
+    from . import spdd as spddmod
+
     mapping = spddmod.verify_mapping(matrix, tol=tol)
     return {
         "mapping_ok": mapping.ok,
@@ -523,6 +559,8 @@ def spdd_gauge(matrix, gauge_mode, mode):
 @_reports
 def spdd_make(matrix, spectrum, gauge_mode):
     """Build M = P diag(e) P^-1 and report diagonal and entropies."""
+    from . import spdd as spddmod
+
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
     spdd = spddmod.make_spdd(gauge, e)
@@ -545,6 +583,8 @@ def spdd_make(matrix, spectrum, gauge_mode):
 @_reports
 def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
+    from . import spdd as spddmod
+
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
     payload = _spdd_verdict(spddmod.make_spdd(gauge, e), tol)
@@ -565,6 +605,8 @@ def spdd_verify(matrix, spectrum, gauge_mode, tol):
 @_reports
 def spdd_kron(pa, ea, pb, eb, tol):
     """Kronecker-compose two SPDD matrices and verify the retained property."""
+    from . import spdd as spddmod
+
     ga = _gauge_from_path(pa, "conjectured", "float")
     gb = _gauge_from_path(pb, "conjectured", "float")
     ma = spddmod.make_spdd(ga, _same_length(_vector_arg(ea), "--ea", ga.n, "--pa"))
@@ -589,6 +631,8 @@ def spdd_kron(pa, ea, pb, eb, tol):
 @_reports
 def spdd_construct(n, seed, mode, spectra):
     """Assemble a block-diagonal gauge of any size n >= 2 and sweep it."""
+    from . import spdd as spddmod
+
     plan = spddmod.block_plan(n)
     gauge = spddmod.assemble_gpdd(plan, seed, mode=mode)
     rng = np.random.default_rng(seed)
@@ -620,6 +664,8 @@ def spdd_construct(n, seed, mode, spectra):
 @_reports
 def spdd_unitary(n, seed, spectrum, tol):
     """Contrast check: orthogonal diagonalization reverses the ordering."""
+    from . import spdd as spddmod
+
     e = _same_length(_vector_arg(spectrum), "--spectrum", n, "--n")
     verdict = spddmod.unitary_class_check(n, seed, e, tol=tol)
     outcome = "pass" if verdict.holds else "fail"
@@ -650,6 +696,8 @@ def search_group():
 @_reports
 def search_run(matrix, e0, delta, direction, max_iters, gauge_mode, tol):
     """Run the lattice search from a start spectrum under a gauge."""
+    from . import search as searchmod
+
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     start = _same_length(_vector_arg(e0), "--e0", gauge.n, "the matrix")
     config = searchmod.SearchConfig(

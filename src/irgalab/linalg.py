@@ -19,9 +19,9 @@ TypeError for any other.  Float inverses use partially pivoted LU
 (LAPACK dgetrf/dgetrs) with an explicit pivot-magnitude check, and the
 float positive-definiteness test and Cholesky factor both use LAPACK
 dpotrf.  These LAPACK routines come from scipy's ``_flapack`` extension,
-which is loaded by itself, without the ``scipy.linalg`` package, on the
-first float inverse or Cholesky call, so code that stays exact never loads
-scipy.
+which is loaded by itself on the first float inverse or Cholesky call:
+neither the ``scipy`` nor the ``scipy.linalg`` package is imported, and
+code that stays exact loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -94,11 +95,11 @@ class Matrix:
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(row) for row in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rows[0])
+        width = len(rows[0]) if rows else 0
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
+        if not width:
+            raise DimensionMismatchError(f"empty matrix, shape {(len(rows), width)}")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -427,17 +428,23 @@ def _lapack():
     """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded on the first
     float LAPACK call.
 
-    Only that extension is loaded, not the ``scipy.linalg`` package: finding
-    the package's directory imports just the top-level ``scipy``.  The module
-    is registered under its own name, so a later ``import scipy.linalg``
-    reuses it and its routines are the very objects ``scipy.linalg.lapack``
-    exports.  Raises ImportError when scipy is not installed.
+    Only that extension is loaded, not the ``scipy`` or ``scipy.linalg``
+    package: ``find_spec("scipy")`` locates the package's directory without
+    running its ``__init__``, and the extension file is found in its
+    ``linalg`` subdirectory.  The module is registered under its own name,
+    so a later ``import scipy.linalg`` reuses it and its routines are the
+    very objects ``scipy.linalg.lapack`` exports.  Raises ImportError when
+    scipy is not installed or the extension file is missing.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    location = importlib.util.find_spec("scipy.linalg").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(name, location)
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
+    )
+    if spec is None:
+        raise ImportError(f"cannot find {name}: is scipy installed?", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
@@ -456,8 +463,8 @@ def inverse(a):
     """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
     The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
-    do; the first float call loads scipy's ``_flapack`` extension, not the
-    ``scipy.linalg`` package) and rejects pivots below
+    do; the first float call loads scipy's ``_flapack`` extension alone, not
+    the ``scipy`` or ``scipy.linalg`` package) and rejects pivots below
     ``PIVOT_RTOL * max|entry|``, or a NaN or infinite entry, with
     NumericallySingularError; the exact path raises SingularMatrixError when
     the determinant vanishes.

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _max_abs, to_json
+from .linalg import DimensionMismatchError, _float_array, _max_abs, to_json
 
 __all__ = [
     "MajorizationVerdict",
@@ -276,9 +276,17 @@ class BirkhoffDecomposition:
     the matrix size, so a decomposition with no permutations still knows it.
     """
 
+    # Slots without a per-instance dict: a sweep keeps thousands of these.
+    # Pickle and copy rebuild through __init__, since the frozen
+    # __setattr__ refuses the slot-by-slot state restore.
+    __slots__ = ("weights", "permutations", "n")
+
     weights: tuple
     permutations: tuple
     n: int
+
+    def __reduce__(self):
+        return type(self), (self.weights, self.permutations, self.n)
 
     def __len__(self):
         return len(self.weights)
@@ -301,9 +309,12 @@ class BirkhoffDecomposition:
 # the same supports: the acceptance sweep's 46,697 matchings at seed 0 meet
 # 4,219 distinct ones.  A memo of 8,192, emptied when full, holds them all,
 # so 91% of the matchings are hits, as with no bound; emptied at 4,096 it
-# keeps 90%, at 1,024 84%, at 256 73%.  Full, it holds about 1.7 MB at n <= 6.
+# keeps 90%, at 1,024 84%, at 256 73%.  Full, it holds about 1.2 MB at n <= 6.
+# Each key is the int mask | 1 << n * n: a mask is below 2 ** (n * n), so
+# the top bit tells the sizes apart and one int is unique per (n, mask),
+# 56 bytes less per entry than an (n, mask) tuple.
 _MATCHINGS_MAX = 8192
-_MATCHINGS: dict = {}  # (n, mask) -> permutation tuple, or None for no matching
+_MATCHINGS: dict = {}  # mask | 1 << n * n -> permutation tuple, or None for no matching
 _UNSEEN = object()
 
 
@@ -314,7 +325,7 @@ def _matching(n: int, mask: int, support: list) -> tuple | None:
     A miss that finds the memo holding ``_MATCHINGS_MAX`` supports empties
     it first: unlike evicting one entry at a time, that costs O(1) per miss.
     """
-    key = (n, mask)
+    key = mask | 1 << n * n
     perm = _MATCHINGS.get(key, _UNSEEN)
     if perm is _UNSEEN:
         if len(_MATCHINGS) >= _MATCHINGS_MAX:
@@ -371,11 +382,12 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
     Each support's matching comes from ``_matching``, a process-wide memo
     of at most 8,192 supports, keyed on (n, mask), where bit r*n + c of the
     int mask marks residual entry (r, c) > tol.  ``permutations`` therefore
-    holds tuples that other decompositions may share.
+    holds tuples that other decompositions may share.  An exact ``Matrix``
+    is decomposed as its float array.
     """
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
-    s = np.asarray(s, dtype=float)
+    s = _float_array(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("input must be square")
     if not s.size:

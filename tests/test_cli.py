@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -395,6 +396,10 @@ class TestReportContract:
             # Every entry is within --tol: a verdict with no permutations.
             pytest.param(("majorize", "birkhoff", "cert.json", "--tol", "0.5"), "0.5 0.5\n0.5 0.5\n", 0,
                          id="birkhoff-empty"),
+            # A matrix file with no entries is a parse error in either mode.
+            pytest.param(("irga", "check", "cert.json"), "# empty\n", 3, id="empty-float"),
+            pytest.param(("irga", "check", "cert.json", "--mode", "exact"), "# empty\n", 3,
+                         id="empty-exact"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -605,13 +610,17 @@ class TestReportContract:
 
 # Imports the CLI in a fresh interpreter, then runs each command line of
 # argv[1] in that process and records whether scipy, the scipy.linalg
-# package and numpy.random had been imported.
+# package, scipy's LAPACK extension and numpy.random had been imported,
+# and which of the modules that the CLI imports per command.
 _SCIPY_PROBE = """
 import json, sys
 import irgalab.cli
 from click.testing import CliRunner
+LAZY = ["irgalab." + name for name in ("majorization", "polytext", "search", "sos", "spdd")]
 def loaded():
-    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules, "numpy.random" in sys.modules]
+    return ["scipy" in sys.modules, "scipy.linalg" in sys.modules,
+            "scipy.linalg._flapack" in sys.modules, "numpy.random" in sys.modules,
+            [name for name in LAZY if name in sys.modules]]
 seen = [loaded()]
 for args in json.loads(sys.argv[1]):
     result = CliRunner().invoke(irgalab.cli.main, args, catch_exceptions=False)
@@ -636,14 +645,36 @@ def test_scipy_is_loaded_only_by_float_linear_algebra():
     )
     assert proc.returncode == 0, proc.stderr
     # The search draws through irgalab._pcg64 and certifies exactly: it loads
-    # neither scipy nor numpy.random (about 6 MB of RSS on its own).  The
+    # neither scipy nor numpy.random (about 6 MB of RSS on its own), and
+    # neither it nor the CLI's import loads a module it does not run.  The
     # identity test draws its points with numpy.random; the float check loads
-    # only scipy's LAPACK extension, never scipy.linalg.
+    # only scipy's LAPACK extension, neither the scipy nor the scipy.linalg
+    # package.
+    sos = ["irgalab.polytext", "irgalab.sos"]
     assert json.loads(proc.stdout) == [
-        [False, False, False],
-        [1, False, False, False],
-        [0, False, False, False],
-        [0, False, False, True],
-        [0, False, False, True],
-        [0, True, False, True],
+        [False, False, False, False, []],
+        [1, False, False, False, False, []],
+        [0, False, False, False, False, sos],
+        [0, False, False, False, True, sos],
+        [0, False, False, False, True, sos],
+        [0, False, False, True, True, sos],
     ]
+
+
+def test_importing_the_package_loads_no_numpy():
+    probe = "import sys, irgalab; print(sorted(m for m in sys.modules if m.startswith(('irgalab', 'numpy'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=SOURCE_DIR
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['irgalab']\n"
+
+
+def test_package_exports_resolve_to_their_modules():
+    for name in irgalab.__all__:
+        value = getattr(irgalab, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert {*irgalab.__all__, "linalg", "sos", "cli"} <= set(dir(irgalab))
+    assert irgalab.spdd is importlib.import_module("irgalab.spdd")
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        irgalab.nonexistent

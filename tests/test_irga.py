@@ -189,6 +189,29 @@ class TestEmptyFloatMatrix:
             entry(np.zeros((0, 0)))
 
 
+class TestEmptyExactMatrix:
+    # An exact Matrix with no rows or no columns is the same dimension error
+    # naming its shape; it is still a ValueError, so an empty matrix file
+    # stays a parse error.
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda: linalg.Matrix([]), r"\(0, 0\)"),
+            (lambda: linalg.Matrix([[]]), r"\(1, 0\)"),
+            (lambda: linalg.Matrix.identity(0), r"\(0, 0\)"),
+            (lambda: linalg.Matrix([[5]]).submatrix(0, 0), r"\(0, 0\)"),
+        ],
+        ids=["no-rows", "no-columns", "identity-0", "submatrix-of-1x1"],
+    )
+    def test_raises_dimension_mismatch(self, make, shape):
+        with pytest.raises(linalg.DimensionMismatchError, match=shape):
+            make()
+
+    def test_empty_first_row_of_ragged_rows_is_ragged(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            linalg.Matrix([[], [1]])
+
+
 class TestFloatPathPinned:
     def test_rng_range_ten_verdicts(self):
         # Reruns of the float chain are bit-identical, and its absolute 1e-10

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import random
@@ -301,6 +303,29 @@ def test_first_float_inverses_load_only_the_lapack_extension():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "600\n"
+
+
+@pytest.mark.parametrize("installed", [False, True], ids=["no-scipy", "no-extension"])
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path, installed):
+    # find_spec("scipy") gives None without scipy; with a scipy whose linalg
+    # directory lacks the extension file, PathFinder gives None.
+    scipy = None
+    if installed:
+        (tmp_path / "linalg").mkdir()
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations.append(str(tmp_path))
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name, *args: scipy if name == "scipy" else find_spec(name, *args)
+    )
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    linalg._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as raised:
+            linalg._lapack()
+    finally:
+        linalg._lapack.cache_clear()
+    assert raised.value.name == "scipy.linalg._flapack"
 
 
 def leibniz_det(rows):

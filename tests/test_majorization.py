@@ -1,13 +1,17 @@
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from irgalab import majorization
 from irgalab.irga import check_conjecture, random_pd
-from irgalab.linalg import DimensionMismatchError
+from irgalab.linalg import DimensionMismatchError, Matrix
 from irgalab.majorization import (
+    BirkhoffDecomposition,
     NotDoublyStochasticError,
     TransferChain,
     _entropy_or_none,
@@ -241,6 +245,27 @@ class TestBirkhoff:
         assert got[0][0] == pytest.approx(1 / 3) and got[0][1] == (1, 0)
         assert got[1][0] == pytest.approx(2 / 3) and got[1][1] == (0, 1)
 
+    def test_exact_matrix_is_read_as_floats(self):
+        s = make_gauge(random_pd(3, 0, mode="exact").p).s
+        assert isinstance(s, Matrix)
+        assert birkhoff(s) == birkhoff(s.to_float_array())
+
+    def test_decomposition_has_slots_and_stays_frozen(self):
+        decomposition = birkhoff(np.eye(3))
+        assert not hasattr(decomposition, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decomposition.n = 4
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_decomposition_survives_pickle_and_copy(self, clone):
+        decomposition = birkhoff(make_gauge(random_pd(4, 1).p).s)
+        cloned = clone(decomposition)
+        assert type(cloned) is BirkhoffDecomposition and cloned == decomposition
+
     def test_identity(self):
         decomposition = birkhoff(np.eye(4))
         assert len(decomposition) == 1
@@ -364,7 +389,8 @@ class TestMatchingMemo:
         mask = 0b1001
         assert _matching(2, mask, support_of(2, mask)) == (0, 1)
         assert _matching(3, mask, support_of(3, mask)) is None
-        assert list(matchings) == [(2, mask), (3, mask)]
+        # One int key per size: the mask with bit n * n set above it.
+        assert list(matchings) == [9 | 1 << 4, 9 | 1 << 9]
         assert _matching(2, mask, support_of(2, mask)) == _find_matching(support_of(2, mask))
 
     def test_second_decomposition_runs_no_search(self, matchings, monkeypatch):
