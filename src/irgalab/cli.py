@@ -9,9 +9,9 @@ Exit codes: 0 verified/found, 1 violated/not found, 2 usage error,
 3 parse error, 4 numeric failure (singular / not PD / not symmetric, or a
 NaN or infinite value in the report, which is written as strict JSON).
 
-Only ``irga`` and ``linalg``, which the option defaults and the shared
-helpers need, are imported with this module; each command imports the
-other modules it runs, so a process loads only what its command uses.
+Commands call the library as ``irgalab.<module>.<name>``; the package
+imports each module on first use, so a process loads only what its command
+runs.  Importing this module loads ``irga``, for the ``--tol`` defaults.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import linalg
-from .irga import NONNEG_TOL, check_conjecture, search_counterexample
+import irgalab
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATED = 1
@@ -97,7 +96,7 @@ def _reports(fn):
         except _ReportFailure as exc:
             _summary(str(exc), quiet)
             sys.exit(exc.code)
-        except _loaded(_NUMERIC_ERRORS) as exc:
+        except (OverflowError, *_loaded(_NUMERIC_ERRORS)) as exc:
             _summary(f"numeric failure: {exc}", quiet)
             sys.exit(EXIT_NUMERIC)
         except (ValueError, IndexError) as exc:
@@ -138,7 +137,7 @@ def _reports(fn):
 
 def _load_matrix_arg(path, mode: str):
     try:
-        matrix = linalg.load_matrix(path, exact=(mode == "exact"))
+        matrix = irgalab.linalg.load_matrix(path, exact=(mode == "exact"))
     except (ValueError, OSError) as exc:
         raise _ReportFailure(EXIT_PARSE, f"cannot read matrix {path}: {exc}") from exc
     n_rows, n_cols = matrix.shape
@@ -153,8 +152,8 @@ def _vector_arg(value: str) -> np.ndarray:
     """A vector given inline ("3,1" or "3 1") or as a file path."""
     try:
         if os.path.exists(value):
-            return linalg.load_vector(value)
-        return linalg.parse_vector_text(value.replace(",", " "))
+            return irgalab.linalg.load_vector(value)
+        return irgalab.linalg.parse_vector_text(value.replace(",", " "))
     except (ValueError, OSError) as exc:
         raise _ReportFailure(EXIT_PARSE, f"cannot read vector {value!r}: {exc}") from exc
 
@@ -219,12 +218,12 @@ def irga_group():
 @irga_group.command("check")
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["float", "exact"]), default="float")
-@click.option("--tol", type=float, default=NONNEG_TOL, show_default=True, callback=_tolerance)
+@click.option("--tol", type=float, default=irgalab.irga.NONNEG_TOL, show_default=True, callback=_tolerance)
 @_reports
 def irga_check(matrix, mode, tol):
     """Compute S = (P o P^-1)^-1 and report membership checks."""
     p = _load_matrix_arg(matrix, mode)
-    report = check_conjecture(p, tol=tol)
+    report = irgalab.irga.check_conjecture(p, tol=tol)
     outcome = "pass" if report.doubly_stochastic else "fail"
     summary = (
         f"S doubly stochastic: {report.doubly_stochastic} "
@@ -238,11 +237,13 @@ def irga_check(matrix, mode, tol):
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "rng_range", type=float, default=2.0, show_default=True)
-@click.option("--tol", type=float, default=NONNEG_TOL, show_default=True, callback=_tolerance)
+@click.option("--tol", type=float, default=irgalab.irga.NONNEG_TOL, show_default=True, callback=_tolerance)
 @_reports
 def irga_search(n, trials, seed, rng_range, tol):
     """Randomized search for a sample whose IRGA has a negative entry."""
-    outcome_obj = search_counterexample(n, trials, seed=seed, rng_range=rng_range, tol=tol)
+    outcome_obj = irgalab.irga.search_counterexample(
+        n, trials, seed=seed, rng_range=rng_range, tol=tol
+    )
     payload = {
         "trials": outcome_obj.trials,
         "float_hits": outcome_obj.float_hits,
@@ -253,7 +254,7 @@ def irga_search(n, trials, seed, rng_range, tol):
     if outcome_obj.found:
         payload["trial_index"] = outcome_obj.trial_index
         payload["sample_seed"] = outcome_obj.sample.seed
-        payload["l"] = linalg.to_json(outcome_obj.sample.l)
+        payload["l"] = irgalab.linalg.to_json(outcome_obj.sample.l)
         payload["min_entry_exact"] = str(outcome_obj.report.min_entry)
         payload["min_entry_float"] = float(outcome_obj.report.min_entry)
         summary = (
@@ -284,19 +285,16 @@ def sos_group():
 @_reports
 def sos_derive(n, entry):
     """Derive the entry polynomial symbolically (sizes 2..4)."""
-    from . import sos as sosmod
-    from .polytext import render_polynomial
-
     i, j = entry
     if i is None:
         i, j = (2, 3) if n == 3 else (1, 2)
-    polynomial = sosmod.entry_polynomial(n, i, j)
+    polynomial = irgalab.sos.entry_polynomial(n, i, j)
     payload = {
         "n": n,
         "entry": [i, j],
         "terms": len(polynomial),
         "total_degree": polynomial.total_degree(),
-        "polynomial": render_polynomial(polynomial),
+        "polynomial": irgalab.polytext.render_polynomial(polynomial),
     }
     return "pass", payload, f"derived entry ({i},{j}) of size {n}: {len(polynomial)} terms"
 
@@ -308,24 +306,21 @@ def sos_derive(n, entry):
 @_reports
 def sos_verify(cert, target):
     """Expand a sum-of-squares certificate and compare with the target."""
-    from . import sos as sosmod
-    from .polytext import parse_polynomial
-
     certificate = _resolve_spec(
-        cert, "certificate", sosmod.builtin_certificate, sosmod.SoSCertificate.load
+        cert, "certificate", irgalab.sos.builtin_certificate, irgalab.sos.SoSCertificate.load
     )
     if target.startswith("derived:"):
         try:
             _, n_text, i_text, j_text = target.split(":")
-            goal = sosmod.entry_polynomial(int(n_text), int(i_text), int(j_text))
+            goal = irgalab.sos.entry_polynomial(int(n_text), int(i_text), int(j_text))
         except ValueError as exc:
             raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
     else:
         goal = _resolve_spec(
             target,
             "polynomial",
-            lambda name: sosmod.builtin_polynomial(name, certificate.variables),
-            lambda path: parse_polynomial(
+            lambda name: irgalab.sos.builtin_polynomial(name, certificate.variables),
+            lambda path: irgalab.polytext.parse_polynomial(
                 Path(path).read_text(encoding="utf-8"), certificate.variables
             ),
         )
@@ -347,17 +342,14 @@ def sos_verify(cert, target):
 @_reports
 def sos_identity(reference, n, i_index, j_index, trials, seed, coord_range):
     """Randomized identity test of a reference polynomial vs the exact oracle."""
-    from . import sos as sosmod
-    from .polytext import parse_expression
-
-    sosmod.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
+    irgalab.sos.validate_identity_arguments(n, i_index, j_index, trials, coord_range)
     expression = _resolve_spec(
         reference,
         "polynomial",
-        sosmod.builtin_expression,
-        lambda path: parse_expression(Path(path).read_text(encoding="utf-8")),
+        irgalab.sos.builtin_expression,
+        lambda path: irgalab.polytext.parse_expression(Path(path).read_text(encoding="utf-8")),
     )
-    report = sosmod.identity_test(
+    report = irgalab.sos.identity_test(
         expression, n, i_index, j_index,
         trials=trials, seed=seed, coordinate_range=coord_range,
     )
@@ -386,17 +378,14 @@ def poly_group():
 @_reports
 def poly_parse(source, variables):
     """Parse a polynomial file and print its canonical rendering."""
-    from .exact import VariableSet
-    from .polytext import parse_polynomial, render_polynomial
-
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    varset = VariableSet(variables) if variables else None
-    polynomial = parse_polynomial(text, varset)
+    varset = irgalab.exact.VariableSet(variables) if variables else None
+    polynomial = irgalab.polytext.parse_polynomial(text, varset)
     payload = {
         "terms": len(polynomial),
         "total_degree": polynomial.total_degree(),
         "variables": list(polynomial.variables.names),
-        "canonical": render_polynomial(polynomial),
+        "canonical": irgalab.polytext.render_polynomial(polynomial),
     }
     return "pass", payload, f"{len(polynomial)} terms over {''.join(polynomial.variables.names)}"
 
@@ -408,8 +397,6 @@ def poly_parse(source, variables):
 @_reports
 def poly_eval(source, assignment):
     """Evaluate a polynomial file exactly at a rational point."""
-    from .polytext import parse_expression
-
     text = Path(source).read_text(encoding="utf-8")
     point = {}
     try:
@@ -418,7 +405,7 @@ def poly_eval(source, assignment):
             point[name.strip()] = Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise _ReportFailure(EXIT_USAGE, f"bad assignment {assignment!r}: {exc}") from exc
-    expression = parse_expression(text)
+    expression = irgalab.polytext.parse_expression(text)
     value = expression.evaluate(point)
     payload = {"value": str(value), "value_float": float(value)}
     return "pass", payload, f"value = {value}"
@@ -439,11 +426,9 @@ def majorize_group():
 @_reports
 def majorize_check(y_spec, x_spec, tol):
     """Decide whether y majorizes x."""
-    from . import majorization as mj
-
     y = _vector_arg(y_spec)
     x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
-    verdict = mj.majorizes(y, x, tol=tol)
+    verdict = irgalab.majorization.majorizes(y, x, tol=tol)
     outcome = "pass" if verdict.holds else "fail"
     return outcome, {"verdict": verdict.to_json_dict()}, f"majorizes: {verdict.holds}"
 
@@ -455,12 +440,10 @@ def majorize_check(y_spec, x_spec, tol):
 @_reports
 def majorize_construct(y_spec, x_spec, tol):
     """Build an explicit T-transform chain mapping y onto x."""
-    from . import majorization as mj
-
     y = _vector_arg(y_spec)
     x = _same_length(_vector_arg(x_spec), "--x", len(y), "--y")
     try:
-        chain = mj.transfer_chain(y, x, tol=tol)
+        chain = irgalab.majorization.transfer_chain(y, x, tol=tol)
     except ValueError as exc:
         return "fail", {"error": str(exc)}, str(exc)
     applied = chain.apply(y)
@@ -478,10 +461,8 @@ def majorize_construct(y_spec, x_spec, tol):
 @_reports
 def majorize_birkhoff(matrix, tol):
     """Decompose a doubly stochastic matrix into permutations."""
-    from . import majorization as mj
-
     s = _load_matrix_arg(matrix, "float")
-    decomposition = mj.birkhoff(s, tol=tol)
+    decomposition = irgalab.majorization.birkhoff(s, tol=tol)
     residual = float(np.abs(decomposition.reconstruct() - s).max())
     payload = {
         "decomposition": decomposition.to_json_dict(),
@@ -497,11 +478,9 @@ def majorize_birkhoff(matrix, tol):
 @_reports
 def majorize_entropy(vector):
     """Shannon entropy of a vector normalized to a distribution."""
-    from . import majorization as mj
-
     v = _vector_arg(vector)
     try:
-        value = mj.shannon_entropy(v)
+        value = irgalab.majorization.shannon_entropy(v)
     except ValueError as exc:
         raise _ReportFailure(EXIT_NUMERIC, str(exc)) from exc
     return "pass", {"entropy": value}, f"entropy = {value:.6f} nats"
@@ -516,21 +495,17 @@ def spdd_group():
 
 
 def _gauge_from_path(path, gauge_mode, mode):
-    from . import spdd as spddmod
-
     p = _load_matrix_arg(path, mode)
-    return spddmod.make_gauge(p, mode=gauge_mode)
+    return irgalab.spdd.make_gauge(p, mode=gauge_mode)
 
 
 def _spdd_verdict(matrix, tol: float) -> dict:
     """Payload of the mapping identities and diagonal-majorizes-spectrum checks."""
-    from . import spdd as spddmod
-
-    mapping = spddmod.verify_mapping(matrix, tol=tol)
+    mapping = irgalab.spdd.verify_mapping(matrix, tol=tol)
     return {
         "mapping_ok": mapping.ok,
         "mapping_max_deviation": mapping.max_deviation,
-        "majorization": spddmod.verify_majorization_theorem(matrix, tol=tol).to_json_dict(),
+        "majorization": irgalab.spdd.verify_majorization_theorem(matrix, tol=tol).to_json_dict(),
     }
 
 
@@ -559,15 +534,13 @@ def spdd_gauge(matrix, gauge_mode, mode):
 @_reports
 def spdd_make(matrix, spectrum, gauge_mode):
     """Build M = P diag(e) P^-1 and report diagonal and entropies."""
-    from . import spdd as spddmod
-
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
-    spdd = spddmod.make_spdd(gauge, e)
+    spdd = irgalab.spdd.make_spdd(gauge, e)
     payload = {
-        "m": linalg.to_json(spdd.m),
-        "diagonal": linalg.to_json(spdd.diagonal),
-        "spectrum": linalg.to_json(spdd.spectrum),
+        "m": irgalab.linalg.to_json(spdd.m),
+        "diagonal": irgalab.linalg.to_json(spdd.diagonal),
+        "spectrum": irgalab.linalg.to_json(spdd.spectrum),
         "spectral_entropy": spdd.spectral_entropy(),
         "diagonal_entropy": spdd.diagonal_entropy(),
         "gauge_valid": gauge.valid,
@@ -583,11 +556,9 @@ def spdd_make(matrix, spectrum, gauge_mode):
 @_reports
 def spdd_verify(matrix, spectrum, gauge_mode, tol):
     """Verify the mapping identities and the majorization property."""
-    from . import spdd as spddmod
-
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     e = _same_length(_vector_arg(spectrum), "--spectrum", gauge.n, "the matrix")
-    payload = _spdd_verdict(spddmod.make_spdd(gauge, e), tol)
+    payload = _spdd_verdict(irgalab.spdd.make_spdd(gauge, e), tol)
     mapping_ok, holds = payload["mapping_ok"], payload["majorization"]["holds"]
     return (
         "pass" if mapping_ok and holds else "fail",
@@ -605,18 +576,16 @@ def spdd_verify(matrix, spectrum, gauge_mode, tol):
 @_reports
 def spdd_kron(pa, ea, pb, eb, tol):
     """Kronecker-compose two SPDD matrices and verify the retained property."""
-    from . import spdd as spddmod
-
     ga = _gauge_from_path(pa, "conjectured", "float")
     gb = _gauge_from_path(pb, "conjectured", "float")
-    ma = spddmod.make_spdd(ga, _same_length(_vector_arg(ea), "--ea", ga.n, "--pa"))
-    mb = spddmod.make_spdd(gb, _same_length(_vector_arg(eb), "--eb", gb.n, "--pb"))
-    composed = spddmod.kron_spdd(ma, mb)
+    ma = irgalab.spdd.make_spdd(ga, _same_length(_vector_arg(ea), "--ea", ga.n, "--pa"))
+    mb = irgalab.spdd.make_spdd(gb, _same_length(_vector_arg(eb), "--eb", gb.n, "--pb"))
+    composed = irgalab.spdd.kron_spdd(ma, mb)
     payload = {
         "n": composed.n,
         **_spdd_verdict(composed, tol),
-        "spectrum": linalg.to_json(composed.spectrum),
-        "diagonal": linalg.to_json(composed.diagonal),
+        "spectrum": irgalab.linalg.to_json(composed.spectrum),
+        "diagonal": irgalab.linalg.to_json(composed.diagonal),
     }
     ok = payload["mapping_ok"] and payload["majorization"]["holds"]
     return "pass" if ok else "fail", payload, f"{composed.n}x{composed.n} composition ok: {ok}"
@@ -631,15 +600,13 @@ def spdd_kron(pa, ea, pb, eb, tol):
 @_reports
 def spdd_construct(n, seed, mode, spectra):
     """Assemble a block-diagonal gauge of any size n >= 2 and sweep it."""
-    from . import spdd as spddmod
-
-    plan = spddmod.block_plan(n)
-    gauge = spddmod.assemble_gpdd(plan, seed, mode=mode)
+    plan = irgalab.spdd.block_plan(n)
+    gauge = irgalab.spdd.assemble_gpdd(plan, seed, mode=mode)
     rng = np.random.default_rng(seed)
     sweep = []
     for _ in range(spectra):
-        matrix = spddmod.make_spdd(gauge, rng.uniform(0.1, 10.0, n))
-        sweep.append(spddmod.verify_majorization_theorem(matrix).holds)
+        matrix = irgalab.spdd.make_spdd(gauge, rng.uniform(0.1, 10.0, n))
+        sweep.append(irgalab.spdd.verify_majorization_theorem(matrix).holds)
     all_hold = all(sweep)
     payload = {
         "plan": list(plan.sizes),
@@ -664,10 +631,8 @@ def spdd_construct(n, seed, mode, spectra):
 @_reports
 def spdd_unitary(n, seed, spectrum, tol):
     """Contrast check: orthogonal diagonalization reverses the ordering."""
-    from . import spdd as spddmod
-
     e = _same_length(_vector_arg(spectrum), "--spectrum", n, "--n")
-    verdict = spddmod.unitary_class_check(n, seed, e, tol=tol)
+    verdict = irgalab.spdd.unitary_class_check(n, seed, e, tol=tol)
     outcome = "pass" if verdict.holds else "fail"
     return (
         outcome,
@@ -696,14 +661,12 @@ def search_group():
 @_reports
 def search_run(matrix, e0, delta, direction, max_iters, gauge_mode, tol):
     """Run the lattice search from a start spectrum under a gauge."""
-    from . import search as searchmod
-
     gauge = _gauge_from_path(matrix, gauge_mode, "float")
     start = _same_length(_vector_arg(e0), "--e0", gauge.n, "the matrix")
-    config = searchmod.SearchConfig(
+    config = irgalab.search.SearchConfig(
         delta=delta, direction=direction, max_iters=max_iters, tol=tol
     )
-    trace = searchmod.run(gauge, start, config)
+    trace = irgalab.search.run(gauge, start, config)
     payload = {"trace": trace.to_json_dict(), "steps": len(trace.moves)}
     summary = (
         f"{len(trace.moves)} moves, termination {trace.termination}, "

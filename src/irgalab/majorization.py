@@ -68,6 +68,8 @@ class MajorizationVerdict:
 @np.errstate(over="ignore", invalid="ignore")
 def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
     """Decide whether y majorizes x (x < y), within tol."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
@@ -318,9 +320,9 @@ _MATCHINGS: dict = {}  # mask | 1 << n * n -> permutation tuple, or None for no 
 _UNSEEN = object()
 
 
-def _matching(n: int, mask: int, support: list) -> tuple | None:
-    """``_find_matching(support)``, memoized on (n, mask), where bit r*n + c
-    of ``mask`` is set exactly when c is in ``support[r]``.
+def _matching(n: int, mask: int, residual: list, tol: float) -> tuple | None:
+    """A perfect matching in the entries of ``residual`` above ``tol``, memoized
+    on (n, mask), where bit r*n + c of ``mask`` marks ``residual[r][c] > tol``.
 
     A miss that finds the memo holding ``_MATCHINGS_MAX`` supports empties
     it first: unlike evicting one entry at a time, that costs O(1) per miss.
@@ -330,6 +332,7 @@ def _matching(n: int, mask: int, support: list) -> tuple | None:
     if perm is _UNSEEN:
         if len(_MATCHINGS) >= _MATCHINGS_MAX:
             _MATCHINGS.clear()
+        support = [[c for c, v in enumerate(row) if v > tol] for row in residual]
         perm = _MATCHINGS[key] = _find_matching(support)
     return perm
 
@@ -405,13 +408,10 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
     if row_dev > tol or col_dev > tol:
         raise NotDoublyStochasticError("row/column sums differ from 1 beyond tol")
     # Python floats, as the loop reads and updates single entries (the same
-    # IEEE doubles as numpy's).  ``support[r]`` lists, in column order, the
-    # columns c with residual[r][c] > tol, and ``mask`` marks the same
-    # entries; only the entries on the extracted permutation change, so both
-    # are updated there alone.  Entries outside the support are never read,
-    # so negative ones need no clipping.
+    # IEEE doubles as numpy's).  Only the entries on the extracted
+    # permutation change, so the mask is updated there alone.  Entries
+    # outside the support are never read, so negative ones need no clipping.
     residual = s.tolist()
-    support = [[c for c, v in enumerate(row) if v > tol] for row in residual]
     mask = int.from_bytes(np.packbits(s > tol, bitorder="little").tobytes(), "little")
     weights = []
     perms = []
@@ -421,7 +421,7 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
             raise NotDoublyStochasticError(
                 "decomposition exceeded the permutation budget; input too far from doubly stochastic"
             )
-        perm = _matching(n, mask, support)
+        perm = _matching(n, mask, residual, tol)
         if perm is None:
             raise NotDoublyStochasticError(
                 "no perfect matching in the positive support"
@@ -433,7 +433,6 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
             row = residual[r]
             value = row[c] = row[c] - weight
             if not value > tol:
-                support[r].remove(c)
                 mask ^= 1 << (r * n + c)
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms), n=n)
 

@@ -259,6 +259,8 @@ class MappingCheck:
 
 def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
     """Check diag(M) = RGA(P) * spectrum and spectrum = S * diag(M)."""
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     matrix.gauge.require_valid()
     gauge = matrix.gauge
     p = linalg._float_array(gauge.p)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -400,6 +401,9 @@ class TestReportContract:
             pytest.param(("irga", "check", "cert.json"), "# empty\n", 3, id="empty-float"),
             pytest.param(("irga", "check", "cert.json", "--mode", "exact"), "# empty\n", 3,
                          id="empty-exact"),
+            # An exact value beyond float range is a numeric failure.
+            pytest.param(("poly", "eval", "cert.json", "--at", "a=1e200,b=1"), "a^2 + b\n", 4,
+                         id="eval-overflow"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -659,6 +663,66 @@ def test_scipy_is_loaded_only_by_float_linear_algebra():
         [0, False, False, False, True, sos],
         [0, False, False, True, True, sos],
     ]
+
+
+# Imports the CLI in a fresh interpreter and runs the command line of
+# argv[1:] in it; prints the exit code, the irgalab modules that the import
+# loaded and those that the command loaded after it.
+_COMMAND_PROBE = """
+import json, sys
+import irgalab.cli
+from click.testing import CliRunner
+def ours(names):
+    return sorted(name for name in names if name.startswith("irgalab"))
+at_start = set(sys.modules)
+result = CliRunner().invoke(irgalab.cli.main, sys.argv[1:], catch_exceptions=False)
+print(json.dumps([result.exit_code, ours(at_start), ours(set(sys.modules) - at_start)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (("majorize", "check", "--y", "3,1", "--x", "2,2"), ["majorization"]),
+        (("poly", "parse", str(data_path("pn3.poly"))), ["exact", "polytext"]),
+        (("spdd", "gauge", DEMO), ["majorization", "spdd"]),
+        (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "0.5"),
+         ["majorization", "search", "spdd"]),
+        (("sos", "derive", "--n", "3"), ["exact", "polytext", "sos"]),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(args, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_PROBE, *args],
+        capture_output=True,
+        text=True,
+        cwd=SOURCE_DIR,
+    )
+    assert proc.returncode == 0, proc.stderr
+    base = ["irgalab", "irgalab._pcg64", "irgalab.cli", "irgalab.irga", "irgalab.linalg"]
+    assert json.loads(proc.stdout) == [0, base, ["irgalab." + name for name in loaded]]
+
+
+def test_cli_has_no_import_inside_a_function():
+    # Commands reach the library through the package's lazy attributes
+    # (``irgalab.spdd.make_gauge``); an import inside a function would be a
+    # second way of loading a module on first use.
+    tree = ast.parse(Path(irgalab.cli.__file__).read_text(encoding="utf-8"))
+    nested = [
+        node.lineno
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+    package_imports = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("irgalab"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("irgalab") for a in node.names)
+    ]
+    assert package_imports == ["import irgalab"]
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -96,6 +96,15 @@ class TestMajorizes:
         with pytest.raises(DimensionMismatchError):
             majorizes([1.0, 2.0], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_bad_tol(self, tol):
+        # Unchecked, an infinite tol makes this verdict hold and a NaN one
+        # makes every verdict fail; the chain is checked through majorizes.
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            majorizes([2.0, 1.0, 1.0], [5.0, 0.0, 0.0], tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            transfer_chain([2.0, 1.0, 1.0], [4 / 3, 4 / 3, 4 / 3], tol=tol)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("rng_range", [2.0, 10.0])
     def test_deficits_are_the_numpy_prefix_sums(self, n, rng_range):
@@ -362,6 +371,11 @@ def support_of(n, mask):
     return [[c for c in range(n) if mask >> (r * n + c) & 1] for r in range(n)]
 
 
+def residual_of(n, mask):
+    """Entry (r, c) is 1.0 where bit r*n + c is set in mask, else 0.0."""
+    return [[float(mask >> (r * n + c) & 1) for c in range(n)] for r in range(n)]
+
+
 @pytest.fixture
 def matchings(monkeypatch):
     """An empty matching memo for one test, the module's own restored after."""
@@ -387,11 +401,11 @@ class TestMatchingMemo:
         # Bits 0 and 3 are the diagonal of a 2 x 2 support, but entries
         # (0, 0) and (1, 0) of a 3 x 3 one, which has no perfect matching.
         mask = 0b1001
-        assert _matching(2, mask, support_of(2, mask)) == (0, 1)
-        assert _matching(3, mask, support_of(3, mask)) is None
+        assert _matching(2, mask, residual_of(2, mask), 0.5) == (0, 1)
+        assert _matching(3, mask, residual_of(3, mask), 0.5) is None
         # One int key per size: the mask with bit n * n set above it.
         assert list(matchings) == [9 | 1 << 4, 9 | 1 << 9]
-        assert _matching(2, mask, support_of(2, mask)) == _find_matching(support_of(2, mask))
+        assert _matching(2, mask, residual_of(2, mask), 0.5) == _find_matching(support_of(2, mask))
 
     def test_second_decomposition_runs_no_search(self, matchings, monkeypatch):
         searches = []

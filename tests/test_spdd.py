@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -137,6 +138,16 @@ class TestVerifyMapping:
         invalidated = dataclasses.replace(matrix, gauge=dataclasses.replace(gauge, valid=False))
         with pytest.raises(InvalidGaugeError):
             verify_mapping(invalidated)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_bad_tol(self, tol):
+        # Unchecked, a NaN tol fails the mapping check of a matrix that holds.
+        matrix = make_spdd(worked_gauge(), [3.0, 1.0])
+        for check in (verify_mapping, verify_majorization_theorem):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                check(matrix, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            unitary_class_check(3, 0, [3.0, 2.0, 1.0], tol=tol)
 
 
 class TestMajorizationTheorem:
