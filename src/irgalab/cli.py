@@ -5,9 +5,10 @@ Each command writes a single JSON report document to stdout (or --out) and
 a short human summary to stderr.  Reports are byte-identical across reruns
 with the same arguments and seeds, except for the wall_time_ms field.
 
-Exit codes: 0 verified/found, 1 violated/not found, 2 usage error,
-3 parse error, 4 numeric failure (singular / not PD / not symmetric, or a
-NaN or infinite value in the report, which is written as strict JSON).
+Exit codes: 0 verified/found, 1 violated/not found, 2 usage error (a request
+too large for memory too), 3 parse error (an ``exact.ParseFailure``), 4
+numeric failure (a ``linalg.NumericFailure``, as for a ``derived:`` target
+past size 4, or a NaN or infinite value in the report, written as strict JSON).
 
 Commands call the library as ``irgalab.<module>.<name>``; the package
 imports each module on first use, so a process loads only what its command
@@ -34,31 +35,6 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
-
-# (module, class) of the errors reported as parse errors and as numeric
-# failures.  A module that was never imported cannot have raised, so
-# ``_loaded`` looks the classes up only in imported modules.
-_PARSE_ERRORS = (("polytext", "PolyParseError"), ("sos", "InvalidCertificateError"))
-_NUMERIC_ERRORS = (
-    ("linalg", "SingularMatrixError"),
-    ("linalg", "NotPositiveDefiniteError"),
-    ("linalg", "NotSymmetricError"),
-    ("linalg", "DimensionMismatchError"),
-    ("linalg", "FloatAccuracyError"),
-    ("majorization", "NotDoublyStochasticError"),
-    ("spdd", "InvalidGaugeError"),
-    ("spdd", "GaugeModeError"),
-    ("sos", "SymbolicCapabilityError"),
-)
-
-
-def _loaded(errors) -> tuple:
-    """The classes of ``errors`` whose modules are in ``sys.modules``."""
-    return tuple(
-        getattr(sys.modules[f"{__package__}.{module}"], name)
-        for module, name in errors
-        if f"{__package__}.{module}" in sys.modules
-    )
 
 
 class _ReportFailure(Exception):
@@ -89,19 +65,21 @@ def _reports(fn):
         quiet = ctx.obj.get("json_only", False)
         try:
             outcome, payload, summary = fn(**params)
-        except (UnicodeDecodeError, *_loaded(_PARSE_ERRORS)) as exc:
-            # An input file that is not UTF-8 is text that does not parse.
-            _summary(f"parse error: {exc}", quiet)
-            sys.exit(EXIT_PARSE)
         except _ReportFailure as exc:
             _summary(str(exc), quiet)
             sys.exit(exc.code)
-        except (OverflowError, *_loaded(_NUMERIC_ERRORS)) as exc:
+        except MemoryError as exc:
+            _summary(f"out of memory: {exc}", quiet)
+            sys.exit(EXIT_USAGE)
+        except (OverflowError, irgalab.linalg.NumericFailure) as exc:
             _summary(f"numeric failure: {exc}", quiet)
             sys.exit(EXIT_NUMERIC)
+        except (UnicodeDecodeError, irgalab.exact.ParseFailure) as exc:
+            # An input file that is not UTF-8 is text that does not parse.
+            _summary(f"parse error: {exc}", quiet)
+            sys.exit(EXIT_PARSE)
         except (ValueError, IndexError) as exc:
-            # Argument checks in the library raise these; the typed numeric
-            # errors above are ValueError subclasses and keep their own code.
+            # Library argument checks; the marked ValueErrors above keep their code.
             _summary(str(exc), quiet)
             sys.exit(EXIT_USAGE)
         report = {
@@ -311,10 +289,10 @@ def sos_verify(cert, target):
     )
     if target.startswith("derived:"):
         try:
-            _, n_text, i_text, j_text = target.split(":")
-            goal = irgalab.sos.entry_polynomial(int(n_text), int(i_text), int(j_text))
+            n, i, j = map(int, target.split(":")[1:])
         except ValueError as exc:
             raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
+        goal = irgalab.sos.entry_polynomial(n, i, j)
     else:
         goal = _resolve_spec(
             target,

@@ -17,7 +17,12 @@ __all__ = [
     "Polynomial",
     "IncompatibleVariablesError",
     "IncompleteAssignmentError",
+    "ParseFailure",
 ]
+
+
+class ParseFailure(ValueError):
+    """Base of the errors that the command line reports as parse errors."""
 
 
 class IncompatibleVariablesError(ValueError):

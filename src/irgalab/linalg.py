@@ -39,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "Matrix",
+    "NumericFailure",
     "DimensionMismatchError",
     "SingularMatrixError",
     "NumericallySingularError",
@@ -63,11 +64,15 @@ SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 
 
-class DimensionMismatchError(ValueError):
+class NumericFailure(Exception):
+    """Base of the errors that the command line reports as numeric failures."""
+
+
+class DimensionMismatchError(NumericFailure, ValueError):
     pass
 
 
-class SingularMatrixError(ZeroDivisionError):
+class SingularMatrixError(NumericFailure, ZeroDivisionError):
     pass
 
 
@@ -75,15 +80,15 @@ class NumericallySingularError(SingularMatrixError):
     pass
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(NumericFailure, ValueError):
     pass
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(NumericFailure, ValueError):
     pass
 
 
-class FloatAccuracyError(ValueError):
+class FloatAccuracyError(NumericFailure, ValueError):
     """A float identity check missed its tolerance: the input is too
     ill-conditioned for the float result to be trusted."""
 

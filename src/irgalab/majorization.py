@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _float_array, _max_abs, to_json
+from .linalg import DimensionMismatchError, NumericFailure, _float_array, _max_abs, to_json
 
 __all__ = [
     "MajorizationVerdict",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class NotDoublyStochasticError(ValueError):
+class NotDoublyStochasticError(NumericFailure, ValueError):
     pass
 
 

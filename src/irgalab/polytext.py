@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import IncompleteAssignmentError, Polynomial, VariableSet
+from .exact import IncompleteAssignmentError, ParseFailure, Polynomial, VariableSet
 
 __all__ = [
     "ParseDiagnostic",
@@ -78,7 +78,7 @@ class ParseDiagnostic:
         return text
 
 
-class PolyParseError(ValueError):
+class PolyParseError(ParseFailure, ValueError):
     def __init__(self, diagnostic: ParseDiagnostic):
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic

@@ -29,9 +29,9 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .exact import Polynomial, VariableSet
+from .exact import ParseFailure, Polynomial, VariableSet
 from .irga import _build_lower, _t_from_lower, mix64
-from .linalg import Matrix, adjugate_entry
+from .linalg import Matrix, NumericFailure, adjugate_entry
 from .polytext import ParsedExpression, _render_monomial, parse_expression, parse_polynomial
 
 __all__ = [
@@ -60,11 +60,11 @@ _PARAMETER_LETTERS = "abcdefghijkmnpq"
 _SYMBOLIC_LIMIT = 4
 
 
-class SymbolicCapabilityError(ValueError):
+class SymbolicCapabilityError(NumericFailure, ValueError):
     """Raised for sizes whose symbolic derivation is out of reach."""
 
 
-class InvalidCertificateError(ValueError):
+class InvalidCertificateError(ParseFailure, ValueError):
     """Raised when a certificate is structurally invalid (not a failed check)."""
 
 

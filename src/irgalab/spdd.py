@@ -23,12 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+import irgalab
 from . import linalg
 from .irga import (
     NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, irga, mix64, random_pd, rga
 )
 from .linalg import Matrix
-from .majorization import MajorizationVerdict, _entropy_or_none, majorizes
 
 __all__ = [
     "Gauge",
@@ -57,11 +57,11 @@ CONJECTURED_LIMIT = 6
 _MODE_BOUNDS = {"proven": PROVEN_LIMIT, "conjectured": CONJECTURED_LIMIT}
 
 
-class GaugeModeError(ValueError):
+class GaugeModeError(linalg.NumericFailure, ValueError):
     """Atomic gauge size exceeds what the requested mode allows."""
 
 
-class InvalidGaugeError(ValueError):
+class InvalidGaugeError(linalg.NumericFailure, ValueError):
     """Operation requires a gauge whose IRGA is doubly stochastic."""
 
 
@@ -216,10 +216,10 @@ class SpddMatrix:
         return len(self.spectrum)
 
     def spectral_entropy(self) -> Optional[float]:
-        return _entropy_or_none(self.spectrum)
+        return irgalab.majorization._entropy_or_none(self.spectrum)
 
     def diagonal_entropy(self) -> Optional[float]:
-        return _entropy_or_none(self.diagonal)
+        return irgalab.majorization._entropy_or_none(self.diagonal)
 
 
 # A spectrum near the float limit overflows M, which the mapping check
@@ -272,10 +272,10 @@ def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
     return MappingCheck(ok=dev <= tol * scale, max_deviation=dev)
 
 
-def verify_majorization_theorem(matrix: SpddMatrix, tol: float = 1e-9) -> MajorizationVerdict:
-    """Verdict of "the diagonal majorizes the spectrum" for a valid gauge."""
+def verify_majorization_theorem(matrix: SpddMatrix, tol: float = 1e-9):
+    """``majorizes`` verdict of "the diagonal majorizes the spectrum" for a valid gauge."""
     matrix.gauge.require_valid()
-    return majorizes(matrix.diagonal, matrix.spectrum, tol=tol)
+    return irgalab.majorization.majorizes(matrix.diagonal, matrix.spectrum, tol=tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -348,12 +348,12 @@ def assemble_gpdd(plan: BlockPlan, seed: int, mode: str = "float") -> Gauge:
     return block_gauge(children)
 
 
-def unitary_class_check(n: int, seed: int, spectrum, tol: float = 1e-9) -> MajorizationVerdict:
+def unitary_class_check(n: int, seed: int, spectrum, tol: float = 1e-9):
     """Contrast class: for orthogonal diagonalization the ordering reverses.
 
     Builds a random real orthogonal Q (QR of a Gaussian draw with the R
     diagonal sign-fixed for determinism), forms M = Q diag(e) Q^T, and
-    tests that the spectrum majorizes the diagonal.
+    returns the ``majorizes`` verdict that the spectrum majorizes the diagonal.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     if len(spectrum) != n:
@@ -362,4 +362,4 @@ def unitary_class_check(n: int, seed: int, spectrum, tol: float = 1e-9) -> Major
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))
     m = (q * spectrum) @ q.T
-    return majorizes(spectrum, np.diag(m), tol=tol)
+    return irgalab.majorization.majorizes(spectrum, np.diag(m), tol=tol)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,13 @@ class TestReportContract:
             # An exact value beyond float range is a numeric failure.
             pytest.param(("poly", "eval", "cert.json", "--at", "a=1e200,b=1"), "a^2 + b\n", 4,
                          id="eval-overflow"),
+            # A derived target past the symbolic range fails as `sos derive` does.
+            pytest.param(("sos", "verify", "--cert", "builtin:n3", "--target", "derived:9:1:2"),
+                         None, 4, id="derived-beyond-symbolic-range"),
+            # A search whose workspace exceeds any address space (about 2.8 EiB)
+            # is a usage error; numpy refuses it before touching memory.
+            pytest.param(("irga", "search-counterexample", "--n", "10000000", "--trials", "100000"),
+                         None, 2, id="search-out-of-memory"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):
@@ -685,7 +693,7 @@ print(json.dumps([result.exit_code, ours(at_start), ours(set(sys.modules) - at_s
     [
         (("majorize", "check", "--y", "3,1", "--x", "2,2"), ["majorization"]),
         (("poly", "parse", str(data_path("pn3.poly"))), ["exact", "polytext"]),
-        (("spdd", "gauge", DEMO), ["majorization", "spdd"]),
+        (("spdd", "gauge", DEMO), ["spdd"]),
         (("search", "run", DEMO, "--e0", "1,2,3,4", "--delta", "0.5"),
          ["majorization", "search", "spdd"]),
         (("sos", "derive", "--n", "3"), ["exact", "polytext", "sos"]),
@@ -723,6 +731,27 @@ def test_cli_has_no_import_inside_a_function():
         or isinstance(node, ast.Import) and any(a.name.startswith("irgalab") for a in node.names)
     ]
     assert package_imports == ["import irgalab"]
+
+
+def test_every_error_class_has_one_exit_code():
+    # The command line reports a NumericFailure as exit 4 and a ParseFailure
+    # as exit 3; the two mismatch errors of ``exact`` are the documented usage
+    # errors.  A new error class must take exactly one of these places.
+    usage = (irgalab.exact.IncompatibleVariablesError, irgalab.exact.IncompleteAssignmentError)
+    kinds = {}
+    for info in pkgutil.iter_modules(irgalab.__path__):
+        module = importlib.import_module(f"irgalab.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__
+                    and value is not irgalab.cli._ReportFailure):
+                kinds[value.__qualname__] = (
+                    issubclass(value, irgalab.linalg.NumericFailure),
+                    issubclass(value, irgalab.exact.ParseFailure),
+                    value in usage,
+                )
+    assert len(kinds) >= 16
+    assert {name: kind for name, kind in kinds.items() if sum(kind) != 1} == {}
 
 
 def test_importing_the_package_loads_no_numpy():
