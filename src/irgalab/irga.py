@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
@@ -228,31 +230,33 @@ def _t_from_lower(l) -> list:
     substitution X_ij = -(L_ij + sum over j < k < i of L_ik X_kj) needs no
     division: one code path serves int, Fraction and Polynomial entries and
     stacks of float trial vectors.  T is symmetric, so only its lower
-    triangle is computed, column by column; the upper triangle mirrors it.
+    triangle is computed, column by column, and each entry is mirrored.
     For i >= j, T_ij is the dot of rows i and j of L over k <= j times the
     dot of columns i and j of X over k >= i, from the bottom up.  The last
     term of each dot pairs an entry with a unit diagonal, so it is added as
-    the bare entry.
+    the bare entry.  Every sum is a ``reduce`` over ``map(mul, ...)``, which
+    adds left to right as a Python loop would, with the products formed in
+    C: X_ij from L_ij on, and each dot from its first product on, with the
+    bare entry last.
     """
     n = len(l)
-
-    def dot(a, b, last):
-        # a . b, then + last; zip() stops at the shorter of a and b.
-        total = linalg._dot(a, b)
-        return last if total is None else total + last
-
     x = []  # x[j][i] = X_ij for i >= j: column j of X
     for j in range(n):
         col = [None] * n
         col[j] = l[j][j]
         for i in range(j + 1, n):
-            col[i] = -sum((l[i][k] * col[k] for k in range(j + 1, i)), l[i][j])
+            col[i] = -reduce(add, map(mul, l[i][j + 1:i], col[j + 1:i]), l[i][j])
         x.append(col)
-    t = [[None] * (i + 1) for i in range(n)]
+    t = [[None] * n for _ in range(n)]
     for j in range(n):
+        lj, xj = l[j], x[j]
         for i in range(j, n):
-            t[i][j] = dot(l[i][:j], l[j], l[i][j]) * dot(x[i][:i:-1], x[j][:i:-1], x[j][i])
-    return [[t[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+            li, xi = l[i], x[i]
+            # map() stops at the shorter of li[:j] and lj.
+            rows = reduce(add, map(mul, li[:j], lj)) + li[j] if j else li[j]
+            cols = reduce(add, map(mul, xi[:i:-1], xj[:i:-1])) + xj[i] if i < n - 1 else xj[i]
+            t[i][j] = t[j][i] = rows * cols
+    return t
 
 
 def _dyadic_sample(seed: int, n: int, nums) -> PdSample:

@@ -384,8 +384,8 @@ def adjugate_entry(m: Matrix, i: int, j: int):
         raise DimensionMismatchError("adjugate entry needs a square matrix, n >= 2")
     if not (1 <= i <= m.n_rows and 1 <= j <= m.n_cols):
         raise IndexError(f"adjugate index ({i}, {j}) out of range")
-    sub = m.submatrix(j - 1, i - 1)
-    value = sub.det()
+    minor = Matrix([row[: i - 1] + row[i:] for r, row in enumerate(m.rows) if r != j - 1])
+    value = minor.det()
     return -value if (i + j) % 2 else value
 
 

@@ -29,12 +29,17 @@ __all__ = [
     "BirkhoffDecomposition",
     "birkhoff",
     "NotDoublyStochasticError",
+    "UndefinedEntropyError",
     "shannon_entropy",
 ]
 
 
 class NotDoublyStochasticError(NumericFailure, ValueError):
     pass
+
+
+class UndefinedEntropyError(NumericFailure, ValueError):
+    """A vector that no distribution normalizes, so it has no entropy."""
 
 
 @dataclass(frozen=True)
@@ -441,14 +446,15 @@ def shannon_entropy(v) -> float:
     """Entropy of v normalized to a distribution; 0*log 0 taken as 0.
 
     Natural logarithm; entries may be zero, and tiny negative noise within
-    1e-12 is clipped rather than rejected.  An empty vector, or a NaN or
-    infinite entry, raises ``ValueError``.
+    1e-12 is clipped rather than rejected.  An empty or all-zero vector, a
+    negative entry, or a NaN or infinite entry raises
+    ``UndefinedEntropyError``, a ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if not v.size:
-        raise ValueError("entropy of an empty vector")
+        raise UndefinedEntropyError("entropy of an empty vector")
     if v.min() < -1e-12:
-        raise ValueError(f"negative entry {v.min():.3e} outside entropy domain")
+        raise UndefinedEntropyError(f"negative entry {v.min():.3e} outside entropy domain")
     v = v.clip(min=0.0)
     with np.errstate(over="ignore"):
         total = v.sum()
@@ -457,11 +463,11 @@ def shannon_entropy(v) -> float:
         # test); otherwise the sum of finite entries overflowed: scale by
         # the largest first.
         if not np.isfinite(v).all():
-            raise ValueError("entropy of a vector with a non-finite entry")
+            raise UndefinedEntropyError("entropy of a vector with a non-finite entry")
         v = v / v.max()
         total = v.sum()
     if total <= 0:
-        raise ValueError("entropy of an all-zero vector")
+        raise UndefinedEntropyError("entropy of an all-zero vector")
     z = v / total
     nonzero = z[z > 0]
     # 0.0 - sum, not -sum: a point mass has entropy 0.0, not -0.0.

@@ -27,6 +27,7 @@ once, which is most of the groups of the size-6 reference.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -126,7 +127,9 @@ def _token_offsets(text: str, start: int, end: int) -> list:
 #   ("var", name)  ("num", value)  ("pow", slot, k)
 #   ("mul", (slot, ...))  ("add", ((sign, slot), ...))
 # ``expr`` and ``term`` return the slot of what they parsed; the last
-# instruction is the root.
+# instruction is the root.  Evaluation does not walk the program itself but
+# a plan derived from it (``_plan_of``), in which each product that one sum
+# alone uses is a term of that sum rather than a value of its own.
 #
 # The parentheses are matched once, before the descent.  The top level and
 # the inside of each group are spans.  A span is lexed only when the descent
@@ -304,25 +307,83 @@ class _Parser:
         return slot
 
 
-def _run(program, point: Mapping[str, object]):
-    values = []
+def _plan_of(program: tuple) -> tuple:
+    """The steps that ``_run`` walks: ``program`` with each product that one
+    sum alone uses folded into that sum.
+
+    A step computes one value from the values of earlier steps, indexed in
+    step order:
+      ("var", name)  ("num", value)  ("pow", index, k)
+      ("mul", first, rest)  ("add", ((sign, first, rest), ...))
+    A product is ``first`` times each index of ``rest`` in turn, and a sum
+    term is a product: a folded ``mul`` keeps its factors, any other slot
+    is a product of one factor, ``(sign, index, ())``.  A product that
+    another product uses is not folded, so every factor has a value of its
+    own.
+    """
+    uses = Counter()
     for instruction in program:
         kind = instruction[0]
-        if kind == "mul":
-            slots = instruction[1]
-            total = values[slots[0]]
-            for slot in slots[1:]:
-                total = total * values[slot]
-        elif kind == "add":
-            total = 0
-            for sign, slot in instruction[1]:
-                total = total + values[slot] if sign == 1 else total - values[slot]
+        if kind == "add":
+            uses.update(slot for _, slot in instruction[1])
+        elif kind == "mul":
+            uses.update(instruction[1])
         elif kind == "pow":
-            total = values[instruction[1]] ** instruction[2]
-        elif kind == "var":
-            total = point[instruction[1]]
+            uses[instruction[1]] += 1
+    folded = {
+        slot
+        for instruction in program
+        if instruction[0] == "add"
+        for _, slot in instruction[1]
+        if uses[slot] == 1 and program[slot][0] == "mul"
+    }
+    index = {}  # program slot -> step index
+
+    def product(factors):
+        return index[factors[0]], tuple(index[slot] for slot in factors[1:])
+
+    steps = []
+    for slot, instruction in enumerate(program):
+        if slot in folded:
+            continue
+        kind = instruction[0]
+        if kind == "add":
+            step = ("add", tuple(
+                (sign, *product(program[term][1] if term in folded else (term,)))
+                for sign, term in instruction[1]
+            ))
+        elif kind == "mul":
+            step = ("mul", *product(instruction[1]))
+        elif kind == "pow":
+            step = ("pow", index[instruction[1]], instruction[2])
         else:
-            total = instruction[1]
+            step = instruction
+        index[slot] = len(steps)
+        steps.append(step)
+    return tuple(steps)
+
+
+def _run(plan: tuple, point: Mapping[str, object]):
+    values = []
+    for step in plan:
+        kind = step[0]
+        if kind == "add":
+            total = 0
+            for sign, first, rest in step[1]:
+                term = values[first]
+                for index in rest:
+                    term = term * values[index]
+                total = total + term if sign == 1 else total - term
+        elif kind == "mul":
+            total = values[step[1]]
+            for index in step[2]:
+                total = total * values[index]
+        elif kind == "pow":
+            total = values[step[1]] ** step[2]
+        elif kind == "var":
+            total = point[step[1]]
+        else:
+            total = step[1]
         values.append(total)
     return values[-1]
 
@@ -332,14 +393,18 @@ class ParsedExpression:
 
     ``program`` lists the instructions in the order the parser emitted them;
     a subexpression that occurs several times in the text is computed once.
-    The program is immutable, so its variable names and degree bound are
-    computed once, at construction.
+    The program is immutable, so its variable names, degree bound and
+    evaluation plan are computed once, at construction.  The plan
+    (``_plan_of``) evaluates each sum of products as one step; ``evaluate`` and
+    ``to_polynomial`` both walk it, multiplying and adding in the program's
+    order.
     """
 
-    __slots__ = ("program", "_names", "_degree")
+    __slots__ = ("program", "_plan", "_names", "_degree")
 
     def __init__(self, program: tuple):
         self.program = program
+        self._plan = _plan_of(program)
         self._names = frozenset(ins[1] for ins in program if ins[0] == "var")
         degrees = []
         for instruction in program:
@@ -366,13 +431,13 @@ class ParsedExpression:
         missing = sorted(self._names.difference(point))
         if missing:
             raise IncompleteAssignmentError(f"no value for variable(s) {missing}")
-        return _run(self.program, point)
+        return _run(self._plan, point)
 
     def to_polynomial(self, variables: VariableSet | None = None) -> Polynomial:
         names = self.variable_names()
         if variables is None:
             variables = VariableSet(sorted(names))
-        value = _run(self.program, {name: Polynomial.variable(variables, name) for name in names})
+        value = _run(self._plan, {name: Polynomial.variable(variables, name) for name in names})
         if isinstance(value, Polynomial):
             return value
         return Polynomial.constant(variables, value)

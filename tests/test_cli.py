@@ -230,6 +230,12 @@ class TestMajorizeCommands:
         assert proc.returncode == 0
         assert abs(payload_of(proc)["entropy"] - 1.3862943611198906) < 1e-12
 
+    def test_undefined_entropy_is_a_numeric_failure(self):
+        proc = run_cli("majorize", "entropy", "0,0")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "numeric failure: entropy of an all-zero vector\n"
+
 
 class TestSpddCommands:
     def test_gauge_valid(self):
@@ -412,6 +418,9 @@ class TestReportContract:
             # is a usage error; numpy refuses it before touching memory.
             pytest.param(("irga", "search-counterexample", "--n", "10000000", "--trials", "100000"),
                          None, 2, id="search-out-of-memory"),
+            # A vector with no entropy is a numeric failure.
+            pytest.param(("majorize", "entropy", "0,0"), None, 4, id="entropy-all-zero"),
+            pytest.param(("majorize", "entropy", "--", "-1,2"), None, 4, id="entropy-negative"),
         ],
     )
     def test_bad_input_exits_with_documented_code(self, tmp_path, args, cert, code):

@@ -218,6 +218,28 @@ def test_expression_evaluation_matches_expansion():
     assert expression.evaluate(point) == polynomial.evaluate(point)
 
 
+def program_order_value(program, point):
+    """The value of ``program`` at ``point``, one instruction at a time, each
+    product and sum taken left to right."""
+    values = []
+    for instruction in program:
+        kind = instruction[0]
+        if kind == "mul":
+            total = values[instruction[1][0]]
+            for slot in instruction[1][1:]:
+                total = total * values[slot]
+        elif kind == "add":
+            total = 0
+            for sign, slot in instruction[1]:
+                total = total + values[slot] if sign == 1 else total - values[slot]
+        elif kind == "pow":
+            total = values[instruction[1]] ** instruction[2]
+        else:
+            total = point[instruction[1]] if kind == "var" else instruction[1]
+        values.append(total)
+    return values[-1]
+
+
 class TestCompiledEvaluation:
     POINTS = (
         {name: Fraction(k - 7, k + 2) for k, name in enumerate("abcdef")},
@@ -266,6 +288,39 @@ class TestCompiledEvaluation:
         assert len(expression.program) == 881
         assert expression.degree_bound() == 31
         assert expression.variable_names() == frozenset("abcdefghijkmnpq")
+
+    def test_size_six_plan_folds_products_into_sums(self):
+        from irgalab.sos import builtin_expression
+
+        plan = builtin_expression("s6-entry12")._plan
+        assert len(plan) == 147
+        folded = [term for step in plan if step[0] == "add" for term in step[1] if term[2]]
+        assert len(folded) == 734
+
+    @pytest.mark.parametrize("text", ["(a) ((a) (a))", "(a + (a) ((a) (a)))", "b - (a b) (a)"])
+    def test_product_of_a_product_is_not_folded(self, text):
+        # The inner product is used once, by a product: it keeps a value of
+        # its own, and only the outer one joins the sum.
+        for point in self.POINTS:
+            a, b = point["a"], point["b"]
+            direct = {"(a) ((a) (a))": a * a * a, "(a + (a) ((a) (a)))": a + a * a * a,
+                      "b - (a b) (a)": b - a * b * a}[text]
+            expression = parse_expression(text)
+            assert expression.evaluate(point) == direct
+            assert expression.to_polynomial().evaluate(point) == direct
+
+    @pytest.mark.parametrize("asset", ["pn4", "s4-entry12", "s6-entry12"])
+    def test_plan_adds_and_multiplies_in_program_order(self, asset):
+        from irgalab.sos import builtin_expression
+
+        expression = builtin_expression(asset)
+        names = sorted(expression.variable_names())
+        # Floats show any change of order; integers must stay int.
+        for point in ({name: 1.0 + 0.1 * k for k, name in enumerate(names)},
+                      {name: k - 7 for k, name in enumerate(names)}):
+            value = expression.evaluate(point)
+            assert value == program_order_value(expression.program, point)
+            assert type(value) is type(point[names[0]])
 
     @pytest.mark.parametrize("asset, fingerprint", sorted(PROGRAM_SHA256.items()))
     def test_bundled_programs_are_pinned(self, asset, fingerprint):
