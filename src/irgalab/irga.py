@@ -234,12 +234,17 @@ def _t_from_lower(l) -> list:
     For i >= j, T_ij is the dot of rows i and j of L over k <= j times the
     dot of columns i and j of X over k >= i, from the bottom up.  The last
     term of each dot pairs an entry with a unit diagonal, so it is added as
-    the bare entry.  Every sum is a ``reduce`` over ``map(mul, ...)``, which
-    adds left to right as a Python loop would, with the products formed in
-    C: X_ij from L_ij on, and each dot from its first product on, with the
-    bare entry last.
+    the bare entry.  Every sum adds left to right as a Python loop would,
+    with the products formed in C by ``map(mul, ...)``: X_ij is a ``reduce``
+    from L_ij on, and each dot is ``linalg._dot`` with the bare entry last.
     """
     n = len(l)
+
+    def dot(a, b, last):
+        # a . b, then + last; map() stops at the shorter of a and b.
+        total = linalg._dot(a, b)
+        return last if total is None else total + last
+
     x = []  # x[j][i] = X_ij for i >= j: column j of X
     for j in range(n):
         col = [None] * n
@@ -249,13 +254,8 @@ def _t_from_lower(l) -> list:
         x.append(col)
     t = [[None] * n for _ in range(n)]
     for j in range(n):
-        lj, xj = l[j], x[j]
         for i in range(j, n):
-            li, xi = l[i], x[i]
-            # map() stops at the shorter of li[:j] and lj.
-            rows = reduce(add, map(mul, li[:j], lj)) + li[j] if j else li[j]
-            cols = reduce(add, map(mul, xi[:i:-1], xj[:i:-1])) + xj[i] if i < n - 1 else xj[i]
-            t[i][j] = t[j][i] = rows * cols
+            t[i][j] = t[j][i] = dot(l[i][:j], l[j], l[i][j]) * dot(x[i][:i:-1], x[j][:i:-1], x[j][i])
     return t
 
 

@@ -30,6 +30,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -209,13 +210,7 @@ class Matrix:
         return min(a for row in self.rows for a in row)
 
     def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
-        return Matrix(
-            [
-                [a for j, a in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.rows)
-                if i != drop_row
-            ]
-        )
+        return Matrix([row[:drop_col] + row[drop_col + 1 :] for i, row in enumerate(self.rows) if i != drop_row])
 
     # -- determinant / inverse -------------------------------------------------------
 
@@ -253,11 +248,11 @@ class Matrix:
 
 
 def _dot(row, col):
-    total = None
-    for a, b in zip(row, col):
-        product = a * b
-        total = product if total is None else total + product
-    return total
+    # Left to right as a Python loop adds, with the products formed in C;
+    # None for empty input.
+    products = map(operator.mul, row, col)
+    first = next(products, None)
+    return None if first is None else functools.reduce(operator.add, products, first)
 
 
 def _bareiss_pivots(rows) -> tuple:
@@ -384,8 +379,8 @@ def adjugate_entry(m: Matrix, i: int, j: int):
         raise DimensionMismatchError("adjugate entry needs a square matrix, n >= 2")
     if not (1 <= i <= m.n_rows and 1 <= j <= m.n_cols):
         raise IndexError(f"adjugate index ({i}, {j}) out of range")
-    minor = Matrix([row[: i - 1] + row[i:] for r, row in enumerate(m.rows) if r != j - 1])
-    value = minor.det()
+    sub = m.submatrix(j - 1, i - 1)
+    value = sub.det()
     return -value if (i + j) % 2 else value
 
 

@@ -230,12 +230,6 @@ class TestMajorizeCommands:
         assert proc.returncode == 0
         assert abs(payload_of(proc)["entropy"] - 1.3862943611198906) < 1e-12
 
-    def test_undefined_entropy_is_a_numeric_failure(self):
-        proc = run_cli("majorize", "entropy", "0,0")
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr == "numeric failure: entropy of an all-zero vector\n"
-
 
 class TestSpddCommands:
     def test_gauge_valid(self):
