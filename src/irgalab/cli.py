@@ -5,10 +5,11 @@ Each command writes a single JSON report document to stdout (or --out) and
 a short human summary to stderr.  Reports are byte-identical across reruns
 with the same arguments and seeds, except for the wall_time_ms field.
 
-Exit codes: 0 verified/found, 1 violated/not found, 2 usage error (a request
-too large for memory too), 3 parse error (an ``exact.ParseFailure``), 4
-numeric failure (a ``linalg.NumericFailure``, as for a ``derived:`` target
-past size 4, or a NaN or infinite value in the report, written as strict JSON).
+Exit codes: 0 verified/found, 1 violated/not found, 2 usage error (any other
+``ValueError``, or a request too large for memory), 3 parse error (an
+``exact.ParseFailure``), 4 numeric failure (a ``linalg.NumericFailure``, as
+for a ``derived:`` target past size 4, or a NaN or infinite value in the
+report, written as strict JSON).
 
 Commands call the library as ``irgalab.<module>.<name>``; the package
 imports each module on first use, so a process loads only what its command
@@ -37,12 +38,6 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 
-class _ReportFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _summary(message: str, quiet: bool):
     if not quiet:
         click.echo(message, err=True)
@@ -65,9 +60,6 @@ def _reports(fn):
         quiet = ctx.obj.get("json_only", False)
         try:
             outcome, payload, summary = fn(**params)
-        except _ReportFailure as exc:
-            _summary(str(exc), quiet)
-            sys.exit(exc.code)
         except MemoryError as exc:
             _summary(f"out of memory: {exc}", quiet)
             sys.exit(EXIT_USAGE)
@@ -79,7 +71,7 @@ def _reports(fn):
             _summary(f"parse error: {exc}", quiet)
             sys.exit(EXIT_PARSE)
         except (ValueError, IndexError) as exc:
-            # Library argument checks; the marked ValueErrors above keep their code.
+            # Argument checks, the CLI's own too; the marked ValueErrors above keep their code.
             _summary(str(exc), quiet)
             sys.exit(EXIT_USAGE)
         report = {
@@ -117,12 +109,10 @@ def _load_matrix_arg(path, mode: str):
     try:
         matrix = irgalab.linalg.load_matrix(path, exact=(mode == "exact"))
     except (ValueError, OSError) as exc:
-        raise _ReportFailure(EXIT_PARSE, f"cannot read matrix {path}: {exc}") from exc
+        raise irgalab.exact.ParseFailure(f"cannot read matrix {path}: {exc}") from exc
     n_rows, n_cols = matrix.shape
     if n_rows != n_cols:
-        raise _ReportFailure(
-            EXIT_USAGE, f"{path}: expected a square matrix, got {n_rows}x{n_cols}"
-        )
+        raise ValueError(f"{path}: expected a square matrix, got {n_rows}x{n_cols}")
     return matrix
 
 
@@ -133,15 +123,14 @@ def _vector_arg(value: str) -> np.ndarray:
             return irgalab.linalg.load_vector(value)
         return irgalab.linalg.parse_vector_text(value.replace(",", " "))
     except (ValueError, OSError) as exc:
-        raise _ReportFailure(EXIT_PARSE, f"cannot read vector {value!r}: {exc}") from exc
+        raise irgalab.exact.ParseFailure(f"cannot read vector {value!r}: {exc}") from exc
 
 
 def _same_length(vector, name: str, n: int, other: str):
     """``vector`` (the option ``name``), which must have ``n`` entries like ``other``."""
     if len(vector) != n:
-        raise _ReportFailure(
-            EXIT_USAGE,
-            f"length mismatch: {name} has {len(vector)} entries, expected {n} to match {other}",
+        raise ValueError(
+            f"length mismatch: {name} has {len(vector)} entries, expected {n} to match {other}"
         )
     return vector
 
@@ -156,19 +145,21 @@ def _resolve_spec(spec: str, what: str, builtin, load):
         try:
             return builtin(spec.split(":", 1)[1])
         except KeyError as exc:
-            raise _ReportFailure(EXIT_USAGE, str(exc)) from exc
+            raise ValueError(exc.args[0]) from exc
     try:
         return load(spec)
     except OSError as exc:
-        raise _ReportFailure(EXIT_USAGE, f"cannot read {what} {spec}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ReportFailure(EXIT_PARSE, f"bad {what} JSON: {exc}") from exc
+        raise irgalab.exact.ParseFailure(f"bad {what} JSON: {exc}") from exc
 
 
 def _tolerance(ctx, param, value: float) -> float:
-    """``--tol`` callback: a tolerance must be finite and >= 0."""
-    if not 0 <= value < float("inf"):
-        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    """``--tol`` callback: ``linalg._check_tol`` before any work, as a usage error."""
+    try:
+        irgalab.linalg._check_tol(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
     return value
 
 
@@ -291,7 +282,7 @@ def sos_verify(cert, target):
         try:
             n, i, j = map(int, target.split(":")[1:])
         except ValueError as exc:
-            raise _ReportFailure(EXIT_USAGE, f"bad derived target {target!r}") from exc
+            raise ValueError(f"bad derived target {target!r}") from exc
         goal = irgalab.sos.entry_polynomial(n, i, j)
     else:
         goal = _resolve_spec(
@@ -382,7 +373,7 @@ def poly_eval(source, assignment):
             name, _, value = pair.partition("=")
             point[name.strip()] = Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise _ReportFailure(EXIT_USAGE, f"bad assignment {assignment!r}: {exc}") from exc
+        raise ValueError(f"bad assignment {assignment!r}: {exc}") from exc
     expression = irgalab.polytext.parse_expression(text)
     value = expression.evaluate(point)
     payload = {"value": str(value), "value_float": float(value)}

@@ -158,8 +158,7 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     The input must be symmetric positive definite; violations raise rather
     than report.  ``tol`` must be finite and >= 0.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    linalg._check_tol(tol)
     p, scale = linalg._check_symmetric(p)
     # A float P with a NaN or infinite entry has no finite scale.
     finite = scale is None or math.isfinite(scale)
@@ -627,8 +626,7 @@ def search_counterexample(
         raise ValueError("trials must be >= 1")
     if not 0 < rng_range < math.inf:
         raise ValueError("rng_range must be finite and > 0")
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    linalg._check_tol(tol)
 
     hits = _float_hits(n, trials, seed, rng_range, tol)
     sample = report = trial_index = None

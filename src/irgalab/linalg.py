@@ -65,6 +65,12 @@ SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-12
 
 
+def _check_tol(tol: float):
+    """Raise ValueError unless a caller's tolerance is finite and >= 0."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
+
+
 class NumericFailure(Exception):
     """Base of the errors that the command line reports as numeric failures."""
 

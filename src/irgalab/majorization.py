@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NumericFailure, _float_array, _max_abs, to_json
+from .linalg import DimensionMismatchError, NumericFailure, _check_tol, _float_array, _max_abs, to_json
 
 __all__ = [
     "MajorizationVerdict",
@@ -73,8 +73,7 @@ class MajorizationVerdict:
 @np.errstate(over="ignore", invalid="ignore")
 def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
     """Decide whether y majorizes x (x < y), within tol."""
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    _check_tol(tol)
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
@@ -393,8 +392,7 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
     holds tuples that other decompositions may share.  An exact ``Matrix``
     is decomposed as its float array.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    _check_tol(tol)
     s = _float_array(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatchError("input must be square")

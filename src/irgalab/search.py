@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _float_array, to_json
+from .linalg import DimensionMismatchError, _check_tol, _float_array, to_json
 from .majorization import _entropy_or_none, _majorizes, shannon_entropy
 from .spdd import Gauge
 
@@ -50,8 +50,7 @@ class SearchConfig:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:
             raise ValueError("step size must be finite and > 0")
-        if not 0 <= self.tol < np.inf:
-            raise ValueError("tol must be finite and >= 0")
+        _check_tol(self.tol)
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:

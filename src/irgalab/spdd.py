@@ -67,20 +67,28 @@ class InvalidGaugeError(linalg.NumericFailure, ValueError):
 
 @dataclass(frozen=True)
 class Gauge:
-    """A symmetric PD matrix P with its inverse relative gain array S.
+    """A symmetric PD matrix P with the membership report of its inverse
+    relative gain array S.
 
-    ``provenance`` records how the gauge was built: ("atomic", n),
-    ("kron", children) or ("block", children).  ``valid`` records whether S
-    passed the doubly-stochastic check; composed gauges are valid exactly
-    when all children are.
+    ``provenance`` records how the gauge was built: ("atomic", mode) with
+    mode "proven" or "conjectured", ("kron",) or ("block",); a composed
+    gauge keeps its factors or blocks in ``children``.  ``s`` and ``valid``
+    are read from the report: a gauge is valid when its S passed the
+    doubly-stochastic check and every child is valid.
     """
 
     p: object
-    s: object
     report: IrgaReport
     provenance: tuple
-    valid: bool
     children: tuple = field(default=())
+
+    @property
+    def s(self):
+        return self.report.s
+
+    @property
+    def valid(self) -> bool:
+        return self.report.doubly_stochastic and all(child.valid for child in self.children)
 
     @property
     def n(self) -> int:
@@ -126,14 +134,7 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
     n = p.shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")
-    report = check_conjecture(p)
-    return Gauge(
-        p=p,
-        s=report.s,
-        report=report,
-        provenance=("atomic", mode),
-        valid=report.doubly_stochastic,
-    )
+    return Gauge(p=p, report=check_conjecture(p), provenance=("atomic", mode))
 
 
 _KRON_CONSISTENCY_TOL = 1e-9
@@ -143,8 +144,9 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
     """Kronecker composition: P = Pa (x) Pb carries S = Sa (x) Sb.
 
     The mixed product property makes the composed S the IRGA of the
-    composed P; in float mode that identity is checked to 1e-9, and a
-    miss, a NaN deviation included, raises FloatAccuracyError.
+    composed P; in float mode that identity is checked to
+    ``_KRON_CONSISTENCY_TOL``, and a miss, a NaN deviation included, raises
+    FloatAccuracyError.
     """
     p = linalg.kron(a.p, b.p)
     s = linalg.kron(a.s, b.s)
@@ -152,7 +154,8 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
         recomputed = irga(np.asarray(p, dtype=float))
         dev = float(np.abs(recomputed - s).max())
         if not dev <= _KRON_CONSISTENCY_TOL:  # also rejects a NaN deviation
-            raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond 1e-9")
+            bound = np.format_float_scientific(_KRON_CONSISTENCY_TOL, trim="-", exp_digits=1)
+            raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond {bound}")
     return _composed("kron", (a, b), p, s)
 
 
@@ -166,17 +169,10 @@ def block_gauge(children: Sequence[Gauge]) -> Gauge:
 
 
 def _composed(kind: str, children: tuple, p, s) -> Gauge:
-    """The gauge composed from ``children``: valid exactly when every child
-    is and the composed S passes the membership test."""
+    """The gauge composed from ``children``, with the membership report of
+    the composed S."""
     report = _membership_report(s, NONNEG_TOL)
-    return Gauge(
-        p=p,
-        s=s,
-        report=report,
-        provenance=(kind,),
-        valid=all(child.valid for child in children) and report.doubly_stochastic,
-        children=children,
-    )
+    return Gauge(p=p, report=report, provenance=(kind,), children=children)
 
 
 def _block_diag(blocks):
@@ -259,8 +255,7 @@ class MappingCheck:
 
 def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
     """Check diag(M) = RGA(P) * spectrum and spectrum = S * diag(M)."""
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and >= 0")
+    linalg._check_tol(tol)
     matrix.gauge.require_valid()
     gauge = matrix.gauge
     p = linalg._float_array(gauge.p)

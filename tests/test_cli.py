@@ -423,6 +423,8 @@ class TestReportContract:
         proc = run_cli(*args, cwd=tmp_path)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+        prefix = {3: "parse error: ", 4: "numeric failure: "}.get(code, "")
+        assert proc.stderr.startswith(prefix)
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_ragged_rows_are_a_parse_error_in_both_modes(self, tmp_path, mode):
@@ -430,7 +432,7 @@ class TestReportContract:
         path.write_text("1 2\n3\n")
         proc = run_cli("irga", "check", str(path), "--mode", mode)
         assert proc.returncode == 3
-        assert proc.stderr == f"cannot read matrix {path}: ragged rows\n"
+        assert proc.stderr == f"parse error: cannot read matrix {path}: ragged rows\n"
 
     @pytest.mark.parametrize(
         "args, message",
@@ -456,6 +458,28 @@ class TestReportContract:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"length mismatch: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (("sos", "verify", "--cert", "builtin:nope", "--target", "builtin:pn3"), None,
+             "unknown builtin asset 'nope'; available: "
+             "['n3', 'n4', 'pn3', 'pn4', 's4-entry12', 's6-entry12']"),
+            (("sos", "verify", "--cert", "builtin:n3", "--target", "derived:4:x:2"), None,
+             "bad derived target 'derived:4:x:2'"),
+            (("poly", "eval", "in.txt", "--at", "a=x"), "a^2 + b\n",
+             "bad assignment 'a=x': Invalid literal for Fraction: 'x'"),
+            (("irga", "check", "in.txt"), "1 2\n", "in.txt: expected a square matrix, got 1x2"),
+        ],
+        ids=["unknown-builtin", "derived-target", "assignment", "not-square"],
+    )
+    def test_usage_error_prints_its_message_as_written(self, tmp_path, args, text, message):
+        if text is not None:
+            (tmp_path / "in.txt").write_text(text)
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"{message}\n"
 
     @pytest.mark.parametrize(
         "args, inputs, outcome, code",
@@ -746,8 +770,7 @@ def test_every_error_class_has_one_exit_code():
         module = importlib.import_module(f"irgalab.{info.name}")
         for value in vars(module).values():
             if (isinstance(value, type) and issubclass(value, BaseException)
-                    and value.__module__ == module.__name__
-                    and value is not irgalab.cli._ReportFailure):
+                    and value.__module__ == module.__name__):
                 kinds[value.__qualname__] = (
                     issubclass(value, irgalab.linalg.NumericFailure),
                     issubclass(value, irgalab.exact.ParseFailure),

@@ -126,7 +126,7 @@ class TestCheckConjecture:
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check_conjecture(np.array([[2.0, 1.0], [1.0, 1.0]]), tol=tol)
 
     def test_zero_tol_is_valid(self):
@@ -454,9 +454,9 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_counterexample(7, 0)
 
-    @pytest.mark.parametrize("tol", [-0.05, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [-0.05, float("nan"), float("inf"), -1.0])
     def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             search_counterexample(5, 10, seed=1, tol=tol)
 
     def test_n4_finds_nothing(self):

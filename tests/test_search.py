@@ -71,6 +71,9 @@ class TestStep:
                            (1.0, float("nan")), (1.0, float("inf")), (1.0, -1e-9)]:
             with pytest.raises(ValueError):
                 SearchConfig(delta=delta, tol=tol)
+        for tol in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                SearchConfig(delta=1.0, tol=tol)
 
 
 class TestRun:

@@ -135,7 +135,8 @@ class TestVerifyMapping:
 
         gauge = worked_gauge()
         matrix = make_spdd(gauge, [1.0, 2.0])
-        invalidated = dataclasses.replace(matrix, gauge=dataclasses.replace(gauge, valid=False))
+        invalid = dataclasses.replace(gauge.report, doubly_stochastic=False)
+        invalidated = dataclasses.replace(matrix, gauge=dataclasses.replace(gauge, report=invalid))
         with pytest.raises(InvalidGaugeError):
             verify_mapping(invalidated)
 
@@ -180,7 +181,7 @@ class TestKronSpdd:
         s = gauge.s.copy()
         s[0, 1] = np.nan
         with pytest.raises(linalg.FloatAccuracyError, match="nan"):
-            kron_gauge(replace(gauge, s=s), gauge)
+            kron_gauge(replace(gauge, report=replace(gauge.report, s=s)), gauge)
 
     @pytest.mark.parametrize("gauge_of", [worked_gauge, lambda: make_gauge(np.eye(2))],
                              ids=["worked", "identity"])
@@ -314,7 +315,8 @@ class TestBlockGaugeStructure:
         # An exact child composes with a float one as its float conversion.
         exact = make_gauge(random_pd(2, 81, mode="exact").p, mode="proven")
         other = make_gauge(random_pd(3, 82).p)
-        converted = replace(exact, p=exact.p.to_float_array(), s=exact.s.to_float_array())
+        converted = replace(exact, p=exact.p.to_float_array(),
+                            report=replace(exact.report, s=exact.s.to_float_array()))
         pairs = [
             (block_gauge([exact, other]), block_gauge([converted, other])),
             (kron_gauge(exact, other), kron_gauge(converted, other)),
