@@ -111,10 +111,11 @@ def _irga(p, scale):
 class IrgaReport:
     """Membership report for S = (P o P^-1)^-1.
 
-    In exact mode the row/column sums are identically one, so both deviation
-    fields are exact zeros and ``doubly_stochastic`` reduces to
-    ``nonnegative``.  ``check_conjecture`` and the Kronecker / block
-    compositions in ``spdd`` build it with the same ``_membership_report``.
+    In exact mode the row/column sums are one by theorem, so both deviation
+    fields are exact zeros, set without summing S, and ``doubly_stochastic``
+    is ``nonnegative``.  ``check_conjecture`` asserts the sums on the S it
+    computes from P; Kronecker and block compositions keep them.  Both build
+    the report with the same ``_membership_report``.
     """
 
     s: object
@@ -164,26 +165,24 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     finite = scale is None or math.isfinite(scale)
     if not (finite and linalg._is_positive_definite(p)):
         raise NotPositiveDefiniteError("input must be positive definite")
-    report = _membership_report(_irga(p, scale), tol)
-    if isinstance(p, Matrix) and (report.max_row_sum_dev != 0 or report.max_col_sum_dev != 0):
+    s = _irga(p, scale)
+    if isinstance(s, Matrix) and any(v != 1 for v in s.row_sums() + s.col_sums()):
         raise AssertionError("exact IRGA row/column sums must be identically 1")
-    return report
+    return _membership_report(s, tol)
 
 
 def _membership_report(s, tol: float) -> IrgaReport:
     """Doubly-stochastic membership report for an already-computed S.
 
-    Exact S (a Matrix) is tested without tolerance; float S tolerates
-    ``tol`` on the minimum entry and on the row/column sums.  S is not
-    tested for PD-ness: it inherits it from P (see ``IrgaReport.pd``).
+    Exact S (a Matrix) is tested for nonnegativity alone, without
+    tolerance (see ``IrgaReport``); float S tolerates ``tol`` on the minimum
+    entry and on the row/column sums.  S is not tested for PD-ness: it
+    inherits it from P (see ``IrgaReport.pd``).
     """
     if isinstance(s, Matrix):
-        one = Fraction(1)
-        row_dev = max(abs(v - one) for v in s.row_sums())
-        col_dev = max(abs(v - one) for v in s.col_sums())
+        row_dev = col_dev = Fraction(0)
         min_entry = s.min_entry()
-        nonnegative = min_entry >= 0
-        doubly = nonnegative and row_dev == 0 and col_dev == 0
+        nonnegative = doubly = min_entry >= 0
     else:
         row_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=1).tolist()])
         col_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=0).tolist()])

@@ -7,21 +7,21 @@ Two carriers coexist and most public functions dispatch on type:
   (int, Fraction, or Polynomial) for certification work.
 
 Every exact elimination runs over the integers, on D*A with D the LCM of
-the entries' denominators.  One fraction-free forward elimination (Bareiss,
-Math. Comp. 22, 1968) serves two jobs: its last pivot gives the determinant
+the entries' denominators, as one fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968).  Its forward pass's last pivot gives the determinant
 of an int/Fraction matrix, and its pivots are the leading principal minors
 that the exact positive-definiteness test (Sylvester's criterion) reads.
-Determinants of Polynomial matrices use cofactor expansion along the first
-row.  Exact inverses use one fraction-free Gauss-Jordan pass, which yields
-the adjugate and the determinant together.  The exact inverse and
-positive-definiteness test take int/Fraction entries only and raise
-TypeError for any other.  Float inverses use partially pivoted LU
-(LAPACK dgetrf/dgetrs) with an explicit pivot-magnitude check, and the
-float positive-definiteness test and Cholesky factor both use LAPACK
-dpotrf.  These LAPACK routines come from scipy's ``_flapack`` extension,
-which is loaded by itself on the first float inverse or Cholesky call:
-neither the ``scipy`` nor the ``scipy.linalg`` package is imported, and
-code that stays exact loads no part of scipy.
+Its Jordan pass on [D*A | I] leaves the inverse of D*A times the last pivot
+in the right half.  Polynomial determinants use cofactor expansion along
+the first row.  The exact inverse and positive-definiteness test take
+int/Fraction entries only and raise TypeError for any other.  Float
+inverses use partially pivoted LU (LAPACK dgetrf/dgetrs) with an explicit
+pivot-magnitude check, and the float positive-definiteness test and
+Cholesky factor both use LAPACK dpotrf.  These LAPACK routines come from
+scipy's ``_flapack`` extension, which is loaded by itself on the first
+float inverse or Cholesky call: neither the ``scipy`` nor the
+``scipy.linalg`` package is imported, and code that stays exact loads no
+part of scipy.
 """
 
 from __future__ import annotations
@@ -223,8 +223,8 @@ class Matrix:
     def det(self):
         """Exact determinant; for int/Fraction A, det(D*A) / D^n, an int when D = 1.
 
-        det(D*A) is the last pivot of the forward Bareiss pass that the exact
-        PD test also reads, negated after an odd number of row swaps.
+        det(D*A) is the last pivot of the forward pass of ``_bareiss``, which
+        the exact PD test also reads, negated after an odd number of row swaps.
         """
         if not self.is_square:
             raise DimensionMismatchError("determinant of a non-square matrix")
@@ -232,22 +232,28 @@ class Matrix:
         if scaled is None:
             return _det_laplace(self.rows)
         rows, scale = scaled
-        pivots, swaps = _bareiss_pivots(rows)
+        pivots, swaps = _bareiss(rows)
         d = -pivots[-1] if swaps % 2 else pivots[-1]
         return d if scale == 1 else Fraction(d, scale**self.n_rows)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse as adjugate over determinant (one Gauss-Jordan pass).
+        """Exact inverse by the Jordan pass of Bareiss elimination on [D*A | I].
 
-        Entries must be int or Fraction (else TypeError).  The result has
-        Fraction entries, each normalised once from
-        A^-1 = D * adj(D*A) / det(D*A) over the integer matrix D*A.
+        Entries must be int or Fraction (else TypeError).  The pass ends with
+        d * (D*A)^-1 in the right half, d its last pivot, so the result's
+        Fraction entries are each normalised once from A^-1 = D * right / d.
+        Raises SingularMatrixError when A is singular.
         """
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
         rows, scale = _rational_scaled(self.rows, "inverse")
-        adj, d = _adjugate_det(rows)
-        return Matrix([[Fraction(scale * v, d) for v in row] for row in adj])
+        n = len(rows)
+        for i, row in enumerate(rows):
+            row.extend(1 if j == i else 0 for j in range(n))
+        d = _bareiss(rows, jordan=True)[0][-1]
+        if d == 0:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix([[Fraction(scale * v, d) for v in row[n:]] for row in rows])
 
     def to_float_array(self) -> np.ndarray:
         return np.array([[float(a) for a in row] for row in self.rows], dtype=float)
@@ -261,19 +267,20 @@ def _dot(row, col):
     return None if first is None else functools.reduce(operator.add, products, first)
 
 
-def _bareiss_pivots(rows) -> tuple:
-    """(pivots, swaps) of one fraction-free forward elimination (Bareiss).
+def _bareiss(a: list, jordan: bool = False) -> tuple:
+    """(pivots, swaps) of a fraction-free elimination (Bareiss) of n integer
+    rows ``a``, at least n wide, in place.
 
     Step k swaps in the first lower row with a nonzero entry in column k
-    only when the pivot is zero, then updates every lower row by
-    a_ij <- (pivot*a_ij - a_ik*a_kj) / previous pivot, a division that is
-    always exact.  Pivot k is then the (k+1)-th leading minor of the
-    row-swapped matrix, so the last pivot is +-det(A), and without swaps
-    the pivots are A's leading principal minors.  When no row can supply
-    a nonzero pivot the pass stops with a final pivot of 0: A is singular.
+    only when the pivot is zero, then updates the columns right of k, the
+    only ones read again, of every lower row (forward) or every other row
+    (``jordan``) by a_ij <- (pivot*a_ij - a_ik*a_kj) / previous pivot, an
+    exact division.  Pivot k is then the (k+1)-th leading minor of the
+    row-swapped matrix: the last is +-det, and without swaps the pivots are
+    the leading principal minors.  When no row can supply a nonzero pivot
+    the pass stops with a last pivot of 0: the matrix is singular.
     """
-    a = [list(row) for row in rows]
-    n = len(a)
+    n, width = len(a), len(a[0])
     pivots = []
     swaps = 0
     prev = 1
@@ -287,10 +294,9 @@ def _bareiss_pivots(rows) -> tuple:
             swaps += 1
         row_k = a[k]
         pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
+        for row_i in a[:k] + a[k + 1 :] if jordan else a[k + 1 :]:
             lead = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = _exact_div(pivot * row_i[j] - lead * row_k[j], prev)
         pivots.append(pivot)
         prev = pivot
@@ -323,41 +329,6 @@ def _rational_scaled(rows, operation: str):
     if scaled is None:
         raise TypeError(f"exact {operation} needs int or Fraction entries")
     return scaled
-
-
-def _adjugate_det(rows) -> tuple:
-    """(adj(A), det(A)) of a square exact matrix A, adjugate as a list of rows.
-
-    One fraction-free Gauss-Jordan pass on [A | I]: step k swaps in a
-    nonzero pivot if needed and updates every other row by
-    row_i <- (pivot*row_i - a_ik*row_k) / previous pivot, a division that is
-    always exact.  The pass ends at [d*I | d*A'^-1] for the row-swapped A'
-    with d = det(A'), i.e. at +-(det(A), adj(A)).  The rows are integers
-    (Matrix.inverse passes D*A), so the whole pass stays in int.  Raises
-    SingularMatrixError when A is singular.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    for i in range(n):
-        a[i].extend(1 if j == i else 0 for j in range(n))
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                raise SingularMatrixError("matrix is singular")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(n):
-            if i != k:
-                lead = a[i][k]
-                a[i] = [_exact_div(pivot * x - lead * y, prev) for x, y in zip(a[i], row_k)]
-        prev = pivot
-    adj = [row[n:] if sign == 1 else [-v for v in row[n:]] for row in a]
-    return adj, sign * prev
 
 
 def _det_laplace(rows):
@@ -567,7 +538,7 @@ def _is_positive_definite(a) -> bool:
         # Sylvester's criterion on the pivots; D*A's leading minors are A's
         # times powers of D > 0.
         rows, _ = _rational_scaled(a.rows, "positive-definiteness test")
-        pivots, swaps = _bareiss_pivots(rows)
+        pivots, swaps = _bareiss(rows)
         return not swaps and all(p > 0 for p in pivots)
     return _cholesky_lower(a) is not None
 

@@ -197,9 +197,10 @@ class SpddMatrix:
     """M = P diag(spectrum) P^-1 for a gauge P, with its observed diagonal.
 
     The spectrum is exact by construction; the defining mapping identity
-    diag(M) = RGA(P) * spectrum is checked at construction to 1e-9, scaled
-    by the largest diagonal entry when that exceeds 1; a miss, a NaN
-    deviation or an overflowed diagonal raises FloatAccuracyError.
+    diag(M) = RGA(P) * spectrum is checked at construction to
+    ``_SPDD_CONSTRUCTION_TOL``, scaled by the largest diagonal entry when
+    that exceeds 1; a miss, a NaN deviation or an overflowed diagonal raises
+    FloatAccuracyError.
     """
 
     gauge: Gauge
@@ -269,6 +270,7 @@ def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
 
 def verify_majorization_theorem(matrix: SpddMatrix, tol: float = 1e-9):
     """``majorizes`` verdict of "the diagonal majorizes the spectrum" for a valid gauge."""
+    linalg._check_tol(tol)
     matrix.gauge.require_valid()
     return irgalab.majorization.majorizes(matrix.diagonal, matrix.spectrum, tol=tol)
 
@@ -350,6 +352,7 @@ def unitary_class_check(n: int, seed: int, spectrum, tol: float = 1e-9):
     diagonal sign-fixed for determinism), forms M = Q diag(e) Q^T, and
     returns the ``majorizes`` verdict that the spectrum majorizes the diagonal.
     """
+    linalg._check_tol(tol)
     spectrum = np.asarray(spectrum, dtype=float)
     if len(spectrum) != n:
         raise linalg.DimensionMismatchError(f"spectrum length {len(spectrum)} vs n={n}")

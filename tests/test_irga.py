@@ -227,6 +227,18 @@ class TestFloatPathPinned:
             not_doubly += not first.doubly_stochastic
         assert not_doubly == 19
 
+    def test_nonnegativity_boundary_is_minus_tol(self):
+        # The certified size-7 counterexample as floats: its float minimum m
+        # is negative, and the verdict flips exactly where tol crosses |m|.
+        outcome = search_counterexample(7, 6000, seed=5)
+        p = outcome.sample.p.to_float_array()
+        m = check_conjecture(p).min_entry
+        assert m < 0
+        below, above = math.nextafter(-m, 0.0), math.nextafter(-m, math.inf)
+        assert not check_conjecture(p, tol=below).nonnegative
+        assert check_conjecture(p, tol=-m).nonnegative
+        assert check_conjecture(p, tol=above).nonnegative
+
 
 class TestFloatReportFields:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -511,6 +523,22 @@ class TestSearch:
         # Every reported hit is exact; uncertified float hits are counted.
         outcome = search_counterexample(7, 6000, seed=5)
         assert outcome.uncertified_hits == 0
+
+    def test_exact_minimum_of_zero_does_not_certify(self, monkeypatch):
+        # A float hit whose dyadic L is block-diagonal (blocks {0, 1} and
+        # {2, 3}) has an S with structural zeros, so its exact minimum is
+        # exactly 0: doubly stochastic, not a counterexample.
+        module = importlib.import_module("irgalab.irga")
+        monkeypatch.setattr(module, "_float_hits", lambda *args: [0])
+        lower = np.array([[0.5, 0.0, 0.0, 0.0, 0.0, 0.25]])
+        monkeypatch.setattr(module, "_search_lower", lambda *args: lower)
+        outcome = search_counterexample(4, 1, seed=0)
+        assert not outcome.found
+        assert (outcome.float_hits, outcome.uncertified_hits) == (1, 1)
+        l = _build_lower(4, [Fraction(v) for v in lower[0]], Fraction(1), Fraction(0))
+        p = Matrix(l) @ Matrix(l).transpose()
+        report = check_conjecture(p)
+        assert report.min_entry == 0 and report.doubly_stochastic
 
 
 def reference_min_irga_entries(n, lower):

@@ -20,7 +20,8 @@ from irgalab import linalg
 from irgalab.exact import Polynomial, VariableSet
 from irgalab.irga import random_pd
 from irgalab.linalg import (
-    _adjugate_det,
+    _bareiss,
+    _det_laplace,
     _integer_scaled,
     DimensionMismatchError,
     Matrix,
@@ -149,6 +150,25 @@ def reference_adjugate(m):
     return [[adjugate_entry(m, i + 1, j + 1) for j in range(n)] for i in range(n)]
 
 
+def augmented(rows):
+    """[A | I] as integer rows, the input of the Jordan pass."""
+    n = len(rows)
+    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+
+
+def adjugate_det(rows):
+    """(adj(A), det(A)) of a square integer matrix A from the Jordan pass on [A | I].
+
+    The pass ends at [d*I | d*A^-1] with d = det of the row-swapped A.
+    """
+    a = augmented(rows)
+    pivots, swaps = _bareiss(a, jordan=True)
+    if pivots[-1] == 0:
+        raise SingularMatrixError("matrix is singular")
+    sign = -1 if swaps % 2 else 1
+    return [[sign * v for v in row[len(rows):]] for row in a], sign * pivots[-1]
+
+
 @st.composite
 def rational_matrices(draw):
     """Square rational matrices with many zero entries: row swaps and singular cases are common."""
@@ -171,9 +191,9 @@ class TestGaussJordanInverse:
             with pytest.raises(SingularMatrixError):
                 m.inverse()
             with pytest.raises(SingularMatrixError):
-                _adjugate_det(scaled.rows)
+                adjugate_det(scaled.rows)
             return
-        assert _adjugate_det(scaled.rows) == (reference_adjugate(scaled), scaled.det())
+        assert adjugate_det(scaled.rows) == (reference_adjugate(scaled), scaled.det())
         adj = reference_adjugate(m)
         inv = m.inverse()
         n = m.n_rows
@@ -182,7 +202,7 @@ class TestGaussJordanInverse:
 
     def test_integer_matrix_gives_integer_adjugate(self):
         m = Matrix([[0, 2, 1], [1, 1, 0], [3, 0, 1]])  # zero leading entry: needs a row swap
-        adj, det = _adjugate_det(m.rows)
+        adj, det = adjugate_det(m.rows)
         assert det == m.det() == -5
         assert adj == reference_adjugate(m)
         assert all(type(v) is int for row in adj for v in row)
@@ -405,6 +425,32 @@ class TestDeterminant:
         a = Polynomial.variable(VariableSet("a"), "a")
         m = Matrix([[0, a, a], [a, 1, a], [a, a, 1]])
         assert m.det() == 2 * a**3 - 2 * a**2
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices with many zero entries: row swaps and singular cases are common."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+class TestBareiss:
+    @given(integer_matrices())
+    @example([[0, 1], [1, 0]])
+    @example(SWAP_TWICE)
+    @example([[1, 0, 2], [3, 0, 4], [5, 0, 6]])
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=120, deadline=None)
+    def test_forward_and_jordan_passes(self, rows):
+        n = len(rows)
+        forward, jordan = [list(row) for row in rows], augmented(rows)
+        pivots, swaps = _bareiss(forward)
+        assert _bareiss(jordan, jordan=True) == (pivots, swaps)
+        assert (-1) ** swaps * pivots[-1] == _det_laplace(rows)
+        if pivots[-1]:
+            right = Matrix([row[n:] for row in jordan])
+            assert right @ Matrix(rows) == Matrix.diagonal([pivots[-1]] * n, zero=0)
 
 
 class TestAdjugateEntry:

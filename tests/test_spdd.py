@@ -150,6 +150,24 @@ class TestVerifyMapping:
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             unitary_class_check(3, 0, [3.0, 2.0, 1.0], tol=tol)
 
+    def test_tol_is_checked_before_the_gauge(self):
+        # As in verify_mapping, a bad tol is a usage error even when the
+        # gauge is invalid too.
+        gauge = worked_gauge()
+        matrix = make_spdd(gauge, [1.0, 2.0])
+        invalid = replace(gauge.report, doubly_stochastic=False)
+        invalidated = replace(matrix, gauge=replace(gauge, report=invalid))
+        for check in (verify_mapping, verify_majorization_theorem):
+            with pytest.raises(InvalidGaugeError):
+                check(invalidated)
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                check(invalidated, tol=math.nan)
+
+    def test_unitary_check_draws_nothing_for_a_bad_tol(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew Q"))
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            unitary_class_check(3, 0, [3.0, 2.0, 1.0], tol=math.nan)
+
 
 class TestMajorizationTheorem:
     def test_worked_two_by_two(self):
