@@ -180,19 +180,21 @@ def run(gauge: Gauge, start_spectrum, config: SearchConfig) -> SearchTrace:
         best_gain = 0.0
         diag_sorted = np.sort(state.diagonal)
         for i, j, candidate in neighbors(state.spectrum, config.delta):
+            diagonal = rga_p @ candidate
             if not _admissible(
-                state.diagonal, diag_sorted, rga_p @ candidate, config.direction, config.tol
+                state.diagonal, diag_sorted, diagonal, config.direction, config.tol
             ):
                 continue
-            gain = sign * (shannon_entropy(candidate) - state.spectral_entropy)
+            entropy = shannon_entropy(candidate)
+            gain = sign * (entropy - state.spectral_entropy)
             if gain > best_gain + 1e-15:
-                best = (i, j, candidate)
+                best = (i, j, candidate, diagonal, entropy)
                 best_gain = gain
         if best is None:
             termination = "local_optimum"
             break
-        gain_index, loss_index, spectrum = best
+        gain_index, loss_index, spectrum, diagonal, entropy = best
         moves.append((gain_index, loss_index))
-        state = _make_state(rga_p, spectrum)
+        state = SearchState(spectrum, diagonal, entropy, _entropy_or_none(diagonal))
         states.append(state)
     return SearchTrace(states=tuple(states), moves=tuple(moves), termination=termination)

@@ -18,6 +18,7 @@ report never factorizes S (see ``IrgaReport.pd``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 import irgalab
 from . import linalg
 from .irga import (
-    NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, irga, mix64, random_pd, rga
+    NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, mix64, random_pd, rga
 )
 from .linalg import Matrix
 
@@ -75,6 +76,11 @@ class Gauge:
     gauge keeps its factors or blocks in ``children``.  ``s`` and ``valid``
     are read from the report: a gauge is valid when its S passed the
     doubly-stochastic check and every child is valid.
+
+    Float consumers (``make_spdd``, ``verify_mapping``, ``rga_matrix``,
+    ``kron_gauge``'s check) share one factorization: P's float form and LU
+    inverse, formed on first use.  So that P cannot change under it, a
+    float P is read-only, and ``make_gauge`` keeps its own copy.
     """
 
     p: object
@@ -104,9 +110,18 @@ class Gauge:
                 "gauge IRGA is not doubly stochastic; majorization machinery does not apply"
             )
 
+    @cached_property
+    def _float_lu(self) -> tuple:
+        """(P, P^-1) as float arrays: the gauge's one float LU inverse."""
+        p = linalg._float_array(self.p)
+        return p, linalg.inverse(p)
+
     def rga_matrix(self):
         """RGA(P); exact inverse of S."""
-        return rga(self.p)
+        if self.is_exact:
+            return rga(self.p)
+        p, p_inv = self._float_lu
+        return p * p_inv.T
 
     def provenance_json(self) -> dict:
         kind = self.provenance[0]
@@ -130,7 +145,8 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
     if bound is None:
         raise ValueError(f"unknown gauge mode {mode!r}; use 'proven' or 'conjectured'")
     if not isinstance(p, Matrix):
-        p = np.asarray(p, dtype=float)
+        p = np.array(p, dtype=float)
+        p.setflags(write=False)
     n = p.shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")
@@ -148,15 +164,14 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
     ``_KRON_CONSISTENCY_TOL``, and a miss, a NaN deviation included, raises
     FloatAccuracyError.
     """
-    p = linalg.kron(a.p, b.p)
-    s = linalg.kron(a.s, b.s)
-    if not (a.is_exact and b.is_exact):
-        recomputed = irga(np.asarray(p, dtype=float))
-        dev = float(np.abs(recomputed - s).max())
+    gauge = _composed("kron", (a, b), linalg.kron(a.p, b.p), linalg.kron(a.s, b.s))
+    if not gauge.is_exact:
+        p, p_inv = gauge._float_lu
+        dev = float(np.abs(linalg.inverse(p * p_inv) - gauge.s).max())
         if not dev <= _KRON_CONSISTENCY_TOL:  # also rejects a NaN deviation
             bound = np.format_float_scientific(_KRON_CONSISTENCY_TOL, trim="-", exp_digits=1)
             raise linalg.FloatAccuracyError(f"Kronecker IRGA consistency {dev:.3e} beyond {bound}")
-    return _composed("kron", (a, b), p, s)
+    return gauge
 
 
 def block_gauge(children: Sequence[Gauge]) -> Gauge:
@@ -171,6 +186,8 @@ def block_gauge(children: Sequence[Gauge]) -> Gauge:
 def _composed(kind: str, children: tuple, p, s) -> Gauge:
     """The gauge composed from ``children``, with the membership report of
     the composed S."""
+    if not isinstance(p, Matrix):
+        p.setflags(write=False)
     report = _membership_report(s, NONNEG_TOL)
     return Gauge(p=p, report=report, provenance=(kind,), children=children)
 
@@ -229,8 +246,7 @@ def make_spdd(gauge: Gauge, spectrum) -> SpddMatrix:
         raise linalg.DimensionMismatchError(
             f"spectrum length {spectrum.shape} vs gauge size {gauge.n}"
         )
-    p = linalg._float_array(gauge.p)
-    p_inv = linalg.inverse(p)
+    p, p_inv = gauge._float_lu
     m = (p * spectrum) @ p_inv
     diagonal = m.diagonal().copy()
     predicted = (p * p_inv.T) @ spectrum  # RGA(P) = P o P^-T
@@ -259,9 +275,9 @@ def verify_mapping(matrix: SpddMatrix, tol: float = 1e-9) -> MappingCheck:
     linalg._check_tol(tol)
     matrix.gauge.require_valid()
     gauge = matrix.gauge
-    p = linalg._float_array(gauge.p)
+    p, p_inv = gauge._float_lu
     s = linalg._float_array(gauge.s)
-    dev_diag = float(np.abs(rga(p) @ matrix.spectrum - matrix.diagonal).max())
+    dev_diag = float(np.abs((p * p_inv.T) @ matrix.spectrum - matrix.diagonal).max())
     dev_spec = float(np.abs(s @ matrix.diagonal - matrix.spectrum).max())
     dev = max(dev_diag, dev_spec)
     scale = max(1.0, float(np.abs(matrix.spectrum).max()), float(np.abs(matrix.diagonal).max()))

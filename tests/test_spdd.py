@@ -370,3 +370,103 @@ class TestUnitaryContrast:
             n = int(rng.integers(2, 9))
             e = rng.uniform(-5, 5, n)
             assert unitary_class_check(n, seed=trial, spectrum=e).holds
+
+
+def _gauge_of(kind, n, seed=0):
+    """A float, exact or mixed-carrier gauge of size n (mixed: an exact
+    block beside a float one), or a composed block gauge ("block", "block-exact")."""
+    if kind in ("float", "exact"):
+        return make_gauge(random_pd(n, 700 + 10 * n + seed, mode=kind).p)
+    if kind == "mixed":
+        half = n // 2
+        return block_gauge([_gauge_of("exact", half, seed), _gauge_of("float", n - half, seed)])
+    return assemble_gpdd(block_plan(n), seed, mode="exact" if kind == "block-exact" else "float")
+
+
+def _fresh_float_lu(gauge):
+    p = linalg._float_array(gauge.p)
+    return p, linalg.inverse(p)
+
+
+def _fresh_mapping_deviation(matrix):
+    """verify_mapping's max_deviation from a fresh float inverse of P."""
+    p, p_inv = _fresh_float_lu(matrix.gauge)
+    s = linalg._float_array(matrix.gauge.s)
+    dev_diag = float(np.abs((p * p_inv.T) @ matrix.spectrum - matrix.diagonal).max())
+    dev_spec = float(np.abs(s @ matrix.diagonal - matrix.spectrum).max())
+    return max(dev_diag, dev_spec)
+
+
+_BIT_CASES = [(kind, n) for kind in ("float", "exact", "mixed") for n in range(2, 7)] + [
+    ("block", 48), ("block-exact", 48)
+]
+
+
+class TestSharedFactorization:
+    @pytest.mark.parametrize("kind, n", _BIT_CASES)
+    def test_make_spdd_and_verify_mapping_match_a_fresh_inverse(self, kind, n):
+        # The gauge's shared factorization gives the bits of a fresh
+        # linalg.inverse(_float_array(P)) derivation.
+        gauge = _gauge_of(kind, n)
+        rng = np.random.default_rng(n)
+        p, p_inv = _fresh_float_lu(gauge)
+        for _ in range(3):
+            spectrum = rng.uniform(0.1, 10.0, n)
+            matrix = make_spdd(gauge, spectrum)
+            m = (p * spectrum) @ p_inv
+            assert np.array_equal(matrix.m, m)
+            assert np.array_equal(matrix.diagonal, m.diagonal())
+            assert verify_mapping(matrix).max_deviation == _fresh_mapping_deviation(matrix)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(("float", 2), ("exact", 3)), (("exact", 3), ("float", 2)), (("float", 3), ("float", 2)),
+         (("exact", 2), ("exact", 2)), (("mixed", 4), ("float", 3))],
+    )
+    def test_kron_verify_mapping_matches_a_fresh_inverse(self, a, b):
+        ma, mb = (make_spdd(_gauge_of(*g), np.arange(1.0, g[1] + 1.0)) for g in (a, b))
+        composed = kron_spdd(ma, mb)
+        assert verify_mapping(composed).max_deviation == _fresh_mapping_deviation(composed)
+
+    def test_each_gauge_is_factored_once(self, monkeypatch):
+        # Count the float LU inverses of each gauge's own float P.
+        calls = []
+        lu_inverse = linalg._lu_inverse
+        monkeypatch.setattr(
+            linalg, "_lu_inverse", lambda a, scale: calls.append(a) or lu_inverse(a, scale)
+        )
+
+        def factorizations(gauge):
+            p = linalg._float_array(gauge.p)
+            return sum(a.shape == p.shape and np.array_equal(a, p) for a in calls)
+
+        gauge = assemble_gpdd(block_plan(48), 0)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            make_spdd(gauge, rng.uniform(0.1, 10.0, 48))
+        assert factorizations(gauge) == 1
+
+        gauge = make_gauge(random_pd(4, 5).p)
+        calls.clear()  # check_conjecture's own inverse of P is not shared
+        verify_mapping(make_spdd(gauge, [4.0, 3.0, 2.0, 1.0]))
+        assert factorizations(gauge) == 1
+
+        a = make_spdd(make_gauge(random_pd(2, 6).p), [1.0, 2.0])
+        b = make_spdd(make_gauge(random_pd(3, 7).p), [3.0, 1.0, 2.0])
+        calls.clear()
+        composed = kron_spdd(a, b)
+        verify_mapping(composed)
+        assert factorizations(composed.gauge) == 1
+
+    def test_caller_mutation_does_not_reach_the_gauge(self):
+        p = np.array([[2.0, 1.0], [1.0, 1.0]])
+        gauge = make_gauge(p)
+        report = gauge.report.to_json_dict()
+        p[0, 1] = p[1, 0] = 0.5
+        assert np.array_equal(gauge.p, [[2.0, 1.0], [1.0, 1.0]])
+        assert gauge.report.to_json_dict() == report
+        worked = make_spdd(worked_gauge(), [3.0, 1.0])
+        assert np.array_equal(make_spdd(gauge, [3.0, 1.0]).m, worked.m)
+        for float_gauge in (gauge, assemble_gpdd(block_plan(5), 0), kron_gauge(gauge, gauge)):
+            with pytest.raises(ValueError, match="read-only"):
+                float_gauge.p[0, 0] = 5.0
