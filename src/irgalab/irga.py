@@ -96,15 +96,21 @@ def irga(p):
     theorem) and therefore invertible; the inverse's singularity check covers
     indefinite symmetric inputs anyway.
     """
-    return _irga(*linalg._check_symmetric(p))
+    return _irga(*linalg._check_symmetric(p))[0]
 
 
-def _irga(p, scale):
-    """``irga`` of a Matrix or float array already known to be symmetric,
-    with the scale ``linalg._check_symmetric`` returned for it."""
+def _irga(p, scale) -> tuple:
+    """(``irga``, P^-1) of a Matrix or float array already known to be
+    symmetric, with the scale ``linalg._check_symmetric`` returned for it.
+
+    P^-1 is the float LU inverse, or None for a Matrix.  T = P o P^-1 is
+    square and float, so it goes to the LU inverse with its scale directly.
+    """
     if isinstance(p, Matrix):
-        return p.hadamard(p.inverse()).inverse()
-    return linalg.inverse(p * linalg._lu_inverse(p, scale))
+        return p.hadamard(p.inverse()).inverse(), None
+    p_inv = linalg._lu_inverse(p, scale)
+    t = p * p_inv
+    return linalg._lu_inverse(t, np.maximum.reduce(np.abs(t), None)), p_inv
 
 
 @dataclass(frozen=True)
@@ -159,34 +165,44 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     The input must be symmetric positive definite; violations raise rather
     than report.  ``tol`` must be finite and >= 0.
     """
+    return _check_with_inverse(p, tol)[0]
+
+
+def _check_with_inverse(p, tol: float) -> tuple:
+    """(``check_conjecture``'s report, the float P^-1 it formed T from, or
+    None for an exact P)."""
     linalg._check_tol(tol)
     p, scale = linalg._check_symmetric(p)
     # A float P with a NaN or infinite entry has no finite scale.
     finite = scale is None or math.isfinite(scale)
     if not (finite and linalg._is_positive_definite(p)):
         raise NotPositiveDefiniteError("input must be positive definite")
-    s = _irga(p, scale)
+    s, p_inv = _irga(p, scale)
     if isinstance(s, Matrix) and any(v != 1 for v in s.row_sums() + s.col_sums()):
         raise AssertionError("exact IRGA row/column sums must be identically 1")
-    return _membership_report(s, tol)
+    return _membership_report(s, tol), p_inv
 
 
-def _membership_report(s, tol: float) -> IrgaReport:
+def _membership_report(s, tol: float, min_entry=None) -> IrgaReport:
     """Doubly-stochastic membership report for an already-computed S.
 
     Exact S (a Matrix) is tested for nonnegativity alone, without
-    tolerance (see ``IrgaReport``); float S tolerates ``tol`` on the minimum
-    entry and on the row/column sums.  S is not tested for PD-ness: it
-    inherits it from P (see ``IrgaReport.pd``).
+    tolerance (see ``IrgaReport``), on its smallest entry: ``min_entry``
+    when a composition knows it by structure, else a scan of S.  Float S
+    tolerates ``tol`` on the minimum entry and on the row/column sums.  S
+    is not tested for PD-ness: it inherits it from P (see
+    ``IrgaReport.pd``).
     """
     if isinstance(s, Matrix):
         row_dev = col_dev = Fraction(0)
-        min_entry = s.min_entry()
+        if min_entry is None:
+            min_entry = s.min_entry()
         nonnegative = doubly = min_entry >= 0
     else:
-        row_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=1).tolist()])
-        col_dev = linalg._max_abs([v - 1.0 for v in s.sum(axis=0).tolist()])
-        min_entry = float(s.min())
+        # The ufunc reductions that ndarray.sum and ndarray.min call.
+        row_dev = linalg._max_abs([v - 1.0 for v in np.add.reduce(s, 1).tolist()])
+        col_dev = linalg._max_abs([v - 1.0 for v in np.add.reduce(s, 0).tolist()])
+        min_entry = float(np.minimum.reduce(s, None))
         nonnegative = min_entry >= -tol
         doubly = nonnegative and max(row_dev, col_dev) <= tol
     return IrgaReport(

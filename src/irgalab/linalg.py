@@ -15,9 +15,10 @@ Its Jordan pass on [D*A | I] leaves the inverse of D*A times the last pivot
 in the right half.  Polynomial determinants use cofactor expansion along
 the first row.  The exact inverse and positive-definiteness test take
 int/Fraction entries only and raise TypeError for any other.  Float
-inverses use partially pivoted LU (LAPACK dgetrf/dgetrs) with an explicit
-pivot-magnitude check, and the float positive-definiteness test and
-Cholesky factor both use LAPACK dpotrf.  These LAPACK routines come from
+inverses use partially pivoted LU, factored and solved against the identity
+in one LAPACK dgesv call, with an explicit pivot-magnitude check, and the
+float positive-definiteness test and Cholesky factor both use LAPACK
+dpotrf.  These LAPACK routines come from
 scipy's ``_flapack`` extension, which is loaded by itself on the first
 float inverse or Cholesky call: neither the ``scipy`` nor the
 ``scipy.linalg`` package is imported, and code that stays exact loads no
@@ -430,7 +431,7 @@ def _lapack():
 
 @functools.lru_cache(maxsize=16)
 def _identity(n: int) -> np.ndarray:
-    """A read-only n x n identity; dgetrs copies its right-hand side."""
+    """A read-only n x n identity; dgesv and dgetrs copy their right-hand side."""
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
@@ -439,9 +440,10 @@ def _identity(n: int) -> np.ndarray:
 def inverse(a):
     """Exact Gauss-Jordan inverse, or float partially pivoted LU.
 
-    The float path runs LAPACK dgetrf/dgetrs (as scipy's lu_factor/lu_solve
-    do; the first float call loads scipy's ``_flapack`` extension alone, not
-    the ``scipy`` or ``scipy.linalg`` package) and rejects pivots below
+    The float path runs LAPACK dgesv on (A, I), whose LU and solve give the
+    bits of scipy's lu_factor/lu_solve (the first float call loads scipy's
+    ``_flapack`` extension alone, not the ``scipy`` or ``scipy.linalg``
+    package), and rejects pivots below
     ``PIVOT_RTOL * max|entry|``, or a NaN or infinite entry, with
     NumericallySingularError; the exact path raises SingularMatrixError when
     the determinant vanishes.
@@ -451,7 +453,7 @@ def inverse(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise DimensionMismatchError(f"inverse of a non-square or empty matrix, shape {a.shape}")
-    return _lu_inverse(a, np.abs(a).max())
+    return _lu_inverse(a, np.maximum.reduce(np.abs(a), None))
 
 
 def _lu_inverse(a: np.ndarray, scale) -> np.ndarray:
@@ -460,10 +462,11 @@ def _lu_inverse(a: np.ndarray, scale) -> np.ndarray:
         raise NumericallySingularError("matrix has a NaN or infinite entry")
     if scale == 0:
         raise NumericallySingularError("zero matrix")
-    # An exactly singular input leaves a zero pivot (getrf info > 0), which
-    # the check below rejects before getrs could divide by it.
+    # An exactly singular input leaves a zero pivot (info > 0), on which
+    # dgesv factors but does not solve; the check below rejects it.
     lapack = _lapack()
-    lu, piv, _ = lapack.dgetrf(a)
+    identity = _identity(a.shape[0])
+    lu, piv, inv, info = lapack.dgesv(a, identity)
     pivot = min(map(abs, lu.diagonal().tolist()))
     # A NaN pivot (overflow in the elimination) lets the solve run, as the
     # NaN minimum of numpy's min would; Python's min may skip it.
@@ -471,7 +474,11 @@ def _lu_inverse(a: np.ndarray, scale) -> np.ndarray:
         raise NumericallySingularError(
             f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
-    return lapack.dgetrs(lu, piv, _identity(a.shape[0]))[0]
+    if info > 0:
+        # A zero pivot beside a NaN one passes the check, but dgesv returned
+        # the right-hand side unsolved: solve on its LU.
+        return lapack.dgetrs(lu, piv, identity)[0]
+    return inv
 
 
 def _check_symmetric(a) -> tuple:
@@ -493,10 +500,11 @@ def _check_symmetric(a) -> tuple:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
-    scale = np.abs(a).max()
+    # np.maximum.reduce is what ndarray.max calls, without its wrapper.
+    scale = np.maximum.reduce(np.abs(a), None)
     # a - a.T is antisymmetric to the bit, so its largest entry is its
     # largest |entry|.
-    if math.isfinite(scale) and (a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    if math.isfinite(scale) and np.maximum.reduce(a - a.T, None) > SYMMETRY_RTOL * max(scale, 1.0):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return a, scale
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import getitem
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,12 @@ def majorizes(y, x, tol: float = 1e-9) -> MajorizationVerdict:
         raise DimensionMismatchError(f"vector shapes {y.shape} vs {x.shape}")
     if not len(y):
         raise DimensionMismatchError(f"empty vectors, shape {y.shape}")
-    deficits, sum_gap = _deficits_and_gap(y, np.sort(y), x, np.sort(x))
+    # copy() and sort() are the two calls np.sort makes.
+    y_sorted = y.copy()
+    y_sorted.sort()
+    x_sorted = x.copy()
+    x_sorted.sort()
+    deficits, sum_gap = _deficits_and_gap(y, y_sorted, x, x_sorted)
     return MajorizationVerdict(
         holds=_holds(deficits, sum_gap, tol),
         prefix_deficits=tuple(deficits),
@@ -110,7 +115,7 @@ def _deficits_and_gap(
     takes the plain computation.  Callers ignore numpy's overflow warnings.
     """
     deficits = _prefix_deficits(y_sorted, x_sorted)
-    sum_gap = float(x.sum() - y.sum())
+    sum_gap = float(np.add.reduce(x) - np.add.reduce(y))  # ndarray.sum's reduction
     # Once a running sum of finite entries overflows it stays infinite, so
     # the last deficit or the gap is non-finite whenever a sum overflowed.
     if math.isfinite(deficits[-1]) and math.isfinite(sum_gap):
@@ -321,6 +326,10 @@ class BirkhoffDecomposition:
 # 56 bytes less per entry than an (n, mask) tuple.
 _MATCHINGS_MAX = 8192
 _MATCHINGS: dict = {}  # mask | 1 << n * n -> permutation tuple, or None for no matching
+# A permutation's cells r*n + c, in row order, in the flat residual: what
+# ``birkhoff`` reads and updates.  Emptied with _MATCHINGS, so it never holds
+# more permutations than the memo does (at most n! of each size n).
+_CELLS: dict = {}
 _UNSEEN = object()
 
 
@@ -336,6 +345,7 @@ def _matching(n: int, mask: int, residual: list, tol: float) -> tuple | None:
     if perm is _UNSEEN:
         if len(_MATCHINGS) >= _MATCHINGS_MAX:
             _MATCHINGS.clear()
+            _CELLS.clear()
         support = [[c for c, v in enumerate(row) if v > tol] for row in residual]
         perm = _MATCHINGS[key] = _find_matching(support)
     return perm
@@ -400,43 +410,56 @@ def birkhoff(s, tol: float = 1e-9) -> BirkhoffDecomposition:
         raise DimensionMismatchError(f"empty matrix, shape {s.shape}")
     n = s.shape[0]
     # A NaN or infinite entry makes its row sum non-finite, so the entries
-    # are scanned for one only then.
-    row_dev = _max_abs([v - 1.0 for v in s.sum(axis=1).tolist()])
-    col_dev = _max_abs([v - 1.0 for v in s.sum(axis=0).tolist()])
-    if not math.isfinite(row_dev) and not np.isfinite(s).all():
+    # are scanned for one only then.  One deviation covers the row and the
+    # column sums: it is NaN, which passes the sums test, only for a
+    # non-finite entry or for finite ones of both signs whose sum leaves
+    # the float range, and the two tests before it reject both.  The ufunc
+    # reductions are the ones ndarray.sum and ndarray.min call.
+    sums = np.add.reduce(s, 1).tolist() + np.add.reduce(s, 0).tolist()
+    dev = _max_abs([v - 1.0 for v in sums])
+    if not math.isfinite(dev) and not np.isfinite(s).all():
         raise NotDoublyStochasticError("non-finite entry")
-    low = s.min()
+    low = np.minimum.reduce(s, None)
     if low < -tol:
         raise NotDoublyStochasticError(f"negative entry {low:.3e}")
-    if row_dev > tol or col_dev > tol:
+    if dev > tol:
         raise NotDoublyStochasticError("row/column sums differ from 1 beyond tol")
-    # Python floats, as the loop reads and updates single entries (the same
-    # IEEE doubles as numpy's).  Only the entries on the extracted
-    # permutation change, so the mask is updated there alone.  Entries
-    # outside the support are never read, so negative ones need no clipping.
-    residual = s.tolist()
+    # One flat list of Python floats, as the loop reads and updates single
+    # entries (the same IEEE doubles as numpy's): entry (r, c) is cell
+    # r*n + c, which is also its bit in the mask.  Only the cells of the
+    # extracted permutation change, so the mask is updated there alone.
+    # Entries outside the support are never read, so negative ones need no
+    # clipping.  A memo hit is read inline; a miss goes to ``_matching``.
+    residual = s.ravel().tolist()
     mask = int.from_bytes(np.packbits(s > tol, bitorder="little").tobytes(), "little")
     weights = []
     perms = []
     limit = (n - 1) ** 2 + 1
+    size_bit = 1 << n * n
+    memo_get, cells_get, entry = _MATCHINGS.get, _CELLS.get, residual.__getitem__
     while mask:
         if len(weights) >= limit:
             raise NotDoublyStochasticError(
                 "decomposition exceeded the permutation budget; input too far from doubly stochastic"
             )
-        perm = _matching(n, mask, residual, tol)
+        perm = memo_get(mask | size_bit, _UNSEEN)
+        if perm is _UNSEEN:
+            rows = [residual[i : i + n] for i in range(0, n * n, n)]
+            perm = _matching(n, mask, rows, tol)
         if perm is None:
             raise NotDoublyStochasticError(
                 "no perfect matching in the positive support"
             )
-        weight = min(map(getitem, residual, perm))
+        cells = cells_get(perm)
+        if cells is None:
+            cells = _CELLS[perm] = tuple(map(add, range(0, n * n, n), perm))
+        weight = min(map(entry, cells))
         weights.append(weight)
         perms.append(perm)
-        for r, c in enumerate(perm):
-            row = residual[r]
-            value = row[c] = row[c] - weight
+        for cell in cells:
+            value = residual[cell] = residual[cell] - weight
             if not value > tol:
-                mask ^= 1 << (r * n + c)
+                mask ^= 1 << cell
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms), n=n)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import irgalab
 from . import linalg
 from .irga import (
-    NONNEG_TOL, IrgaReport, _membership_report, check_conjecture, mix64, random_pd, rga
+    NONNEG_TOL, IrgaReport, _check_with_inverse, _membership_report, mix64, random_pd, rga
 )
 from .linalg import Matrix
 
@@ -79,8 +79,10 @@ class Gauge:
 
     Float consumers (``make_spdd``, ``verify_mapping``, ``rga_matrix``,
     ``kron_gauge``'s check) share one factorization: P's float form and LU
-    inverse, formed on first use.  So that P cannot change under it, a
-    float P is read-only, and ``make_gauge`` keeps its own copy.
+    inverse.  An atomic float gauge takes P^-1 from its own membership
+    check, which formed T = P o P^-1 with it; a composed or exact gauge
+    forms it on first use.  So that P cannot change under it, a float P is
+    read-only, and ``make_gauge`` keeps its own copy.
     """
 
     p: object
@@ -150,7 +152,11 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
     n = p.shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")
-    return Gauge(p=p, report=check_conjecture(p), provenance=("atomic", mode))
+    report, p_inv = _check_with_inverse(p, NONNEG_TOL)
+    gauge = Gauge(p=p, report=report, provenance=("atomic", mode))
+    if p_inv is not None:
+        gauge.__dict__["_float_lu"] = p, p_inv  # seeds the cached_property
+    return gauge
 
 
 _KRON_CONSISTENCY_TOL = 1e-9
@@ -175,20 +181,28 @@ def kron_gauge(a: Gauge, b: Gauge) -> Gauge:
 
 
 def block_gauge(children: Sequence[Gauge]) -> Gauge:
-    """Block-diagonal composition; S is block-diagonal of the children's S."""
+    """Block-diagonal composition; S is block-diagonal of the children's S.
+
+    An exact S of two or more blocks has the structural zeros off its
+    blocks, so its smallest entry is min(0, the children's smallest) and is
+    not scanned for.
+    """
     if not children:
         raise ValueError("block gauge needs at least one child")
     p = _block_diag([child.p for child in children])
     s = _block_diag([child.s for child in children])
-    return _composed("block", tuple(children), p, s)
+    min_entry = None
+    if isinstance(s, Matrix) and len(children) > 1:
+        min_entry = min(Fraction(0), *(child.report.min_entry for child in children))
+    return _composed("block", tuple(children), p, s, min_entry)
 
 
-def _composed(kind: str, children: tuple, p, s) -> Gauge:
+def _composed(kind: str, children: tuple, p, s, min_entry=None) -> Gauge:
     """The gauge composed from ``children``, with the membership report of
-    the composed S."""
+    the composed S (see ``_membership_report`` for ``min_entry``)."""
     if not isinstance(p, Matrix):
         p.setflags(write=False)
-    report = _membership_report(s, NONNEG_TOL)
+    report = _membership_report(s, NONNEG_TOL, min_entry)
     return Gauge(p=p, report=report, provenance=(kind,), children=children)
 
 

@@ -250,6 +250,21 @@ class TestFloatInverse:
         expected = scipy.linalg.lu_solve((lu, piv), np.eye(3), check_finite=False)
         assert np.array_equal(inverse(a), expected, equal_nan=True)
 
+    def test_zero_pivot_beside_a_nan_one_is_solved(self):
+        # A singular block leaves an exact zero pivot (info > 0), on which
+        # dgesv does not solve; the NaN pivot of an overflowing block keeps
+        # the check from raising, so the result is the solve's, not the
+        # right-hand side that dgesv hands back.
+        big = 1e308
+        a = np.zeros((5, 5))
+        a[:2, :2] = 1.0
+        a[2:, 2:] = [[1.0, big, big], [-1.0, big, big], [1.0, big, -big]]
+        lu, piv, info = linalg._lapack().dgetrf(a)
+        assert info == 2 and np.isnan(lu.diagonal()).any()
+        expected = linalg._lapack().dgetrs(lu, piv, np.eye(5))[0]
+        assert np.array_equal(inverse(a), expected, equal_nan=True)
+        assert not np.array_equal(inverse(a), np.eye(5))
+
     def test_symmetric_check_bound_is_the_largest_difference(self):
         # Rejected exactly when max|a - a^T| exceeds SYMMETRY_RTOL * max(scale, 1).
         rng = np.random.default_rng(41)
@@ -302,6 +317,10 @@ for n in range(2, 8):
             p_inv = linalg.inverse(p)
             t = p * p_inv
             inverses += [(p, p_inv), (t, linalg.inverse(t))]
+for n in (48, 256):  # sizes where LAPACK factors in blocks
+    g = np.random.default_rng(n).standard_normal((n, n))
+    spd = g @ g.T / n + np.eye(n)
+    inverses.append((spd, linalg.inverse(spd)))
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 for a, got in inverses:
@@ -309,7 +328,7 @@ for a, got in inverses:
     assert np.array_equal(got, expected)
 lapack = linalg._lapack()
 assert all(getattr(scipy.linalg.lapack, name) is getattr(lapack, name)
-           for name in ("dgetrf", "dgetrs", "dpotrf"))
+           for name in ("dgesv", "dgetrf", "dgetrs", "dpotrf"))
 print(len(inverses))
 """
 
@@ -322,7 +341,7 @@ def test_first_float_inverses_load_only_the_lapack_extension():
         cwd=Path(irgalab.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "600\n"
+    assert proc.stdout == "602\n"
 
 
 @pytest.mark.parametrize("installed", [False, True], ids=["no-scipy", "no-extension"])

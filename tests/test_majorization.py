@@ -299,6 +299,14 @@ class TestBirkhoff:
             decomposition = birkhoff(s)
             assert (decomposition.weights, decomposition.permutations) == reference_birkhoff(s)
 
+    def test_equals_numpy_reference_on_a_long_decomposition(self):
+        # An n = 6 gauge S from the wide band: 24 greedy steps, each
+        # updating six cells of the flat residual.
+        s = make_gauge(random_pd(6, 1, rng_range=10.0).p).s
+        decomposition = birkhoff(s)
+        assert len(decomposition) == 24
+        assert (decomposition.weights, decomposition.permutations) == reference_birkhoff(s)
+
     def test_rejects_negative_entries(self):
         with pytest.raises(NotDoublyStochasticError):
             birkhoff(np.array([[1.1, -0.1], [-0.1, 1.1]]))

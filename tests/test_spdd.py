@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from irgalab import linalg
-from irgalab.irga import check_conjecture, random_pd
+from irgalab.irga import NONNEG_TOL, _membership_report, check_conjecture, random_pd
 from irgalab.linalg import Matrix, load_matrix
 from irgalab.sos import data_path
 from irgalab.spdd import (
+    Gauge,
     GaugeModeError,
     InvalidGaugeError,
     assemble_gpdd,
@@ -313,6 +314,29 @@ class TestBlockGaugeStructure:
         for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
             assert gauge.report.to_json_dict() == check_conjecture(gauge.p).to_json_dict()
 
+    def test_exact_block_minimum_equals_a_scan(self):
+        # A block S of two or more blocks takes its smallest entry from its
+        # children and its structural zeros; the report equals a scan's.
+        def assert_scanned(gauge):
+            scanned = _membership_report(gauge.s, NONNEG_TOL)
+            assert gauge.report == scanned
+            assert type(gauge.report.min_entry) is type(scanned.min_entry)
+
+        for n in range(5, 49):
+            assert_scanned(assemble_gpdd(block_plan(n), n, mode="exact"))
+        blocks = [assemble_gpdd(block_plan(n), n, mode="exact") for n in (5, 9)]
+        nested = block_gauge([blocks[0], block_gauge(blocks), make_gauge(random_pd(3, 1, mode="exact").p)])
+        assert_scanned(nested)
+        # A child whose S has a negative entry sets the minimum.
+        s = frac_matrix([[1.5, -0.5], [-0.5, 1.5]])
+        negative = Gauge(
+            p=Matrix.identity(2), report=_membership_report(s, NONNEG_TOL), provenance=("atomic", "proven")
+        )
+        for children in ([negative, blocks[0]], [blocks[1], negative], [negative]):
+            gauge = block_gauge(children)
+            assert_scanned(gauge)
+            assert gauge.report.min_entry == Fraction(-1, 2) and not gauge.valid
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_only_p_is_tested_for_positive_definiteness(self, monkeypatch, mode):
         # S inherits PD-ness from P (IrgaReport.pd): check_conjecture tests P
@@ -446,8 +470,7 @@ class TestSharedFactorization:
             make_spdd(gauge, rng.uniform(0.1, 10.0, 48))
         assert factorizations(gauge) == 1
 
-        gauge = make_gauge(random_pd(4, 5).p)
-        calls.clear()  # check_conjecture's own inverse of P is not shared
+        gauge = make_gauge(random_pd(4, 5).p)  # its membership check's inverse is shared
         verify_mapping(make_spdd(gauge, [4.0, 3.0, 2.0, 1.0]))
         assert factorizations(gauge) == 1
 
@@ -457,6 +480,25 @@ class TestSharedFactorization:
         composed = kron_spdd(a, b)
         verify_mapping(composed)
         assert factorizations(composed.gauge) == 1
+
+    def test_lapack_calls_of_a_check_and_of_a_gauge_chain(self, monkeypatch):
+        # One dpotrf (P's PD test) and one dgesv each for P^-1 and T^-1; the
+        # gauge's make_spdd and verify_mapping reuse its check's P^-1.
+        lapack = linalg._lapack()
+        calls = []
+
+        def counted(name, routine):
+            return lambda *args, **kwargs: calls.append(name) or routine(*args, **kwargs)
+
+        for name in ("dpotrf", "dgesv", "dgetrf", "dgetrs"):
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        p = random_pd(5, 3).p
+        check_conjecture(p)
+        assert sorted(calls) == ["dgesv", "dgesv", "dpotrf"]
+        calls.clear()
+        matrix = make_spdd(make_gauge(p), np.arange(1.0, 6.0))
+        assert verify_mapping(matrix) and verify_majorization_theorem(matrix)
+        assert sorted(calls) == ["dgesv", "dgesv", "dpotrf"]
 
     def test_caller_mutation_does_not_reach_the_gauge(self):
         p = np.array([[2.0, 1.0], [1.0, 1.0]])
