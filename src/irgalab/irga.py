@@ -163,15 +163,36 @@ def check_conjecture(p, tol: float = NONNEG_TOL) -> IrgaReport:
     """Compute S and test nonnegativity and double stochasticity.
 
     The input must be symmetric positive definite; violations raise rather
-    than report.  ``tol`` must be finite and >= 0.
+    than report.  ``tol`` must be finite and >= 0.  A float P with the same
+    bits, shape and ``tol`` as the process's last float check is not
+    computed again: the report carries that check's values and a fresh
+    copy of its S.
     """
     return _check_with_inverse(p, tol)[0]
 
 
+# The last successful float check: (key, report, P^-1), with key = (tol,
+# shape, bytes of the float64 P).  It keeps private copies of S and P^-1
+# and hands out fresh ones, so no caller's write reaches a later check.  A
+# float miss replaces the whole tuple, so a racing thread reads the old
+# slot or the new one.  One slot serves the repetition there is: a caller
+# checks P and then gauges it (``spdd.make_gauge``).
+_LAST_CHECK = (None, None, None)
+
+
 def _check_with_inverse(p, tol: float) -> tuple:
     """(``check_conjecture``'s report, the float P^-1 it formed T from, or
-    None for an exact P)."""
+    None for an exact P), from ``_LAST_CHECK`` when its key matches.  A P
+    that raises is not kept, and neither is an exact P."""
+    global _LAST_CHECK
     linalg._check_tol(tol)
+    key = None
+    if not isinstance(p, Matrix):
+        p = np.asarray(p, dtype=float)
+        key = (tol, p.shape, p.tobytes())
+        last_key, report, p_inv = _LAST_CHECK
+        if key == last_key:
+            return _copies(report, p_inv)
     p, scale = linalg._check_symmetric(p)
     # A float P with a NaN or infinite entry has no finite scale.
     finite = scale is None or math.isfinite(scale)
@@ -180,7 +201,21 @@ def _check_with_inverse(p, tol: float) -> tuple:
     s, p_inv = _irga(p, scale)
     if isinstance(s, Matrix) and any(v != 1 for v in s.row_sums() + s.col_sums()):
         raise AssertionError("exact IRGA row/column sums must be identically 1")
-    return _membership_report(s, tol), p_inv
+    report = _membership_report(s, tol)
+    if key is not None:
+        _LAST_CHECK = (key, *_copies(report, p_inv))
+    return report, p_inv
+
+
+def _copies(report: IrgaReport, p_inv: np.ndarray) -> tuple:
+    """(report, P^-1) of a float check with S and P^-1 copied, each in its
+    own memory order, which later float steps' bits may depend on.
+    ``dataclasses.replace`` would cost twice as much."""
+    copied = IrgaReport(
+        report.s.copy("K"), report.max_row_sum_dev, report.max_col_sum_dev,
+        report.min_entry, report.nonnegative, report.doubly_stochastic,
+    )
+    return copied, p_inv.copy("K")
 
 
 def _membership_report(s, tol: float, min_entry=None) -> IrgaReport:

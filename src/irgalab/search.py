@@ -38,6 +38,12 @@ __all__ = [
 _DIRECTIONS = ("max_entropy", "min_entropy")
 
 
+def _check_delta(delta: float):
+    """Raise ValueError unless a step size is finite and > 0."""
+    if not 0 < delta < np.inf:
+        raise ValueError("step size must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Step size, objective direction, iteration budget, and tolerance."""
@@ -48,8 +54,7 @@ class SearchConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise ValueError("step size must be finite and > 0")
+        _check_delta(self.delta)
         _check_tol(self.tol)
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
@@ -112,8 +117,9 @@ def neighbors(spectrum, delta: float) -> list:
 
     Ordered pairs are enumerated i ascending then j ascending; results with
     a nonpositive entry are dropped (the lattice lives in the open positive
-    orthant).
+    orthant).  ``delta`` must be finite and > 0.
     """
+    _check_delta(delta)
     spectrum = np.asarray(spectrum, dtype=float)
     if spectrum.min() <= 0:
         raise ValueError("spectrum entries must be positive")

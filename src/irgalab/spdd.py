@@ -80,9 +80,10 @@ class Gauge:
     Float consumers (``make_spdd``, ``verify_mapping``, ``rga_matrix``,
     ``kron_gauge``'s check) share one factorization: P's float form and LU
     inverse.  An atomic float gauge takes P^-1 from its own membership
-    check, which formed T = P o P^-1 with it; a composed or exact gauge
-    forms it on first use.  So that P cannot change under it, a float P is
-    read-only, and ``make_gauge`` keeps its own copy.
+    check, which formed T = P o P^-1 with it (a copy of the last float
+    check's P^-1 when that check was of the same P); a composed or exact
+    gauge forms it on first use.  So that P cannot change under it, a
+    float P is read-only, and ``make_gauge`` keeps its own copy.
     """
 
     p: object
@@ -141,7 +142,10 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
 
     ``mode`` bounds the size: "proven" allows up to 4, "conjectured" up to
     6.  A conjectured-size gauge whose S fails the doubly-stochastic check
-    is returned with valid=False rather than asserted against.
+    is returned with valid=False rather than asserted against.  Float input
+    that is not two-dimensional raises DimensionMismatchError.  A float P
+    checked last by ``check_conjecture`` with the default ``tol`` is not
+    checked again: the gauge takes copies of that check's S and P^-1.
     """
     bound = _MODE_BOUNDS.get(mode)
     if bound is None:
@@ -149,6 +153,8 @@ def make_gauge(p, mode: str = "conjectured") -> Gauge:
     if not isinstance(p, Matrix):
         p = np.array(p, dtype=float)
         p.setflags(write=False)
+        if p.ndim != 2:
+            raise linalg.DimensionMismatchError(f"gauge must be a matrix, got shape {p.shape}")
     n = p.shape[0]
     if n > bound:
         raise GaugeModeError(f"size {n} exceeds the {mode} bound of {bound}")

@@ -2,9 +2,11 @@ import importlib
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,9 @@ import pytest
 from irgalab import _pcg64, linalg, sos
 from irgalab.irga import (
     NONNEG_TOL,
+    IrgaReport,
     _build_lower,
+    _check_with_inverse,
     _membership_report,
     _min_irga_entries,
     _search_lower,
@@ -138,6 +142,130 @@ class TestCheckConjecture:
         assert outcome.found
         assert not outcome.report.nonnegative
         assert not outcome.report.doubly_stochastic
+
+
+def assert_same_check(a, b):
+    """Two (report, P^-1) results of ``_check_with_inverse`` are equal to the
+    bit, S and P^-1 in the same memory order, and share no array."""
+    (report_a, inv_a), (report_b, inv_b) = a, b
+    for x, y in ((report_a.s, report_b.s), (inv_a, inv_b)):
+        assert x is not y and x.shape == y.shape and x.strides == y.strides
+        assert x.tobytes("A") == y.tobytes("A")
+    for name in (f.name for f in fields(IrgaReport) if f.name != "s"):
+        x, y = getattr(report_a, name), getattr(report_b, name)
+        assert (type(x), repr(x)) == (type(y), repr(y)), name
+
+
+class TestLastCheck:
+    """A float check of the bits, shape and tol of the last float check is
+    answered from ``irga._LAST_CHECK`` with fresh copies."""
+
+    def test_a_hit_is_bit_identical_to_a_fresh_check(self, last_check, lapack_calls):
+        invalid = 0
+        for n in range(2, 7):
+            for seed in range(4):
+                for band in (2.0, 10.0):
+                    p = random_pd(n, seed, rng_range=band).p
+                    # A copy, another memory order and nested lists have P's bits.
+                    for q in (p.copy(), np.asfortranarray(p), p.tolist()):
+                        last_check()
+                        fresh = _check_with_inverse(p, NONNEG_TOL)
+                        lapack_calls.clear()
+                        hit = _check_with_inverse(q, NONNEG_TOL)
+                        assert lapack_calls == []
+                        assert_same_check(hit, fresh)
+                        last_check()
+                        assert_same_check(hit, _check_with_inverse(q, NONNEG_TOL))
+                    invalid += not fresh[0].doubly_stochastic
+        assert invalid  # the rng_range=10 draws include invalid gauges
+
+    def test_a_write_into_a_result_reaches_no_later_hit(self, last_check, lapack_calls):
+        p = random_pd(4, 1).p
+        report, p_inv = _check_with_inverse(p, NONNEG_TOL)
+        s, inv = report.s.tobytes(), p_inv.tobytes()
+        lapack_calls.clear()
+        for _ in range(2):
+            report.s[...] = -1.0  # the caller's S stays writable
+            p_inv[...] = 7.0
+            report, p_inv = _check_with_inverse(p, NONNEG_TOL)
+            assert report.s.tobytes() == s and p_inv.tobytes() == inv
+        gauge = make_gauge(p)
+        assert gauge.s.tobytes() == s and gauge._float_lu[1].tobytes() == inv
+        gauge.s[...] = 0.0
+        gauge._float_lu[1][...] = 0.0
+        assert check_conjecture(p).s.tobytes() == s
+        assert lapack_calls == []
+
+    def test_the_key_is_exact(self, last_check, lapack_calls):
+        def computed(q, tol=NONNEG_TOL):
+            lapack_calls.clear()
+            check_conjecture(q, tol)
+            return lapack_calls.count("dgesv") == 2
+
+        p = random_pd(3, 2).p
+        one_ulp = p.copy()
+        one_ulp[1, 1] = np.nextafter(p[1, 1], np.inf)
+        assert computed(p) and not computed(p)
+        assert computed(one_ulp) and computed(p)
+        assert computed(p, 1e-9) and not computed(p, 1e-9) and computed(p)
+        zero, negative_zero = np.diag([2.0, 1.0]), np.diag([2.0, 1.0])
+        negative_zero[0, 1] = negative_zero[1, 0] = -0.0
+        assert computed(zero) and computed(negative_zero) and computed(zero)
+        # The bytes of a checked 2 x 2 P in another shape are no matrix to check.
+        for shape in ((1, 4), (4, 1), (4,)):
+            with pytest.raises(linalg.DimensionMismatchError):
+                check_conjecture(zero.reshape(shape))
+        assert not computed(zero)
+
+    def test_threads_only_get_their_own_p_s_check(self, last_check):
+        # The slot is replaced whole, so a thread racing others through it
+        # gets its own P's report and P^-1, never a mix of two checks.
+        ps = [random_pd(n, seed).p for n in (3, 4) for seed in range(4)]
+        expected = [_check_with_inverse(p, NONNEG_TOL) for p in ps]
+        mismatches, interval = [], sys.getswitchinterval()
+
+        def worker(k):
+            for _ in range(100):
+                for i in range(k, len(ps) + k):
+                    want_report, want_inv = expected[i % len(ps)]
+                    for _ in range(2):  # a miss, then a hit unless another thread came between
+                        report, p_inv = _check_with_inverse(ps[i % len(ps)], NONNEG_TOL)
+                        same = report.s.tobytes() == want_report.s.tobytes()
+                        if not (same and p_inv.tobytes() == want_inv.tobytes()):
+                            mismatches.append(i)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_errors_and_exact_input_are_not_kept(self, last_check, lapack_calls):
+        p = random_pd(3, 5).p
+        check_conjecture(p)
+        slot = importlib.import_module("irgalab.irga")._LAST_CHECK
+        failing = [
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), NONNEG_TOL, NotPositiveDefiniteError),
+            (np.array([[2.0, 1.0], [0.0, 1.0]]), NONNEG_TOL, NotSymmetricError),
+            (np.array([[math.nan, 0.0], [0.0, 1.0]]), NONNEG_TOL, NotPositiveDefiniteError),
+            (p, -1.0, ValueError),
+        ]
+        for q, tol, error in failing:
+            for _ in range(2):
+                with pytest.raises(error):
+                    check_conjecture(q, tol)
+        exact = random_pd(3, 5, mode="exact").p
+        assert check_conjecture(exact) == check_conjecture(exact)
+        assert importlib.import_module("irgalab.irga")._LAST_CHECK is slot
+        lapack_calls.clear()
+        check_conjecture(p)
+        assert lapack_calls == []
 
 
 class TestNonFiniteInput:

@@ -37,6 +37,12 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             neighbors([1.0, 0.0], 0.5)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_the_steps_the_config_rejects(self, delta):
+        for make in (lambda: neighbors([1.0, 2.0], delta), lambda: SearchConfig(delta=delta)):
+            with pytest.raises(ValueError, match="step size must be finite and > 0"):
+                make()
+
 
 class TestStep:
     def test_worked_move_to_uniform(self):

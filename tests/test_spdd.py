@@ -57,6 +57,15 @@ class TestMakeGauge:
         with pytest.raises(GaugeModeError):
             make_gauge(p, mode="proven")
         assert make_gauge(p, mode="conjectured").valid
+        # The bound is checked before the membership check.
+        with pytest.raises(GaugeModeError):
+            make_gauge(np.triu(p), mode="proven")
+
+    @pytest.mark.parametrize("p", [5.0, np.float64(1.0), np.ones(7), np.ones((2, 2, 2))])
+    def test_float_input_that_is_not_a_matrix(self, p):
+        for mode in ("proven", "conjectured"):
+            with pytest.raises(linalg.DimensionMismatchError, match="gauge must be a matrix"):
+                make_gauge(p, mode=mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -338,7 +347,7 @@ class TestBlockGaugeStructure:
             assert gauge.report.min_entry == Fraction(-1, 2) and not gauge.valid
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_only_p_is_tested_for_positive_definiteness(self, monkeypatch, mode):
+    def test_only_p_is_tested_for_positive_definiteness(self, monkeypatch, last_check, mode):
         # S inherits PD-ness from P (IrgaReport.pd): check_conjecture tests P
         # once, and neither composition tests the composed S.
         calls = []
@@ -348,10 +357,12 @@ class TestBlockGaugeStructure:
         report = check_conjecture(ps[0])
         assert len(calls) == 1 and calls[0] is ps[0] and report.pd
         a, b = (make_gauge(p, mode="proven") for p in ps)
-        assert len(calls) == 3
+        # The float gauge of the P just checked reuses that check.
+        tested = 2 if mode == "float" else 3
+        assert len(calls) == tested
         for gauge in (block_gauge([a, b]), kron_gauge(a, b)):
             assert gauge.report.pd and gauge.report.to_json_dict()["pd"] is True
-        assert len(calls) == 3
+        assert len(calls) == tested
 
     def test_mixed_carriers_compose_as_float(self):
         # An exact child composes with a float one as its float conversion.
@@ -452,7 +463,7 @@ class TestSharedFactorization:
         composed = kron_spdd(ma, mb)
         assert verify_mapping(composed).max_deviation == _fresh_mapping_deviation(composed)
 
-    def test_each_gauge_is_factored_once(self, monkeypatch):
+    def test_each_gauge_is_factored_once(self, monkeypatch, last_check):
         # Count the float LU inverses of each gauge's own float P.
         calls = []
         lu_inverse = linalg._lu_inverse
@@ -481,24 +492,22 @@ class TestSharedFactorization:
         verify_mapping(composed)
         assert factorizations(composed.gauge) == 1
 
-    def test_lapack_calls_of_a_check_and_of_a_gauge_chain(self, monkeypatch):
+    def test_lapack_calls_of_a_check_and_of_a_gauge_chain(self, last_check, lapack_calls):
         # One dpotrf (P's PD test) and one dgesv each for P^-1 and T^-1; the
-        # gauge's make_spdd and verify_mapping reuse its check's P^-1.
-        lapack = linalg._lapack()
-        calls = []
+        # gauge's make_spdd and verify_mapping reuse its check's P^-1, and
+        # the gauge of the P just checked reuses the whole check.
+        def chain(p):
+            lapack_calls.clear()
+            matrix = make_spdd(make_gauge(p), np.arange(1.0, 6.0))
+            assert verify_mapping(matrix) and verify_majorization_theorem(matrix)
+            return sorted(lapack_calls)
 
-        def counted(name, routine):
-            return lambda *args, **kwargs: calls.append(name) or routine(*args, **kwargs)
-
-        for name in ("dpotrf", "dgesv", "dgetrf", "dgetrs"):
-            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
         p = random_pd(5, 3).p
         check_conjecture(p)
-        assert sorted(calls) == ["dgesv", "dgesv", "dpotrf"]
-        calls.clear()
-        matrix = make_spdd(make_gauge(p), np.arange(1.0, 6.0))
-        assert verify_mapping(matrix) and verify_majorization_theorem(matrix)
-        assert sorted(calls) == ["dgesv", "dgesv", "dpotrf"]
+        assert sorted(lapack_calls) == ["dgesv", "dgesv", "dpotrf"]
+        assert chain(random_pd(5, 4).p) == ["dgesv", "dgesv", "dpotrf"]
+        check_conjecture(p)
+        assert chain(p) == []
 
     def test_caller_mutation_does_not_reach_the_gauge(self):
         p = np.array([[2.0, 1.0], [1.0, 1.0]])
